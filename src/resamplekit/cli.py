@@ -36,6 +36,7 @@ from .data import (
 from .resampling import (
     STAT_CORRELATION,
     bootstrap_report,
+    check_bin_width,
     exact_shuffle_p,
     observed_statistic,
     shuffle_test,
@@ -58,12 +59,24 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("RESAMPLE_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"RESAMPLE_SEED must be an integer, got {raw!r}") from None
+def _seed(args) -> int:
+    """The run's seed: --seed, else RESAMPLE_SEED, else 0; must lie in [0, 2**64).
+
+    Seeds outside that range would alias (the generator works modulo 2**64)
+    while the manifest echoed a different number, so they are refused.
+    """
+    if args.seed is not None:
+        seed, source = args.seed, "--seed"
+    else:
+        raw = os.environ.get("RESAMPLE_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ValueError(f"RESAMPLE_SEED must be an integer, got {raw!r}") from None
+        source = "RESAMPLE_SEED"
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"{source} must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def _sha256_file(path: str) -> str:
@@ -151,7 +164,7 @@ class Report:
 
 
 def _cmd_shuffle_test(args) -> str:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     if args.stat == STAT_CORRELATION:
         if not args.data:
             raise ValueError("correlation needs --data with --x-column/--y-column")
@@ -166,6 +179,7 @@ def _cmd_shuffle_test(args) -> str:
 
     if args.bin_width is None:
         args.bin_width = 0.05 if args.stat == STAT_CORRELATION else 2.0
+    check_bin_width(args.bin_width)
     rep = Report("shuffle-test", input_id, seed=seed, replicates=args.n)
     for key in ("stat", "sidedness", "n"):
         rep.option(key, getattr(args, key))
@@ -210,7 +224,8 @@ def _cmd_shuffle_test(args) -> str:
 
 
 def _cmd_bootstrap(args) -> str:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
+    check_bin_width(args.bin_width)
     data, input_id = _load_grouped_or_sample(args)
     bounds = _parse_pair(args.bounds, "--bounds") if args.bounds else None
     result = bootstrap_report(
@@ -391,7 +406,7 @@ def _cmd_bayes(args) -> str:
 
 
 def _cmd_montecarlo(args) -> str:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     experiment = BernoulliExperiment(
         trials_per_run=args.trials,
         success_probability=parse_probability(args.prob),
@@ -417,7 +432,7 @@ def _cmd_montecarlo(args) -> str:
 
 
 def _cmd_poll(args) -> str:
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     if args.fixture:
         payload = get_fixture(args.fixture).payload
         if not isinstance(payload, PopulationVector):

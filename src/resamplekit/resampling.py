@@ -16,7 +16,12 @@ replicate draw sequences are:
   both groups are present; redraws are counted on the result.
 
 Both engines (``vectorized=True`` uses numpy lanes in lockstep, ``False``
-steps one substream at a time) produce identical replicate values.
+steps one substream at a time) produce identical replicate values.  The
+vectorized engine runs in bounded chunks of lanes (``rng.run_chunks``) and
+reduces each chunk to its statistic before the next, so memory grows with
+the chunk, not with N x n.  Lane r is always ``substream(seed, r)`` and each
+statistic is evaluated row by row on C-contiguous (chunk, n) rows, so the
+chunk size never changes a value, not even the float summation order.
 
 p-values count ties inclusively: two-sided p = #{|T*| >= |T_obs|} / N,
 one-sided variants count T* >= T_obs (or <=).
@@ -24,6 +29,7 @@ one-sided variants count T* >= T_obs (or <=).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from .data import GroupedSample, PairedSample, Sample
-from .rng import SubstreamBlock, substream
+from .rng import SubstreamBlock, run_chunks, substream
 
 STAT_MEAN = "mean"
 STAT_MEAN_DIFF = "mean-diff"
@@ -55,6 +61,12 @@ CORRELATION_BIN_WIDTH = 0.05
 ENUMERATION_LIMIT = 10**6
 
 
+def check_bin_width(bin_width: float) -> None:
+    """Raise ValueError unless the histogram bin width is finite and > 0."""
+    if not (math.isfinite(bin_width) and bin_width > 0):
+        raise ValueError(f"bin width must be a finite number > 0, got {bin_width}")
+
+
 @dataclass(frozen=True)
 class Histogram:
     """Counts per bin; bins are aligned so that 0 is a bin center.
@@ -68,8 +80,7 @@ class Histogram:
 
     @classmethod
     def from_values(cls, values, bin_width: float = DEFAULT_BIN_WIDTH) -> "Histogram":
-        if bin_width <= 0:
-            raise ValueError(f"bin width must be positive, got {bin_width}")
+        check_bin_width(bin_width)
         v = np.asarray(values, dtype=float)
         if v.size == 0:
             raise ValueError("cannot bin an empty value list")
@@ -115,6 +126,21 @@ class ResampleDistribution:
             raise ValueError(
                 f"{len(self.values)} values for {self.n_resamples} replicates"
             )
+
+    @functools.cached_property
+    def _array(self) -> np.ndarray:
+        """``values`` as a read-only float array, converted once for all summaries."""
+        arr = np.asarray(self.values, dtype=float)
+        arr.flags.writeable = False
+        return arr
+
+    @classmethod
+    def _from_array(cls, values: np.ndarray, **fields) -> "ResampleDistribution":
+        """A distribution whose summaries reuse the engine's own float array."""
+        dist = cls(values=tuple(values.tolist()), **fields)
+        values.flags.writeable = False
+        dist.__dict__["_array"] = values  # the slot cached_property fills
+        return dist
 
 
 @dataclass(frozen=True)
@@ -248,23 +274,38 @@ def observed_statistic(data, statistic: str | None = None) -> float:
 # replicate draw engines (vector and scalar must match exactly)
 
 
+def _prefix_shuffle_rows(arr: np.ndarray, blk: SubstreamBlock, steps: int) -> np.ndarray:
+    """One copy of arr per lane, after `steps` Fisher-Yates steps of that lane."""
+    n = arr.size
+    mat = np.tile(arr, (blk.count, 1))
+    flat = mat.reshape(-1)
+    row_start = np.arange(0, blk.count * n, n)
+    for i in range(steps):
+        a = row_start + i
+        b = blk.below(n - i)
+        b += a
+        left = flat[a]
+        flat[a] = flat[b]
+        flat[b] = left
+    return mat
+
+
 def _prefix_shuffle_matrix(
-    values, n_resamples: int, seed: int, k: int, vectorized: bool
+    values, n_resamples: int, seed: int, k: int, vectorized: bool, statistic=np.asarray
 ) -> np.ndarray:
-    """Row r is the value list after k Fisher-Yates steps of substream(seed, r)."""
+    """Row r is the value list after k Fisher-Yates steps of substream(seed, r).
+
+    The result is ``statistic(rows)`` (by default the rows themselves), where
+    ``statistic`` maps a matrix of such rows to one result per row; the
+    vectorized engine applies it to one chunk of rows at a time.
+    """
     arr = np.asarray(values, dtype=float)
     n = arr.size
     steps = min(k, n - 1)
     if vectorized:
-        blk = SubstreamBlock(seed, n_resamples)
-        mat = np.tile(arr, (n_resamples, 1))
-        rows = np.arange(n_resamples)
-        for i in range(steps):
-            j = i + blk.below(n - i)
-            left = mat[rows, i].copy()
-            mat[rows, i] = mat[rows, j]
-            mat[rows, j] = left
-        return mat
+        return run_chunks(
+            seed, n_resamples, n, lambda blk: statistic(_prefix_shuffle_rows(arr, blk, steps))
+        )
     mat = np.empty((n_resamples, n), dtype=float)
     for r in range(n_resamples):
         gen = substream(seed, r)
@@ -273,19 +314,19 @@ def _prefix_shuffle_matrix(
             j = i + gen.below(n - i)
             row[i], row[j] = row[j], row[i]
         mat[r] = row
-    return mat
+    return statistic(mat)
 
 
-def _replacement_index_matrix(
-    n_items: int, n_draws: int, n_resamples: int, seed: int, vectorized: bool
-) -> np.ndarray:
+def _index_rows(blk: SubstreamBlock, n_items: int, n_draws: int) -> np.ndarray:
+    """Row i holds n_draws successive below(n_items) draws of the block's lane i."""
+    idx = np.empty((blk.count, n_draws), dtype=np.int64)
+    for d in range(n_draws):
+        idx[:, d] = blk.below(n_items)
+    return idx
+
+
+def _scalar_index_matrix(n_items: int, n_draws: int, n_resamples: int, seed: int) -> np.ndarray:
     """Row r holds n_draws successive below(n_items) draws of substream(seed, r)."""
-    if vectorized:
-        blk = SubstreamBlock(seed, n_resamples)
-        idx = np.empty((n_resamples, n_draws), dtype=np.int64)
-        for d in range(n_draws):
-            idx[:, d] = blk.below(n_items)
-        return idx
     idx = np.empty((n_resamples, n_draws), dtype=np.int64)
     for r in range(n_resamples):
         gen = substream(seed, r)
@@ -333,10 +374,11 @@ def shuffle_test(
     g1, _ = data.group_names
     n1 = data.group_count(g1)
     observed = observed_statistic(data, statistic)
-    mat = _prefix_shuffle_matrix(data.values, n_resamples, seed, n1, vectorized)
-    diffs = _grouped_diffs(mat, n1)
-    dist = ResampleDistribution(
-        values=tuple(float(v) for v in diffs),
+    diffs = _prefix_shuffle_matrix(
+        data.values, n_resamples, seed, n1, vectorized, lambda mat: _grouped_diffs(mat, n1)
+    )
+    dist = ResampleDistribution._from_array(
+        diffs,
         observed=observed,
         statistic=statistic,
         mode="without-replacement",
@@ -379,10 +421,11 @@ def shuffle_test_paired(
     if n_resamples < 1:
         raise ValueError("need at least one replicate")
     observed = observed_statistic(data, STAT_CORRELATION)
-    mat = _prefix_shuffle_matrix(ys, n_resamples, seed, data.n - 1, vectorized)
-    rs = _correlations(xs, mat)
-    dist = ResampleDistribution(
-        values=tuple(float(v) for v in rs),
+    rs = _prefix_shuffle_matrix(
+        ys, n_resamples, seed, data.n - 1, vectorized, lambda mat: _correlations(xs, mat)
+    )
+    dist = ResampleDistribution._from_array(
+        rs,
         observed=observed,
         statistic=STAT_CORRELATION,
         mode="without-replacement",
@@ -476,20 +519,33 @@ def bootstrap(
         raise ValueError("need at least one replicate")
     n = data.n
     observed = observed_statistic(data, statistic)
+    arr = np.asarray(data.values, dtype=float)
+    redraws = 0
     if isinstance(data, Sample):
-        arr = np.asarray(data.values, dtype=float)
-        idx = _replacement_index_matrix(n, n, n_resamples, seed, vectorized)
-        values = arr[idx].mean(axis=1)
-        redraws = 0
+        if vectorized:
+            values = run_chunks(
+                seed, n_resamples, n, lambda blk: arr[_index_rows(blk, n, n)].mean(axis=1)
+            )
+        else:
+            values = arr[_scalar_index_matrix(n, n, n_resamples, seed)].mean(axis=1)
     else:
         g1, _ = data.group_names
-        arr = np.asarray(data.values, dtype=float)
         in_g1 = np.asarray([g == g1 for g in data.groups])
-        idx = _replacement_index_matrix(n, n, n_resamples, seed, vectorized)
-        idx, redraws = _redraw_single_group_rows(idx, in_g1, n, seed, vectorized)
-        values = _grouped_resample_diffs(arr, in_g1, idx)
-    return ResampleDistribution(
-        values=tuple(float(v) for v in values),
+
+        def grouped(blk: SubstreamBlock) -> np.ndarray:
+            nonlocal redraws
+            idx = _index_rows(blk, n, n)
+            redraws += _redraw_single_group_rows(idx, in_g1, blk)
+            return _grouped_resample_diffs(arr, in_g1, idx)
+
+        if vectorized:
+            values = run_chunks(seed, n_resamples, n, grouped)
+        else:
+            idx = _scalar_index_matrix(n, n, n_resamples, seed)
+            redraws = _scalar_redraw_single_group_rows(idx, in_g1, seed)
+            values = _grouped_resample_diffs(arr, in_g1, idx)
+    return ResampleDistribution._from_array(
+        values,
         observed=observed,
         statistic=statistic,
         mode="with-replacement",
@@ -510,58 +566,59 @@ def _grouped_resample_diffs(arr: np.ndarray, in_g1: np.ndarray, idx: np.ndarray)
     return s1 / c1 - s2 / c2
 
 
-def _redraw_single_group_rows(
-    idx: np.ndarray, in_g1: np.ndarray, n_items: int, seed: int, vectorized: bool
-) -> tuple[np.ndarray, int]:
-    """Redraw replicates whose resample lost a whole group; keep N fixed.
-
-    Each attempt consumes n_items fresh draws from the replicate's own
-    substream, so vector and scalar execution stay identical.
-    """
-    n_draws = idx.shape[1]
+def _lost_a_group(idx: np.ndarray, in_g1: np.ndarray) -> np.ndarray:
     counts = in_g1[idx].sum(axis=1)
-    bad = (counts == 0) | (counts == n_draws)
+    return (counts == 0) | (counts == idx.shape[1])
+
+
+def _redraw_single_group_rows(idx: np.ndarray, in_g1: np.ndarray, blk: SubstreamBlock) -> int:
+    """Redraw, in place, the rows of idx that lost a whole group; returns the
+    number of redraws.
+
+    ``blk`` is the block whose lanes drew idx.  Each attempt continues a bad
+    lane's own stream with n fresh index draws, and only the lanes still bad
+    are stepped, so the rows equal one-replicate-at-a-time execution.  The
+    block is narrowed to those lanes on the way.
+    """
+    n_items = idx.shape[1]
+    lanes = np.flatnonzero(_lost_a_group(idx, in_g1))  # positions in blk
+    rows = lanes  # the rows of idx they redraw
     redraws = 0
-    if not bad.any():
-        return idx, 0
-    if vectorized:
-        # Recreate the block and fast-forward every lane past its first
-        # n_draws draws (below() consumes exactly one draw per call here
-        # because n_items is tiny next to 2**64 -- and if a rejection ever
-        # did occur, the replay consumes it identically).
-        blk = SubstreamBlock(seed, idx.shape[0])
+    rounds = 0
+    while lanes.size:
+        rounds += 1
+        if rounds > _MAX_REDRAW_ROUNDS:
+            raise RuntimeError("grouped bootstrap kept drawing one-group resamples")
+        redraws += lanes.size
+        blk.keep(lanes)
+        fresh = _index_rows(blk, n_items, n_items)
+        bad = _lost_a_group(fresh, in_g1)
+        idx[rows[~bad]] = fresh[~bad]
+        lanes = np.flatnonzero(bad)
+        rows = rows[bad]
+    return redraws
+
+
+def _scalar_redraw_single_group_rows(idx: np.ndarray, in_g1: np.ndarray, seed: int) -> int:
+    """One-substream-at-a-time twin of ``_redraw_single_group_rows``."""
+    n_draws = idx.shape[1]
+    redraws = 0
+    for r in np.flatnonzero(_lost_a_group(idx, in_g1)):
+        gen = substream(seed, int(r))
         for _ in range(n_draws):
-            blk.below(n_items)
+            gen.below(n_draws)
         rounds = 0
-        while bad.any():
+        while True:
             rounds += 1
             if rounds > _MAX_REDRAW_ROUNDS:
                 raise RuntimeError("grouped bootstrap kept drawing one-group resamples")
-            redraws += int(bad.sum())
-            for d in range(n_draws):
-                col = blk.below(n_items, active=bad)
-                idx[bad, d] = col[bad]
-            counts = in_g1[idx].sum(axis=1)
-            bad &= (counts == 0) | (counts == n_draws)
-    else:
-        for r in np.nonzero(bad)[0]:
-            gen = substream(seed, int(r))
-            for _ in range(n_draws):
-                gen.below(n_items)
-            rounds = 0
-            while True:
-                rounds += 1
-                if rounds > _MAX_REDRAW_ROUNDS:
-                    raise RuntimeError(
-                        "grouped bootstrap kept drawing one-group resamples"
-                    )
-                redraws += 1
-                row = [gen.below(n_items) for _ in range(n_draws)]
-                c = int(in_g1[row].sum())
-                if 0 < c < n_draws:
-                    idx[r] = row
-                    break
-    return idx, redraws
+            redraws += 1
+            row = [gen.below(n_draws) for _ in range(n_draws)]
+            c = int(in_g1[row].sum())
+            if 0 < c < n_draws:
+                idx[r] = row
+                break
+    return redraws
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +627,9 @@ def _redraw_single_group_rows(
 
 def _values_array(dist) -> np.ndarray:
     if isinstance(dist, ResampleDistribution):
-        return np.asarray(dist.values, dtype=float)
+        return dist._array
+    if isinstance(dist, np.ndarray):
+        return np.asarray(dist, dtype=float)
     return np.asarray(list(dist), dtype=float)
 
 
@@ -581,6 +640,10 @@ def percentile(values, q: float) -> float:
         raise ValueError("no values")
     if not 0 <= q <= 1:
         raise ValueError(f"percentile level must be in [0, 1], got {q}")
+    return _sorted_percentile(s, q)
+
+
+def _sorted_percentile(s: np.ndarray, q: float) -> float:
     pos = q * (s.size - 1)
     i = int(math.floor(pos))
     frac = pos - i
@@ -597,7 +660,8 @@ def percentile_interval(dist, level: float = 0.95) -> tuple[float, float]:
     if v.size < 2:
         raise ValueError("need at least two values for an interval")
     alpha = (1 - level) / 2
-    return percentile(v, alpha), percentile(v, 1 - alpha)
+    s = np.sort(v)
+    return _sorted_percentile(s, alpha), _sorted_percentile(s, 1 - alpha)
 
 
 def tail_probability(dist, threshold: float, direction: str = "ge") -> float:
@@ -686,15 +750,16 @@ def bootstrap_report(
         description = _difference_description(data, dist.statistic)
     else:
         description = "mean"
+    values = _values_array(dist)
     return BootstrapReport(
         distribution=dist,
         interval_level=level,
-        interval=percentile_interval(dist, level),
+        interval=percentile_interval(values, level),
         tail_direction=tail_direction,
         tail_probabilities=tuple(
-            (float(t), tail_probability(dist, t, tail_direction)) for t in thresholds
+            (float(t), tail_probability(values, t, tail_direction)) for t in thresholds
         ),
-        histogram=Histogram.from_values(dist.values, bin_width),
+        histogram=Histogram.from_values(values, bin_width),
         diagnostics=diagnostics(dist, scale_bounds),
         description=description,
     )

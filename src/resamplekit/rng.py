@@ -41,6 +41,12 @@ Replicated experiments take replicate r's randomness from
 scheduling.  ``SubstreamBlock`` steps a contiguous block of substreams in
 lockstep with numpy and reproduces, lane by lane, exactly the scalar
 sequences (see the equivalence tests).
+
+Chunking invariant: ``run_chunks`` covers replicates 0..N-1 with blocks of
+at most ``chunk_lanes(width)`` lanes, and lane r of every chunk is always
+``substream(seed, r)``.  Chunk boundaries therefore bound memory but never
+change a value: any chunk size gives the same results as one block of N
+lanes and as N scalar substreams.
 """
 
 from __future__ import annotations
@@ -55,6 +61,12 @@ _MIX_C2 = 0x94D049BB133111EB
 
 # below() accepts 1 <= n < 2**63 so results always fit a signed 64-bit int.
 _MAX_BELOW = 1 << 63
+
+# Chunk size of run_chunks (see chunk_lanes): about CHUNK_ELEMENTS values per
+# chunk, so a kernel's matrices stay in cache and memory stays bounded by the
+# chunk rather than by replicates x row width.
+CHUNK_ELEMENTS = 1 << 18
+CHUNK_FLOOR = 1 << 10
 
 
 def mix64(x: int) -> int:
@@ -172,38 +184,34 @@ class SubstreamBlock:
     Lane ``i`` of the block produces exactly the sequence of
     ``substream(seed, start + i)``, including rejection redraws, so
     vectorized and one-replicate-at-a-time execution give identical results.
+    The four state words of all lanes live in one ``(4, count)`` array that
+    every step updates in place.
     """
 
     def __init__(self, seed: int, count: int, start: int = 0):
         if count < 1:
             raise ValueError(f"block needs at least one lane, got {count}")
-        base = np.uint64(mix64(seed))
-        keys = _mix64_array(base + np.arange(start, start + count, dtype=np.uint64))
-        self._s = [
-            _mix64_array(keys + np.uint64((i * _GOLDEN) & _MASK64))
-            for i in range(1, 5)
-        ]
+        keys = np.uint64(mix64(seed)) + np.arange(start, start + count, dtype=np.uint64)
+        _mix64_inplace(keys)
+        self._s = np.empty((4, count), dtype=np.uint64)
+        for i, words in enumerate(self._s, start=1):
+            np.add(keys, np.uint64((i * _GOLDEN) & _MASK64), out=words)
+            _mix64_inplace(words)
+        self._t = np.empty(count, dtype=np.uint64)
         self.count = count
 
-    def _step(self, active: np.ndarray | None = None) -> np.ndarray:
-        # Lanes outside `active` keep their state: a lane's stream position
-        # depends only on its own draw history.
-        s0, s1, s2, s3 = self._s
-        x = s1 * np.uint64(5)
-        out = ((x << np.uint64(7)) | (x >> np.uint64(57))) * np.uint64(9)
-        n2 = s2 ^ s0
-        n3 = s3 ^ s1
-        n1 = s1 ^ n2
-        n0 = s0 ^ n3
-        n2 = n2 ^ (s1 << np.uint64(17))
-        n3 = (n3 << np.uint64(45)) | (n3 >> np.uint64(19))
-        if active is None:
-            self._s = [n0, n1, n2, n3]
-        else:
-            self._s = [
-                np.where(active, new, old)
-                for new, old in zip((n0, n1, n2, n3), (s0, s1, s2, s3))
-            ]
+    def _step(self, lanes: np.ndarray | None = None) -> np.ndarray:
+        """Advance every lane, or only the lanes at positions ``lanes``, once.
+
+        Returns a fresh array of the outputs of the lanes stepped.  Lanes not
+        stepped keep their state: a lane's stream position depends only on
+        its own draw history.
+        """
+        if lanes is None:
+            return _xoshiro_step(self._s, self._t)
+        s = self._s[:, lanes]
+        out = _xoshiro_step(s, np.empty(lanes.size, dtype=np.uint64))
+        self._s[:, lanes] = s
         return out
 
     def next_uint64(self) -> np.ndarray:
@@ -220,30 +228,100 @@ class SubstreamBlock:
         """
         if not 1 <= n < _MAX_BELOW:
             raise ValueError(f"below() needs 1 <= n < 2**63, got {n}")
-        out = self._step(active)
-        result = out % np.uint64(n)
+        if active is None:
+            draws = self._step()
+        else:
+            draws = np.zeros(self.count, dtype=np.uint64)
+            lanes = np.flatnonzero(active)
+            draws[lanes] = self._step(lanes)
         rem = _SPAN % n
         if rem:
             limit = np.uint64(_SPAN - rem)
-            rejected = out >= limit
-            if active is not None:
-                rejected &= active
-            rounds = 0
-            while rejected.any():
-                rounds += 1
-                if rounds > 128:  # pragma: no cover - P(reject) <= n/2**64 per round
-                    raise RuntimeError("rejection sampling failed to terminate")
-                out = self._step(rejected)
-                result = np.where(rejected, out % np.uint64(n), result)
-                rejected &= out >= limit
-        return result.astype(np.int64)
+            if draws.max() >= limit:
+                # Only the rejected lanes draw again, each from its own stream.
+                retry = np.flatnonzero(draws >= limit)
+                rounds = 0
+                while retry.size:
+                    rounds += 1
+                    if rounds > 128:  # pragma: no cover - P(reject) <= n/2**64 per round
+                        raise RuntimeError("rejection sampling failed to terminate")
+                    out = self._step(retry)
+                    draws[retry] = out
+                    retry = retry[out >= limit]
+        # draws - (draws // n) * n is draws % n exactly; numpy divides by a
+        # scalar about twice as fast as it takes a remainder.
+        quotient = np.floor_divide(draws, np.uint64(n), out=self._t)
+        quotient *= np.uint64(n)
+        draws -= quotient
+        # Every value is below n < 2**63, so the int64 view is exact.
+        return draws.view(np.int64)
+
+    def keep(self, lanes) -> None:
+        """Narrow the block to the lanes at positions ``lanes`` (ascending).
+
+        Lane ``i`` afterwards is the former lane ``lanes[i]`` and continues
+        its own stream from where it stood; the other lanes are dropped.
+        """
+        lanes = np.asarray(lanes, dtype=np.intp)
+        if lanes.size < 1:
+            raise ValueError("block needs at least one lane, got 0")
+        self._s = self._s[:, lanes]
+        self._t = self._t[: lanes.size]
+        self.count = int(lanes.size)
 
 
-def _mix64_array(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.uint64, copy=True)
+def run_chunks(seed: int, count: int, width: int, kernel) -> np.ndarray:
+    """``kernel(block)`` over consecutive blocks of lanes 0..count-1, concatenated.
+
+    ``width`` is how many values a kernel holds per lane (the row width of
+    its matrices); each block has ``chunk_lanes(width)`` lanes, the last one
+    fewer.  Lane r of the result always comes from ``substream(seed, r)``, so
+    the chunk size bounds memory but never changes a value.
+    """
+    lanes = chunk_lanes(width)
+    return np.concatenate(
+        [
+            kernel(SubstreamBlock(seed, min(lanes, count - start), start))
+            for start in range(0, count, lanes)
+        ]
+    )
+
+
+def chunk_lanes(width: int) -> int:
+    """Lanes per chunk for rows of ``width`` values: CHUNK_ELEMENTS // width,
+    but at least CHUNK_FLOOR so numpy's per-call cost is spread over enough
+    lanes."""
+    return max(CHUNK_FLOOR, CHUNK_ELEMENTS // max(width, 1))
+
+
+_U5, _U7, _U9, _U57 = (np.uint64(k) for k in (5, 7, 9, 57))
+_U17, _U19, _U45 = (np.uint64(k) for k in (17, 19, 45))
+
+
+def _xoshiro_step(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """One xoshiro256** step of every column of the (4, lanes) state ``s``,
+    in place; ``t`` is scratch of one row.  Returns the outputs."""
+    s0, s1, s2, s3 = s
+    out = np.multiply(s1, _U5)
+    np.left_shift(out, _U7, out=t)
+    out >>= _U57
+    out |= t
+    out *= _U9
+    np.left_shift(s1, _U17, out=t)
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    np.left_shift(s3, _U45, out=t)
+    s3 >>= _U19
+    s3 |= t
+    return out
+
+
+def _mix64_inplace(x: np.ndarray) -> None:
     x ^= x >> np.uint64(30)
     x *= np.uint64(_MIX_C1)
     x ^= x >> np.uint64(27)
     x *= np.uint64(_MIX_C2)
     x ^= x >> np.uint64(31)
-    return x

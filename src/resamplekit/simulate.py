@@ -21,8 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from .data import PopulationVector
-from .resampling import percentile_interval
-from .rng import SubstreamBlock, substream
+from .resampling import _prefix_shuffle_matrix, percentile_interval
+from .rng import SubstreamBlock, run_chunks, substream
 
 EVENTS = ("exactly", "at-least", "at-most")
 POLL_MODES = ("with-replacement", "without-replacement")
@@ -96,11 +96,14 @@ def simulate_bernoulli(
     n = experiment.trials_per_run
     runs = experiment.runs
     if vectorized:
-        blk = SubstreamBlock(seed, runs)
-        successes = np.zeros(runs, dtype=np.int64)
-        for _ in range(n):
-            successes += blk.below(den) < num
-        counts = successes
+
+        def successes(blk: SubstreamBlock) -> np.ndarray:
+            counts = np.zeros(blk.count, dtype=np.int64)
+            for _ in range(n):
+                counts += blk.below(den) < num
+            return counts
+
+        counts = run_chunks(seed, runs, n, successes)
     else:
         counts = np.empty(runs, dtype=np.int64)
         for r in range(runs):
@@ -160,11 +163,14 @@ def simulate_poll(
     entries = np.asarray(population.entries, dtype=float)
     if mode == "with-replacement":
         if vectorized:
-            blk = SubstreamBlock(seed, n_polls)
-            sums = np.zeros(n_polls)
-            for _ in range(sample_size):
-                sums += entries[blk.below(n)]
-            props = sums / sample_size
+
+            def sums(blk: SubstreamBlock) -> np.ndarray:
+                total = np.zeros(blk.count)
+                for _ in range(sample_size):
+                    total += entries[blk.below(n)]
+                return total
+
+            props = run_chunks(seed, n_polls, sample_size, sums) / sample_size
         else:
             props = np.empty(n_polls)
             for r in range(n_polls):
@@ -172,17 +178,11 @@ def simulate_poll(
                 picks = [entries[gen.below(n)] for _ in range(sample_size)]
                 props[r] = sum(picks) / sample_size
     else:
-        steps = min(sample_size, n - 1)
         if vectorized:
-            blk = SubstreamBlock(seed, n_polls)
-            mat = np.tile(entries, (n_polls, 1))
-            rows = np.arange(n_polls)
-            for i in range(steps):
-                j = i + blk.below(n - i)
-                left = mat[rows, i].copy()
-                mat[rows, i] = mat[rows, j]
-                mat[rows, j] = left
-            props = mat[:, :sample_size].mean(axis=1)
+            props = _prefix_shuffle_matrix(
+                entries, n_polls, seed, sample_size, True,
+                lambda mat: mat[:, :sample_size].mean(axis=1),
+            )
         else:
             props = np.empty(n_polls)
             for r in range(n_polls):
@@ -190,7 +190,7 @@ def simulate_poll(
                 picked = gen.sample_without_replacement(entries.tolist(), sample_size)
                 props[r] = float(np.asarray(picked).mean())
     return PollResult(
-        proportions=tuple(float(p) for p in props),
+        proportions=tuple(props.tolist()),
         sample_size=sample_size,
         mode=mode,
         n_polls=n_polls,

@@ -25,10 +25,10 @@ ONE = Fraction(1)
 def parse_probability(text: str) -> Fraction:
     """Parse '3/4', '0.75' or '75%' as an exact rational in [0, 1]."""
     s = str(text).strip()
-    if s.endswith("%"):
-        value = Fraction(s[:-1].strip()) / 100
-    else:
-        value = Fraction(s)
+    try:
+        value = Fraction(s[:-1].strip()) / 100 if s.endswith("%") else Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"probability {text!r} has a zero denominator") from None
     if not ZERO <= value <= ONE:
         raise ValueError(f"probability {text!r} is outside [0, 1]")
     return value

@@ -1,0 +1,141 @@
+"""Chunked lockstep engine: chunk boundaries never change a value.
+
+The chunk constants are patched small, so every run below spans many chunks
+and ends with a partial one; each vectorized result must equal the
+one-substream-at-a-time engine and the run with the default (single) chunk.
+"""
+
+import numpy as np
+import pytest
+
+from resamplekit import rng
+from resamplekit.data import GroupedSample, PairedSample, PopulationVector, get_fixture
+from resamplekit.resampling import bootstrap, shuffle_test, shuffle_test_paired
+from resamplekit.rng import SubstreamBlock, run_chunks, substream
+from resamplekit.simulate import BernoulliExperiment, simulate_bernoulli, simulate_poll
+
+VEG6 = get_fixture("veg6").payload
+VEG9 = get_fixture("veg9").payload
+POLL500 = get_fixture("poll500").payload
+TINY = GroupedSample.from_rows([(10, "a"), (20, "b")])
+
+N = 257  # not a multiple of any patched chunk size below
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    # 64 values per chunk, at least 7 lanes: 10 lanes for 6-row data,
+    # 7 lanes for 9-row data, 32 for two-value rows.
+    monkeypatch.setattr(rng, "CHUNK_ELEMENTS", 64)
+    monkeypatch.setattr(rng, "CHUNK_FLOOR", 7)
+
+
+def both_engines(fn):
+    """fn(vectorized) with small chunks must equal the scalar engine."""
+    return fn(True), fn(False)
+
+
+def test_patched_chunks_really_split_the_runs(small_chunks):
+    assert rng.chunk_lanes(6) == 10
+    assert rng.chunk_lanes(9) == 7
+    assert rng.chunk_lanes(1000) == 7
+    sizes = []
+    run_chunks(0, N, 6, lambda blk: sizes.append(blk.count) or np.zeros(blk.count))
+    assert sum(sizes) == N and sizes[-1] == N % 10 and len(sizes) == 26
+
+
+def test_chunk_size_does_not_change_values(monkeypatch):
+    whole = shuffle_test(VEG6, n_resamples=N, seed=4)
+    monkeypatch.setattr(rng, "CHUNK_ELEMENTS", 64)
+    monkeypatch.setattr(rng, "CHUNK_FLOOR", 7)
+    assert shuffle_test(VEG6, n_resamples=N, seed=4) == whole
+
+
+def test_plain_bootstrap_across_chunks(small_chunks):
+    a, b = both_engines(lambda v: bootstrap(VEG9, n_resamples=N, seed=3, vectorized=v))
+    assert a == b
+
+
+def test_grouped_bootstrap_redraws_across_chunks(small_chunks):
+    a, b = both_engines(lambda v: bootstrap(VEG6, n_resamples=N, seed=0, vectorized=v))
+    assert a == b and a.redraw_count > 0
+
+
+def test_multi_round_redraws_in_later_chunks(small_chunks):
+    # One row per group: half of all attempts lose a group, so lanes of every
+    # chunk need several redraw rounds.
+    a, b = both_engines(lambda v: bootstrap(TINY, n_resamples=N, seed=2, vectorized=v))
+    assert a == b
+    assert a.redraw_count > N // 2
+
+
+def test_shuffle_tests_across_chunks(small_chunks):
+    a, b = both_engines(lambda v: shuffle_test(VEG6, n_resamples=N, seed=5, vectorized=v))
+    assert a == b
+    paired = PairedSample(
+        xs=(1.0, 2.0, 3.0, 4.0, 5.0, 6.5), ys=(2.0, 1.5, 4.0, 3.0, 6.0, 5.0)
+    )
+    a, b = both_engines(
+        lambda v: shuffle_test_paired(paired, n_resamples=N, seed=6, vectorized=v)
+    )
+    assert a == b
+
+
+def test_bernoulli_across_chunks(small_chunks):
+    experiment = BernoulliExperiment(8, "1/3", "at-least", 3, N)
+    a, b = both_engines(lambda v: simulate_bernoulli(experiment, seed=7, vectorized=v))
+    assert a == b
+
+
+@pytest.mark.parametrize("mode", ["with-replacement", "without-replacement"])
+def test_polls_across_chunks(small_chunks, mode):
+    a, b = both_engines(lambda v: simulate_poll(POLL500, 20, mode, N, seed=8, vectorized=v))
+    assert a == b
+    ones = PopulationVector((1, 0, 0, 1, 1))
+    a, b = both_engines(lambda v: simulate_poll(ones, 5, mode, N, seed=9, vectorized=v))
+    assert a == b
+
+
+def test_rejection_path_across_chunks(small_chunks):
+    # 2**62 + 1 rejects about a quarter of raw draws, so lanes of every chunk
+    # retry, some more than once.
+    n = (1 << 62) + 1
+    got = run_chunks(3, 45, 5, lambda blk: np.stack([blk.below(n) for _ in range(5)], axis=1))
+    for lane in range(45):
+        gen = substream(3, lane)
+        assert [int(v) for v in got[lane]] == [gen.below(n) for _ in range(5)]
+
+
+def test_keep_continues_each_kept_lanes_stream():
+    block = SubstreamBlock(12, 9, start=40)
+    first = block.below(7)
+    block.keep([1, 4, 8])
+    assert block.count == 3
+    after = [block.below(7) for _ in range(3)]
+    block.keep([2])
+    last = block.next_uint64()
+    for pos, lane in enumerate((1, 4, 8)):
+        gen = substream(12, 40 + lane)
+        assert int(first[lane]) == gen.below(7)
+        assert [int(a[pos]) for a in after] == [gen.below(7) for _ in range(3)]
+        if lane == 8:
+            assert int(last[0]) == gen.next_uint64()
+
+
+def test_keep_then_masked_and_rejected_draws():
+    n = (1 << 62) + 1
+    block = SubstreamBlock(5, 6)
+    block.keep([0, 2, 3, 5])
+    mask = np.array([True, False, True, True])
+    masked = block.below(n, active=mask)
+    after = block.below(n)
+    for pos, lane in enumerate((0, 2, 3, 5)):
+        gen = substream(5, lane)
+        if mask[pos]:
+            assert int(masked[pos]) == gen.below(n)
+        assert int(after[pos]) == gen.below(n)
+
+
+def test_keep_needs_a_lane():
+    with pytest.raises(ValueError):
+        SubstreamBlock(0, 3).keep([])

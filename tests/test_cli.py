@@ -234,3 +234,49 @@ def test_correlation_via_csv(capsys, tmp_path):
     assert "observed correlation" in out
     line = next(l for l in out.splitlines() if "p value" in l)
     assert float(line.rsplit(":", 1)[1]) < 0.05
+
+
+def _one_error_line(code, out, err):
+    return code == 1 and out == "" and len(err.strip().splitlines()) == 1 and err.startswith("error:")
+
+
+def test_non_finite_bin_width_is_refused_before_drawing(capsys, monkeypatch):
+    import resamplekit.cli as cli
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("replicates drawn for an invalid bin width")
+
+    monkeypatch.setattr(cli, "bootstrap_report", no_draws)
+    monkeypatch.setattr(cli, "shuffle_test", no_draws)
+    for width in ("nan", "inf", "0", "-2"):
+        result = run(capsys, "bootstrap", "--fixture", "veg9", f"--bin-width={width}")
+        assert _one_error_line(*result), (width, result)
+        assert "bin width" in result[2]
+        result = run(capsys, "shuffle-test", "--fixture", "veg6", f"--bin-width={width}")
+        assert _one_error_line(*result), (width, result)
+
+
+def test_zero_denominator_probability_is_a_clean_error(capsys):
+    result = run(capsys, "montecarlo", "--trials", "8", "--prob", "1/0", "--count", "4")
+    assert _one_error_line(*result)
+    assert "1/0" in result[2]
+
+
+def test_seeds_outside_64_bits_are_refused(capsys, monkeypatch):
+    seeded = (
+        ("shuffle-test", "--fixture", "veg6", "--n", "20"),
+        ("bootstrap", "--fixture", "veg9", "--n", "20"),
+        ("montecarlo", "--trials", "2", "--count", "1", "--runs", "20"),
+        ("poll", "--fixture", "poll500", "--sample-size", "5", "--polls", "20"),
+    )
+    for argv in seeded:
+        for bad in (str(1 << 64), "-1"):
+            result = run(capsys, *argv, f"--seed={bad}")
+            assert _one_error_line(*result), (argv, bad, result)
+            assert "--seed" in result[2]
+        code, out, _ = run(capsys, *argv, "--seed", str((1 << 64) - 1))
+        assert code == 0 and f"seed: {(1 << 64) - 1}" in out
+        monkeypatch.setenv("RESAMPLE_SEED", str(1 << 64))
+        result = run(capsys, *argv)
+        assert _one_error_line(*result) and "RESAMPLE_SEED" in result[2]
+        monkeypatch.delenv("RESAMPLE_SEED")

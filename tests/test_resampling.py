@@ -513,3 +513,23 @@ def test_bootstrap_report_assembly():
     assert 0.93 <= prob <= 0.97
     assert report.histogram.total == 1000
     assert not report.diagnostics.skew_flagged
+
+
+def test_histogram_rejects_non_finite_bin_widths():
+    for width in (float("nan"), float("inf"), -float("inf"), -1.0):
+        with pytest.raises(ValueError, match="bin width"):
+            Histogram.from_values([1.0, 2.0], bin_width=width)
+
+
+def test_bootstrap_report_summaries_match_the_standalone_calls():
+    rep = bootstrap_report(
+        VEG9, n_resamples=2001, seed=4, level=0.9, thresholds=(50, 61.5),
+        scale_bounds=(0, 100), bin_width=1.5,
+    )
+    dist = rep.distribution
+    values = list(dist.values)
+    assert rep.interval == (percentile(values, 0.05), percentile(values, 0.95))
+    assert rep.interval == percentile_interval(values, 0.9)
+    assert rep.tail_probabilities == tuple((t, tail_probability(values, t)) for t in (50.0, 61.5))
+    assert rep.histogram == Histogram.from_values(values, 1.5)
+    assert rep.diagnostics == diagnostics(dist, (0, 100))

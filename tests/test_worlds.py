@@ -274,3 +274,9 @@ def test_parse_probability_forms():
 def test_decimal_input_is_exact():
     # "0.1" must become exactly 1/10, not the binary float.
     assert parse_probability("0.1") == F(1, 10)
+
+
+def test_parse_probability_rejects_zero_denominators_with_value_error():
+    for text in ("1/0", "0/0", "3/0%", "1/2/3", "", "%", "half"):
+        with pytest.raises(ValueError):
+            parse_probability(text)
