@@ -121,6 +121,8 @@ def calibrate_from_interval(
     else:
         lo, hi = float(low), float(high)
     q = _family_quantile((1 + level) / 2, family, df)
+    if q <= 0:  # (1 + level) / 2 rounded to 0.5
+        raise ValueError(f"confidence level {level:g} is too small to calibrate from")
     center = (lo + hi) / 2
     se = (hi - lo) / (2 * q)
     notes = []
@@ -169,6 +171,15 @@ def calibrate_from_p(
     )
 
 
+def finite_number(text: str) -> float:
+    """``float(text)`` for numbers typed by a user; nan and infinities raise
+    ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def probability_query(dist: CalibratedDistribution, query: str) -> float:
     """Evaluate a textual event query against a calibrated distribution.
 
@@ -179,9 +190,9 @@ def probability_query(dist: CalibratedDistribution, query: str) -> float:
         raise ValueError(f"cannot parse query {query!r}")
     op, rest = parts[0].lower(), parts[1]
     try:
-        args = [float(tok) for tok in rest.replace(",", " ").split()]
+        args = [finite_number(tok) for tok in rest.replace(",", " ").split()]
     except ValueError:
-        raise ValueError(f"cannot parse query arguments in {query!r}") from None
+        raise ValueError(f"query arguments in {query!r} must be finite numbers") from None
     if op == "gt" and len(args) == 1:
         return dist.prob_greater(args[0])
     if op == "lt" and len(args) == 1:

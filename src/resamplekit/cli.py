@@ -20,6 +20,7 @@ from .calibrate import (
     TwoByTwo,
     calibrate_from_interval,
     calibrate_from_p,
+    finite_number,
     odds_ratio,
     probability_query,
     risk_ratio,
@@ -88,10 +89,11 @@ def _sha256_file(path: str) -> str:
 
 
 def _parse_pair(text: str, what: str) -> tuple[float, float]:
-    parts = [t for t in text.replace(",", " ").split() if t]
-    if len(parts) != 2:
-        raise ValueError(f"{what} needs two comma-separated numbers, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    try:
+        low, high = (finite_number(t) for t in text.replace(",", " ").split())
+    except ValueError:
+        raise ValueError(f"{what} needs two comma-separated finite numbers, got {text!r}") from None
+    return low, high
 
 
 def _load_grouped_or_sample(args):
@@ -289,9 +291,12 @@ def _cmd_bootstrap(args) -> str:
 def _cmd_clip(args) -> str:
     rep = Report("clip", "-")
     if args.two_by_two:
-        counts = [int(t) for t in args.two_by_two.replace(",", " ").split()]
+        try:
+            counts = [int(t) for t in args.two_by_two.replace(",", " ").split()]
+        except ValueError:
+            counts = []
         if len(counts) != 4:
-            raise ValueError("--two-by-two needs four counts: events1,nonevents1,events2,nonevents2")
+            raise ValueError(f"--two-by-two needs four whole-number counts, got {args.two_by_two!r}")
         table = TwoByTwo(*counts)
         rep.option("two-by-two", args.two_by_two)
         rep.add(f"2x2 table: {counts[0]}/{counts[1]} events/non-events vs {counts[2]}/{counts[3]}")
@@ -549,8 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--stat", choices=("mean", "mean-diff", "proportion-diff"), default=None)
     sp.add_argument("--n", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--level", type=float, default=0.95)
-    sp.add_argument("--threshold", type=float, action="append", default=[],
+    sp.add_argument("--level", type=finite_number, default=0.95)
+    sp.add_argument("--threshold", type=finite_number, action="append", default=[],
                     help="report the tail probability at this value (repeatable)")
     sp.add_argument("--tail-direction", choices=("ge", "gt"), default="ge")
     sp.add_argument("--bounds", default=None, help="measurement scale LOW,HIGH for diagnostics")
@@ -560,10 +565,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("clip", help="probabilities for a quantity from a published CI or p-value")
     sp.add_argument("--ci", default=None, help="confidence interval LOW,HIGH")
-    sp.add_argument("--level", type=float, default=0.95)
-    sp.add_argument("--p", type=float, default=None, help="two-sided p-value")
-    sp.add_argument("--estimate", type=float, default=None)
-    sp.add_argument("--null", type=float, default=0.0,
+    sp.add_argument("--level", type=finite_number, default=0.95)
+    sp.add_argument("--p", type=finite_number, default=None, help="two-sided p-value")
+    sp.add_argument("--estimate", type=finite_number, default=None)
+    sp.add_argument("--null", type=finite_number, default=0.0,
                     help="baseline value the p-value tested against (0 differences, 1 ratios)")
     sp.add_argument("--family", choices=("normal", "t"), default="normal")
     sp.add_argument("--df", type=int, default=None)
@@ -604,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("with", "without"), default="without")
     sp.add_argument("--polls", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--level", type=float, default=0.95)
+    sp.add_argument("--level", type=finite_number, default=0.95)
     _add_common(sp)
     sp.set_defaults(func=_cmd_poll)
 

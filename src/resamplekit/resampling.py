@@ -15,13 +15,15 @@ replicate draw sequences are:
   redrawn from the same substream (n fresh index draws per attempt) until
   both groups are present; redraws are counted on the result.
 
-Both engines (``vectorized=True`` uses numpy lanes in lockstep, ``False``
-steps one substream at a time) produce identical replicate values.  The
-vectorized engine runs in bounded chunks of lanes (``rng.run_chunks``) and
-reduces each chunk to its statistic before the next, so memory grows with
-the chunk, not with N x n.  Lane r is always ``substream(seed, r)`` and each
-statistic is evaluated row by row on C-contiguous (chunk, n) rows, so the
-chunk size never changes a value, not even the float summation order.
+Each draw plan is one kernel, run by ``rng.run_chunks`` on numpy lanes in
+lockstep, in bounded chunks each reduced to its statistic (memory grows with
+the chunk, not with N x n), or with ``vectorized=False`` unchunked on
+``rng.ScalarLanes``, the Python-int oracle for the numpy engine.  Lane r is
+always ``substream(seed, r)`` and each statistic is evaluated row by row on
+C-contiguous rows, so neither engine nor chunk size changes a value, not even
+the float summation order.  The draw plans above are checked against
+``SeededGenerator``'s own methods in the tests and against
+``bench/refgen.py`` outside the program.
 
 p-values count ties inclusively: two-sided p = #{|T*| >= |T_obs|} / N,
 one-sided variants count T* >= T_obs (or <=).
@@ -38,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from .data import GroupedSample, PairedSample, Sample
-from .rng import SubstreamBlock, run_chunks, substream
+from .rng import run_chunks
 
 STAT_MEAN = "mean"
 STAT_MEAN_DIFF = "mean-diff"
@@ -59,6 +61,10 @@ DEFAULT_BIN_WIDTH = 2.0
 CORRELATION_BIN_WIDTH = 0.05
 
 ENUMERATION_LIMIT = 10**6
+
+# Histograms refuse bin widths that could give more bins than this (reports
+# use well under 100).
+MAX_BINS = 10**4
 
 
 def check_bin_width(bin_width: float) -> None:
@@ -84,6 +90,15 @@ class Histogram:
         v = np.asarray(values, dtype=float)
         if v.size == 0:
             raise ValueError("cannot bin an empty value list")
+        # A width of at least `fit` gives at most MAX_BINS bins, with bin
+        # indexes below 2**62 so that they fit int64.
+        vmin, vmax = float(v.min()), float(v.max())
+        fit = max((vmax - vmin) / (MAX_BINS - 1), max(-vmin, vmax) / 2**61)
+        if bin_width < fit:
+            raise ValueError(
+                f"bin width {bin_width:g} gives too many bins for these values "
+                f"(limit {MAX_BINS}); use a width of at least {fit * 1.01:.3g}"
+            )
         k = np.floor(v / bin_width + 0.5).astype(np.int64)
         lo, hi = int(k.min()), int(k.max())
         counts = np.bincount(k - lo, minlength=hi - lo + 1)
@@ -271,10 +286,10 @@ def observed_statistic(data, statistic: str | None = None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# replicate draw engines (vector and scalar must match exactly)
+# draw kernels, each run on either engine by run_chunks
 
 
-def _prefix_shuffle_rows(arr: np.ndarray, blk: SubstreamBlock, steps: int) -> np.ndarray:
+def _prefix_shuffle_rows(arr: np.ndarray, blk, steps: int) -> np.ndarray:
     """One copy of arr per lane, after `steps` Fisher-Yates steps of that lane."""
     n = arr.size
     mat = np.tile(arr, (blk.count, 1))
@@ -302,35 +317,18 @@ def _prefix_shuffle_matrix(
     arr = np.asarray(values, dtype=float)
     n = arr.size
     steps = min(k, n - 1)
-    if vectorized:
-        return run_chunks(
-            seed, n_resamples, n, lambda blk: statistic(_prefix_shuffle_rows(arr, blk, steps))
-        )
-    mat = np.empty((n_resamples, n), dtype=float)
-    for r in range(n_resamples):
-        gen = substream(seed, r)
-        row = list(arr)
-        for i in range(steps):
-            j = i + gen.below(n - i)
-            row[i], row[j] = row[j], row[i]
-        mat[r] = row
-    return statistic(mat)
+
+    def kernel(blk) -> np.ndarray:
+        return statistic(_prefix_shuffle_rows(arr, blk, steps))
+
+    return run_chunks(seed, n_resamples, n, kernel, vectorized)
 
 
-def _index_rows(blk: SubstreamBlock, n_items: int, n_draws: int) -> np.ndarray:
+def _index_rows(blk, n_items: int, n_draws: int) -> np.ndarray:
     """Row i holds n_draws successive below(n_items) draws of the block's lane i."""
     idx = np.empty((blk.count, n_draws), dtype=np.int64)
     for d in range(n_draws):
         idx[:, d] = blk.below(n_items)
-    return idx
-
-
-def _scalar_index_matrix(n_items: int, n_draws: int, n_resamples: int, seed: int) -> np.ndarray:
-    """Row r holds n_draws successive below(n_items) draws of substream(seed, r)."""
-    idx = np.empty((n_resamples, n_draws), dtype=np.int64)
-    for r in range(n_resamples):
-        gen = substream(seed, r)
-        idx[r] = [gen.below(n_items) for _ in range(n_draws)]
     return idx
 
 
@@ -522,28 +520,21 @@ def bootstrap(
     arr = np.asarray(data.values, dtype=float)
     redraws = 0
     if isinstance(data, Sample):
-        if vectorized:
-            values = run_chunks(
-                seed, n_resamples, n, lambda blk: arr[_index_rows(blk, n, n)].mean(axis=1)
-            )
-        else:
-            values = arr[_scalar_index_matrix(n, n, n_resamples, seed)].mean(axis=1)
+
+        def kernel(blk) -> np.ndarray:
+            return arr[_index_rows(blk, n, n)].mean(axis=1)
+
     else:
         g1, _ = data.group_names
         in_g1 = np.asarray([g == g1 for g in data.groups])
 
-        def grouped(blk: SubstreamBlock) -> np.ndarray:
+        def kernel(blk) -> np.ndarray:
             nonlocal redraws
             idx = _index_rows(blk, n, n)
             redraws += _redraw_single_group_rows(idx, in_g1, blk)
             return _grouped_resample_diffs(arr, in_g1, idx)
 
-        if vectorized:
-            values = run_chunks(seed, n_resamples, n, grouped)
-        else:
-            idx = _scalar_index_matrix(n, n, n_resamples, seed)
-            redraws = _scalar_redraw_single_group_rows(idx, in_g1, seed)
-            values = _grouped_resample_diffs(arr, in_g1, idx)
+    values = run_chunks(seed, n_resamples, n, kernel, vectorized)
     return ResampleDistribution._from_array(
         values,
         observed=observed,
@@ -571,14 +562,14 @@ def _lost_a_group(idx: np.ndarray, in_g1: np.ndarray) -> np.ndarray:
     return (counts == 0) | (counts == idx.shape[1])
 
 
-def _redraw_single_group_rows(idx: np.ndarray, in_g1: np.ndarray, blk: SubstreamBlock) -> int:
+def _redraw_single_group_rows(idx: np.ndarray, in_g1: np.ndarray, blk) -> int:
     """Redraw, in place, the rows of idx that lost a whole group; returns the
     number of redraws.
 
-    ``blk`` is the block whose lanes drew idx.  Each attempt continues a bad
-    lane's own stream with n fresh index draws, and only the lanes still bad
-    are stepped, so the rows equal one-replicate-at-a-time execution.  The
-    block is narrowed to those lanes on the way.
+    ``blk`` is the lanes object whose lanes drew idx.  Each attempt continues
+    a bad lane's own stream with n fresh index draws, and only the lanes still
+    bad are stepped, so a row depends on its own substream alone.  ``blk`` is
+    narrowed to those lanes on the way.
     """
     n_items = idx.shape[1]
     lanes = np.flatnonzero(_lost_a_group(idx, in_g1))  # positions in blk
@@ -596,28 +587,6 @@ def _redraw_single_group_rows(idx: np.ndarray, in_g1: np.ndarray, blk: Substream
         idx[rows[~bad]] = fresh[~bad]
         lanes = np.flatnonzero(bad)
         rows = rows[bad]
-    return redraws
-
-
-def _scalar_redraw_single_group_rows(idx: np.ndarray, in_g1: np.ndarray, seed: int) -> int:
-    """One-substream-at-a-time twin of ``_redraw_single_group_rows``."""
-    n_draws = idx.shape[1]
-    redraws = 0
-    for r in np.flatnonzero(_lost_a_group(idx, in_g1)):
-        gen = substream(seed, int(r))
-        for _ in range(n_draws):
-            gen.below(n_draws)
-        rounds = 0
-        while True:
-            rounds += 1
-            if rounds > _MAX_REDRAW_ROUNDS:
-                raise RuntimeError("grouped bootstrap kept drawing one-group resamples")
-            redraws += 1
-            row = [gen.below(n_draws) for _ in range(n_draws)]
-            c = int(in_g1[row].sum())
-            if 0 < c < n_draws:
-                idx[r] = row
-                break
     return redraws
 
 

@@ -38,9 +38,16 @@ Derived draws:
 
 Replicated experiments take replicate r's randomness from
 ``substream(seed, r)`` so results never depend on execution order or thread
-scheduling.  ``SubstreamBlock`` steps a contiguous block of substreams in
-lockstep with numpy and reproduces, lane by lane, exactly the scalar
-sequences (see the equivalence tests).
+scheduling.  Each draw kernel is written once, against lanes with a
+``count``, ``below(n)`` (one draw per lane, an int64 array) and
+``keep(lanes)`` (narrow to some lanes, each continuing its own stream).
+``SubstreamBlock`` steps them in numpy uint64 lockstep; ``ScalarLanes``
+steps one Python-int ``substream(seed, r)`` per lane.  ``run_chunks`` runs a
+kernel on blocks in bounded chunks, or with ``vectorized=False`` once,
+unchunked, on ``ScalarLanes``: an oracle for the uint64 lockstep, rejection,
+``keep`` and chunking.  The draw plans themselves are checked against
+``SeededGenerator``'s own methods in the tests, and against
+``bench/refgen.py`` outside the program.
 
 Chunking invariant: ``run_chunks`` covers replicates 0..N-1 with blocks of
 at most ``chunk_lanes(width)`` lanes, and lane r of every chunk is always
@@ -221,19 +228,11 @@ class SubstreamBlock:
     def random(self) -> np.ndarray:
         return (self.next_uint64() >> np.uint64(11)) * 2.0**-53
 
-    def below(self, n: int, active: np.ndarray | None = None) -> np.ndarray:
-        """Per-lane uniform integer on [0, n); advances only `active` lanes.
-
-        Entries for inactive lanes are meaningless and must be ignored.
-        """
+    def below(self, n: int) -> np.ndarray:
+        """Per-lane uniform integer on [0, n), as an int64 array."""
         if not 1 <= n < _MAX_BELOW:
             raise ValueError(f"below() needs 1 <= n < 2**63, got {n}")
-        if active is None:
-            draws = self._step()
-        else:
-            draws = np.zeros(self.count, dtype=np.uint64)
-            lanes = np.flatnonzero(active)
-            draws[lanes] = self._step(lanes)
+        draws = self._step()
         rem = _SPAN % n
         if rem:
             limit = np.uint64(_SPAN - rem)
@@ -270,14 +269,34 @@ class SubstreamBlock:
         self.count = int(lanes.size)
 
 
-def run_chunks(seed: int, count: int, width: int, kernel) -> np.ndarray:
-    """``kernel(block)`` over consecutive blocks of lanes 0..count-1, concatenated.
+class ScalarLanes:
+    """``SubstreamBlock``'s ``below`` and ``keep`` in pure Python ints: lane
+    ``i`` is the generator ``substream(seed, i)``."""
+
+    def __init__(self, seed: int, count: int):
+        self._gens = [substream(seed, i) for i in range(count)]
+        self.count = count
+
+    def below(self, n: int) -> np.ndarray:
+        return np.array([gen.below(n) for gen in self._gens], dtype=np.int64)
+
+    def keep(self, lanes) -> None:
+        self._gens = [self._gens[i] for i in lanes]
+        self.count = len(self._gens)
+
+
+def run_chunks(seed: int, count: int, width: int, kernel, vectorized: bool = True) -> np.ndarray:
+    """``kernel(lanes)`` over consecutive blocks of lanes 0..count-1, concatenated.
 
     ``width`` is how many values a kernel holds per lane (the row width of
     its matrices); each block has ``chunk_lanes(width)`` lanes, the last one
     fewer.  Lane r of the result always comes from ``substream(seed, r)``, so
-    the chunk size bounds memory but never changes a value.
+    the chunk size bounds memory but never changes a value.  With
+    ``vectorized=False`` the kernel runs once, unchunked, on
+    ``ScalarLanes(seed, count)``: the oracle the chunked numpy run must equal.
     """
+    if not vectorized:
+        return kernel(ScalarLanes(seed, count))
     lanes = chunk_lanes(width)
     return np.concatenate(
         [

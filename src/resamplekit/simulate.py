@@ -4,12 +4,16 @@ Bernoulli trials use exact rational sampling: a trial with success
 probability num/den draws ``below(den)`` and succeeds when the draw is
 below ``num``, so the simulated probability is exactly the requested
 rational.  Run r of any experiment takes its randomness from
-``substream(seed, r)``; the vectorized and scalar engines produce identical
-results.
+``substream(seed, r)``.
 
 Poll sampling without replacement takes the first k positions of a partial
 Fisher-Yates shuffle of the population; with replacement it draws k
 independent indices.
+
+Each draw plan is one kernel run by ``rng.run_chunks``: ``vectorized=True``
+steps numpy lanes in lockstep, in bounded chunks; ``vectorized=False`` runs
+the same kernel on ``rng.ScalarLanes``, unchunked, one Python-int generator
+per run, as an oracle for the numpy engine.  Both give identical results.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from .data import PopulationVector
 from .resampling import _prefix_shuffle_matrix, percentile_interval
-from .rng import SubstreamBlock, run_chunks, substream
+from .rng import run_chunks
 
 EVENTS = ("exactly", "at-least", "at-most")
 POLL_MODES = ("with-replacement", "without-replacement")
@@ -95,20 +99,14 @@ def simulate_bernoulli(
     den = experiment.success_probability.denominator
     n = experiment.trials_per_run
     runs = experiment.runs
-    if vectorized:
 
-        def successes(blk: SubstreamBlock) -> np.ndarray:
-            counts = np.zeros(blk.count, dtype=np.int64)
-            for _ in range(n):
-                counts += blk.below(den) < num
-            return counts
+    def successes(blk) -> np.ndarray:
+        counts = np.zeros(blk.count, dtype=np.int64)
+        for _ in range(n):
+            counts += blk.below(den) < num
+        return counts
 
-        counts = run_chunks(seed, runs, n, successes)
-    else:
-        counts = np.empty(runs, dtype=np.int64)
-        for r in range(runs):
-            gen = substream(seed, r)
-            counts[r] = sum(gen.below(den) < num for _ in range(n))
+    counts = run_chunks(seed, runs, n, successes, vectorized)
     if experiment.event == "exactly":
         hits = counts == experiment.event_count
     elif experiment.event == "at-least":
@@ -162,33 +160,19 @@ def simulate_poll(
         )
     entries = np.asarray(population.entries, dtype=float)
     if mode == "with-replacement":
-        if vectorized:
 
-            def sums(blk: SubstreamBlock) -> np.ndarray:
-                total = np.zeros(blk.count)
-                for _ in range(sample_size):
-                    total += entries[blk.below(n)]
-                return total
+        def sums(blk) -> np.ndarray:
+            total = np.zeros(blk.count)
+            for _ in range(sample_size):
+                total += entries[blk.below(n)]
+            return total
 
-            props = run_chunks(seed, n_polls, sample_size, sums) / sample_size
-        else:
-            props = np.empty(n_polls)
-            for r in range(n_polls):
-                gen = substream(seed, r)
-                picks = [entries[gen.below(n)] for _ in range(sample_size)]
-                props[r] = sum(picks) / sample_size
+        props = run_chunks(seed, n_polls, sample_size, sums, vectorized) / sample_size
     else:
-        if vectorized:
-            props = _prefix_shuffle_matrix(
-                entries, n_polls, seed, sample_size, True,
-                lambda mat: mat[:, :sample_size].mean(axis=1),
-            )
-        else:
-            props = np.empty(n_polls)
-            for r in range(n_polls):
-                gen = substream(seed, r)
-                picked = gen.sample_without_replacement(entries.tolist(), sample_size)
-                props[r] = float(np.asarray(picked).mean())
+        props = _prefix_shuffle_matrix(
+            entries, n_polls, seed, sample_size, vectorized,
+            lambda mat: mat[:, :sample_size].mean(axis=1),
+        )
     return PollResult(
         proportions=tuple(props.tolist()),
         sample_size=sample_size,

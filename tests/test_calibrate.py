@@ -208,3 +208,15 @@ def test_exact_fraction_of_exaggerated_example():
     assert Fraction(4, 10) / Fraction(8, 10) == Fraction(1, 2)
     table = TwoByTwo(4, 6, 8, 2)
     assert math.isclose(odds_ratio(table), float(Fraction(1, 6)))
+
+
+def test_probability_query_refuses_non_finite_arguments():
+    dist = calibrate_from_interval(49, 72)
+    for bad in ("gt nan", "lt inf", "between 1,inf", "outside -inf,2", "gt 1e400"):
+        with pytest.raises(ValueError, match="finite"):
+            probability_query(dist, bad)
+
+
+def test_interval_level_too_small_for_a_width_is_refused():
+    with pytest.raises(ValueError, match="level"):
+        calibrate_from_interval(1, 2, level=1e-300)

@@ -22,14 +22,6 @@ TINY = GroupedSample.from_rows([(10, "a"), (20, "b")])
 N = 257  # not a multiple of any patched chunk size below
 
 
-@pytest.fixture
-def small_chunks(monkeypatch):
-    # 64 values per chunk, at least 7 lanes: 10 lanes for 6-row data,
-    # 7 lanes for 9-row data, 32 for two-value rows.
-    monkeypatch.setattr(rng, "CHUNK_ELEMENTS", 64)
-    monkeypatch.setattr(rng, "CHUNK_FLOOR", 7)
-
-
 def both_engines(fn):
     """fn(vectorized) with small chunks must equal the scalar engine."""
     return fn(True), fn(False)
@@ -122,20 +114,27 @@ def test_keep_continues_each_kept_lanes_stream():
             assert int(last[0]) == gen.next_uint64()
 
 
-def test_keep_then_masked_and_rejected_draws():
+def test_keep_then_rejected_draws():
     n = (1 << 62) + 1
     block = SubstreamBlock(5, 6)
     block.keep([0, 2, 3, 5])
-    mask = np.array([True, False, True, True])
-    masked = block.below(n, active=mask)
-    after = block.below(n)
+    after = [block.below(n) for _ in range(3)]
     for pos, lane in enumerate((0, 2, 3, 5)):
         gen = substream(5, lane)
-        if mask[pos]:
-            assert int(masked[pos]) == gen.below(n)
-        assert int(after[pos]) == gen.below(n)
+        assert [int(a[pos]) for a in after] == [gen.below(n) for _ in range(3)]
 
 
 def test_keep_needs_a_lane():
     with pytest.raises(ValueError):
         SubstreamBlock(0, 3).keep([])
+
+
+def test_scalar_engine_runs_unchunked(small_chunks):
+    # The scalar oracle must see all lanes at once, or the comparisons above
+    # would set one chunked run against another.
+    sizes = []
+    got = run_chunks(
+        0, N, 6, lambda lanes: sizes.append(lanes.count) or lanes.below(7), vectorized=False
+    )
+    assert sizes == [N]
+    assert np.array_equal(got, run_chunks(0, N, 6, lambda blk: blk.below(7)))

@@ -280,3 +280,46 @@ def test_seeds_outside_64_bits_are_refused(capsys, monkeypatch):
         result = run(capsys, *argv)
         assert _one_error_line(*result) and "RESAMPLE_SEED" in result[2]
         monkeypatch.delenv("RESAMPLE_SEED")
+
+
+def test_bin_count_is_capped_with_a_width_that_fits(capsys):
+    argv = ("bootstrap", "--fixture", "veg9", "--n", "20")
+    for width in ("1e-300", "0.001"):
+        result = run(capsys, *argv, f"--bin-width={width}")
+        assert _one_error_line(*result), (width, result)
+        fit = result[2].split()[-1]
+        code, out, err = run(capsys, *argv, f"--bin-width={fit}")
+        assert code == 0 and err == "" and f"bin width {fit}" in out
+
+
+def test_non_finite_option_values_are_usage_errors(capsys):
+    cases = (
+        ("--threshold", ("bootstrap", "--fixture", "veg9", "--n", "20", "--threshold", "nan")),
+        ("--level", ("bootstrap", "--fixture", "veg9", "--n", "20", "--level", "nan")),
+        ("--p", ("clip", "--p", "nan", "--estimate", "1")),
+        ("--estimate", ("clip", "--p", "0.05", "--estimate", "inf")),
+        ("--null", ("clip", "--p", "0.05", "--estimate", "1", "--null", "-inf")),
+        ("--level", ("poll", "--fixture", "poll500", "--sample-size", "5", "--level", "1e400")),
+    )
+    for option, argv in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert f"argument {option}:" in err and "Traceback" not in err, argv
+
+
+def test_non_finite_interval_ends_are_refused(capsys):
+    result = run(capsys, "clip", "--ci", "1,inf")
+    assert _one_error_line(*result) and "--ci" in result[2]
+    result = run(capsys, "bootstrap", "--fixture", "veg9", "--n", "20", "--bounds", "0,nan")
+    assert _one_error_line(*result) and "--bounds" in result[2]
+
+
+def test_non_finite_query_arguments_are_refused(capsys):
+    result = run(capsys, "clip", "--ci", "1,2", "--query", "gt nan")
+    assert _one_error_line(*result) and "gt nan" in result[2]
+
+
+def test_two_by_two_names_the_option_for_fractional_counts(capsys):
+    result = run(capsys, "clip", "--two-by-two", "1.5,2,3,4")
+    assert _one_error_line(*result)
+    assert "--two-by-two" in result[2] and "invalid literal" not in result[2]

@@ -533,3 +533,21 @@ def test_bootstrap_report_summaries_match_the_standalone_calls():
     assert rep.tail_probabilities == tuple((t, tail_probability(values, t)) for t in (50.0, 61.5))
     assert rep.histogram == Histogram.from_values(values, 1.5)
     assert rep.diagnostics == diagnostics(dist, (0, 100))
+
+
+def test_histogram_refuses_too_many_bins_and_names_a_width_that_fits():
+    from resamplekit import resampling
+
+    values = [74.0, 65.0, 57.0, 78.0, 54.0, 47.0, 38.0, 34.0, 93.0]
+    for width in (1e-300, 0.001, 5e-324):
+        with pytest.raises(ValueError, match="use a width of at least") as info:
+            Histogram.from_values(values, width)
+        message = str(info.value)
+        assert len(message.splitlines()) == 1
+        fit = float(message.rsplit(" ", 1)[1])
+        assert len(Histogram.from_values(values, fit).counts) <= resampling.MAX_BINS
+        with pytest.raises(ValueError):
+            Histogram.from_values(values, fit / 1.05)
+    # One bin, but its index would not fit a 64-bit integer.
+    with pytest.raises(ValueError, match="bin width"):
+        Histogram.from_values([5.0, 5.0], 1e-300)

@@ -2,12 +2,12 @@
 
 from collections import Counter
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from resamplekit.rng import (
+    ScalarLanes,
     SeededGenerator,
     SubstreamBlock,
     mix64,
@@ -181,18 +181,6 @@ def test_block_with_start_offset():
         assert int(vals[lane]) == substream(11, 100 + lane).next_uint64()
 
 
-def test_block_masked_step_advances_only_active_lanes():
-    block = SubstreamBlock(0, 4)
-    mask = np.array([True, False, True, False])
-    block.below(5, active=mask)
-    after = block.next_uint64()
-    for lane in range(4):
-        gen = substream(0, lane)
-        seq = [gen.next_uint64() for _ in range(2)]
-        # Active lanes consumed the masked draw; inactive lanes did not.
-        assert int(after[lane]) == (seq[1] if mask[lane] else seq[0])
-
-
 def test_block_rejection_path_matches_scalar():
     n = (1 << 62) + 1
     block = SubstreamBlock(3, 8)
@@ -208,3 +196,18 @@ def test_block_validation():
         SubstreamBlock(0, 0)
     with pytest.raises(ValueError):
         SubstreamBlock(0, 2).below(0)
+
+
+def test_scalar_lanes_match_the_block():
+    n = (1 << 62) + 1  # rejects about a quarter of raw draws
+    block, lanes = SubstreamBlock(21, 9), ScalarLanes(21, 9)
+    assert lanes.count == block.count == 9
+    for step in range(6):
+        if step == 2:
+            block.keep([0, 3, 4, 8])
+            lanes.keep([0, 3, 4, 8])
+            assert lanes.count == block.count == 4
+        bound = n if step % 2 else 7
+        want = block.below(bound)
+        got = lanes.below(bound)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
