@@ -155,6 +155,8 @@ def calibrate_from_p(
     """
     if not 0 < p < 1:
         raise ValueError(f"p-value must be in (0, 1), got {p}")
+    if 1 - p / 2 == 1:
+        raise ValueError(f"p-value {p:g} is too small to calibrate from")
     if estimate == null_value:
         raise ValueError("estimate equals the baseline value: scale is undefined")
     if log_scale:

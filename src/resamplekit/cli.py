@@ -29,10 +29,11 @@ from .data import (
     GroupedSample,
     PopulationVector,
     Sample,
+    _parse_csv,
+    _parse_paired_csv,
+    _read_once,
     fixtures,
     get_fixture,
-    load_csv,
-    load_paired_csv,
 )
 from .resampling import (
     STAT_CORRELATION,
@@ -80,14 +81,6 @@ def _seed(args) -> int:
     return seed
 
 
-def _sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _parse_pair(text: str, what: str) -> tuple[float, float]:
     try:
         low, high = (finite_number(t) for t in text.replace(",", " ").split())
@@ -96,15 +89,18 @@ def _parse_pair(text: str, what: str) -> tuple[float, float]:
     return low, high
 
 
-def _load_grouped_or_sample(args):
-    """Returns (data, input_id); fixtures win over files."""
-    if args.fixture:
-        payload = get_fixture(args.fixture).payload
-        return payload, f"fixture:{args.fixture}"
-    if args.data:
-        data = load_csv(args.data, args.value_column, args.group_column)
-        return data, f"file:{args.data} sha256:{_sha256_file(args.data)}"
-    raise ValueError("give either --fixture NAME or --data FILE")
+def _load_input(fixture, data, parse, *columns):
+    """Returns (payload, input_id); a fixture wins over a file.
+
+    The file is read once and the digest is of the bytes ``parse`` analysed,
+    so it names the exact input even for pipes and files rewritten mid-run.
+    """
+    if fixture:
+        return get_fixture(fixture).payload, f"fixture:{fixture}"
+    if not data:
+        raise ValueError("give either --fixture NAME or --data FILE")
+    payload, raw = _read_once(data, parse, *columns)
+    return payload, f"file:{data} sha256:{hashlib.sha256(raw).hexdigest()}"
 
 
 class Report:
@@ -170,10 +166,9 @@ def _cmd_shuffle_test(args) -> str:
     if args.stat == STAT_CORRELATION:
         if not args.data:
             raise ValueError("correlation needs --data with --x-column/--y-column")
-        data = load_paired_csv(args.data, args.x_column, args.y_column)
-        input_id = f"file:{args.data} sha256:{_sha256_file(args.data)}"
+        data, input_id = _load_input(None, args.data, _parse_paired_csv, args.x_column, args.y_column)
     else:
-        data, input_id = _load_grouped_or_sample(args)
+        data, input_id = _load_input(args.fixture, args.data, _parse_csv, args.value_column, args.group_column)
         if not isinstance(data, GroupedSample):
             raise ValueError(
                 f"{args.stat} needs two-group data (pass --group-column with --data)"
@@ -228,7 +223,7 @@ def _cmd_shuffle_test(args) -> str:
 def _cmd_bootstrap(args) -> str:
     seed = _seed(args)
     check_bin_width(args.bin_width)
-    data, input_id = _load_grouped_or_sample(args)
+    data, input_id = _load_input(args.fixture, args.data, _parse_csv, args.value_column, args.group_column)
     bounds = _parse_pair(args.bounds, "--bounds") if args.bounds else None
     result = bootstrap_report(
         data,
@@ -438,21 +433,11 @@ def _cmd_montecarlo(args) -> str:
 
 def _cmd_poll(args) -> str:
     seed = _seed(args)
-    if args.fixture:
-        payload = get_fixture(args.fixture).payload
-        if not isinstance(payload, PopulationVector):
-            raise ValueError(f"fixture {args.fixture!r} is not a 0/1 population")
-        population = payload
-        input_id = f"fixture:{args.fixture}"
-    elif args.data:
-        sample = load_csv(args.data, args.value_column)
-        bad = [v for v in sample.values if v not in (0.0, 1.0)]
-        if bad:
-            raise ValueError(f"population entries must be 0 or 1, got {bad[0]!r}")
-        population = PopulationVector(tuple(int(v) for v in sample.values))
-        input_id = f"file:{args.data} sha256:{_sha256_file(args.data)}"
-    else:
-        raise ValueError("give either --fixture NAME or --data FILE")
+    population, input_id = _load_input(args.fixture, args.data, _parse_csv, args.value_column)
+    if not args.fixture:
+        population = PopulationVector(population.values)
+    elif not isinstance(population, PopulationVector):
+        raise ValueError(f"fixture {args.fixture!r} is not a 0/1 population")
     mode = "with-replacement" if args.mode == "with" else "without-replacement"
     result = simulate_poll(population, args.sample_size, mode, args.polls, seed)
     lo, hi = result.interval(args.level)

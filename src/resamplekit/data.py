@@ -7,6 +7,7 @@ point.  Containers are immutable after construction and safe to share.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -137,12 +138,13 @@ class PopulationVector:
     label: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
-        if not self.entries:
-            raise ValueError("population must be nonempty")
-        bad = [e for e in self.entries if e not in (0, 1)]
+        entries = tuple(self.entries)
+        bad = [e for e in entries if e not in (0, 1)]
         if bad:
             raise ValueError(f"population entries must be 0 or 1, got {bad[0]!r}")
+        object.__setattr__(self, "entries", tuple(int(e) for e in entries))
+        if not self.entries:
+            raise ValueError("population must be nonempty")
 
     @property
     def n(self) -> int:
@@ -164,82 +166,88 @@ class Fixture:
     description: str
 
 
+def _read_columns(text: str, path: Path, numeric: tuple[str, ...], group: str | None = None):
+    """Parse CSV text into one list of finite floats per ``numeric`` column,
+    plus the nonblank stripped cells of the ``group`` column (empty without one).
+
+    Rows are numbered from 1 after the header.  Cells are read by column
+    index, with csv.DictReader's rules: blank lines are skipped, a short
+    row's missing cells are blank, and a repeated header name means its
+    last column.
+    """
+    rows = csv.reader(io.StringIO(text, newline=""))
+    header = next(rows, [])
+    for col in numeric + ((group,) if group else ()):
+        if col not in header:
+            raise ValueError(f"column {col!r} not in header {header}")
+    index = {name: i for i, name in enumerate(header)}
+    cells = [(col, index[col], []) for col in numeric]
+    k = index.get(group)
+    groups: list[str] = []
+    i = 0
+    for row in rows:
+        if not row:
+            continue
+        i += 1
+        width = len(row)
+        for col, j, out in cells:
+            raw = row[j].strip() if j < width else ""
+            try:
+                v = float(raw)
+            except ValueError:
+                if not raw:
+                    raise ValueError(f"row {i}: blank value in column {col!r}") from None
+                raise ValueError(f"row {i}: could not parse {raw!r} as a number") from None
+            if not math.isfinite(v):
+                raise ValueError(f"row {i}: value {raw!r} is not finite")
+            out.append(v)
+        if group:
+            g = row[k].strip() if k < width else ""
+            if not g:
+                raise ValueError(f"row {i}: blank group in column {group!r}")
+            groups.append(g)
+    if not i:
+        raise ValueError(f"{path}: no data rows")
+    return [out for _, _, out in cells], groups
+
+
+def _parse_csv(text: str, path: Path, value_column: str, group_column: str | None = None):
+    """``load_csv`` on the file's text; ``path`` names it in errors and labels."""
+    (values,), groups = _read_columns(text, path, (value_column,), group_column)
+    if group_column:
+        distinct = sorted(set(groups))
+        if len(distinct) != 2:
+            raise ValueError(f"{path}: need exactly two distinct groups, got {distinct}")
+        return GroupedSample(tuple(values), tuple(groups), label=path.stem)
+    return Sample(tuple(values), label=path.stem)
+
+
+def _parse_paired_csv(text: str, path: Path, x_column: str, y_column: str) -> PairedSample:
+    """``load_paired_csv`` on the file's text."""
+    (xs, ys), _ = _read_columns(text, path, (x_column, y_column))
+    return PairedSample(tuple(xs), tuple(ys), label=path.stem)
+
+
+def _read_once(path, parse, *columns):
+    """Read the file once and parse its UTF-8 text with ``parse(text, path,
+    *columns)``; returns (payload, the bytes that were parsed)."""
+    path = Path(path)
+    raw = path.read_bytes()
+    return parse(raw.decode("utf-8"), path, *columns), raw
+
+
 def load_csv(path, value_column: str, group_column: str | None = None):
     """Load a Sample (or GroupedSample if ``group_column``) from a CSV file.
 
     Row order is preserved.  Raises ValueError naming the offending data row
     (1-based, header excluded) for blank or unparseable values.
     """
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in [value_column] + ([group_column] if group_column else []):
-            if col not in header:
-                raise ValueError(f"column {col!r} not in header {header}")
-        values: list[float] = []
-        groups: list[str] = []
-        for i, row in enumerate(reader, start=1):
-            raw = (row.get(value_column) or "").strip()
-            if not raw:
-                raise ValueError(f"row {i}: blank value in column {value_column!r}")
-            try:
-                v = float(raw)
-            except ValueError:
-                raise ValueError(
-                    f"row {i}: could not parse {raw!r} as a number"
-                ) from None
-            if not math.isfinite(v):
-                raise ValueError(f"row {i}: value {raw!r} is not finite")
-            values.append(v)
-            if group_column:
-                g = (row.get(group_column) or "").strip()
-                if not g:
-                    raise ValueError(f"row {i}: blank group in column {group_column!r}")
-                groups.append(g)
-    if not values:
-        raise ValueError(f"{path}: no data rows")
-    if group_column:
-        distinct = sorted(set(groups))
-        if len(distinct) != 2:
-            raise ValueError(
-                f"{path}: need exactly two distinct groups, got {distinct}"
-            )
-        return GroupedSample(tuple(values), tuple(groups), label=path.stem)
-    return Sample(tuple(values), label=path.stem)
+    return _read_once(path, _parse_csv, value_column, group_column)[0]
 
 
 def load_paired_csv(path, x_column: str, y_column: str) -> PairedSample:
     """Load two numeric columns as a PairedSample, preserving row order."""
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in (x_column, y_column):
-            if col not in header:
-                raise ValueError(f"column {col!r} not in header {header}")
-        xs: list[float] = []
-        ys: list[float] = []
-        for i, row in enumerate(reader, start=1):
-            pair = []
-            for col in (x_column, y_column):
-                raw = (row.get(col) or "").strip()
-                if not raw:
-                    raise ValueError(f"row {i}: blank value in column {col!r}")
-                try:
-                    v = float(raw)
-                except ValueError:
-                    raise ValueError(
-                        f"row {i}: could not parse {raw!r} as a number"
-                    ) from None
-                if not math.isfinite(v):
-                    raise ValueError(f"row {i}: value {raw!r} is not finite")
-                pair.append(v)
-            xs.append(pair[0])
-            ys.append(pair[1])
-    if not xs:
-        raise ValueError(f"{path}: no data rows")
-    return PairedSample(tuple(xs), tuple(ys), label=path.stem)
+    return _read_once(path, _parse_paired_csv, x_column, y_column)[0]
 
 
 def write_csv(data, path, value_column: str = "value", group_column: str = "group") -> None:

@@ -336,15 +336,20 @@ def _index_rows(blk, n_items: int, n_draws: int) -> np.ndarray:
 # shuffle tests
 
 
-def _p_value(replicates: np.ndarray, observed: float, sidedness: str) -> float:
+def _at_least_as_extreme(stat, observed, sidedness: str):
+    """Whether ``stat`` is at least as extreme as ``observed`` (ties count);
+    elementwise on float arrays, and exact on Fractions."""
     if sidedness == "two-sided":
-        hits = np.count_nonzero(np.abs(replicates) >= abs(observed))
-    elif sidedness == "greater":
-        hits = np.count_nonzero(replicates >= observed)
-    elif sidedness == "less":
-        hits = np.count_nonzero(replicates <= observed)
-    else:
-        raise ValueError(f"sidedness must be one of {SIDEDNESS}, got {sidedness!r}")
+        return abs(stat) >= abs(observed)
+    if sidedness == "greater":
+        return stat >= observed
+    if sidedness == "less":
+        return stat <= observed
+    raise ValueError(f"sidedness must be one of {SIDEDNESS}, got {sidedness!r}")
+
+
+def _p_value(replicates: np.ndarray, observed: float, sidedness: str) -> float:
+    hits = np.count_nonzero(_at_least_as_extreme(replicates, observed, sidedness))
     return hits / replicates.size
 
 
@@ -477,16 +482,10 @@ def exact_shuffle_p(
         return sum1 / n1 - (total - sum1) / n2
 
     observed = diff(sum(Fraction(v) for v in data.group_values(g1)))
-    hits = 0
-    for combo in itertools.combinations(range(n), n1):
-        d = diff(sum(vals[i] for i in combo))
-        if sidedness == "two-sided":
-            hit = abs(d) >= abs(observed)
-        elif sidedness == "greater":
-            hit = d >= observed
-        else:
-            hit = d <= observed
-        hits += hit
+    hits = sum(
+        _at_least_as_extreme(diff(sum(vals[i] for i in combo)), observed, sidedness)
+        for combo in itertools.combinations(range(n), n1)
+    )
     return Fraction(hits, total_splits)
 
 

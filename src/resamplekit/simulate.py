@@ -62,6 +62,10 @@ class BernoulliExperiment:
             raise ValueError(
                 f"success probability must be in [0, 1], got {self.success_probability}"
             )
+        if self.success_probability.denominator >= 1 << 63:
+            raise ValueError(
+                "success probability needs a denominator below 2**63 to be sampled exactly"
+            )
         if self.event not in EVENTS:
             raise ValueError(f"event must be one of {EVENTS}, got {self.event!r}")
         if not 0 <= self.event_count <= self.trials_per_run:
@@ -72,7 +76,8 @@ class BernoulliExperiment:
         if self.runs < 1:
             raise ValueError("need at least one run")
 
-    def matches(self, successes: int) -> bool:
+    def matches(self, successes):
+        """Whether a success count satisfies the event; elementwise on arrays."""
         if self.event == "exactly":
             return successes == self.event_count
         if self.event == "at-least":
@@ -107,13 +112,7 @@ def simulate_bernoulli(
         return counts
 
     counts = run_chunks(seed, runs, n, successes, vectorized)
-    if experiment.event == "exactly":
-        hits = counts == experiment.event_count
-    elif experiment.event == "at-least":
-        hits = counts >= experiment.event_count
-    else:
-        hits = counts <= experiment.event_count
-    return float(np.count_nonzero(hits) / runs)
+    return float(np.count_nonzero(experiment.matches(counts)) / runs)
 
 
 @dataclass(frozen=True)

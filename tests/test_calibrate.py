@@ -220,3 +220,11 @@ def test_probability_query_refuses_non_finite_arguments():
 def test_interval_level_too_small_for_a_width_is_refused():
     with pytest.raises(ValueError, match="level"):
         calibrate_from_interval(1, 2, level=1e-300)
+
+
+def test_p_value_too_small_for_a_quantile_is_refused():
+    with pytest.raises(ValueError, match="p-value 1e-300 is too small"):
+        calibrate_from_p(estimate=1, p=1e-300, null_value=0)
+    with pytest.raises(ValueError, match="too small"):
+        calibrate_from_p(estimate=1, p=1e-16, null_value=0)
+    assert calibrate_from_p(estimate=1, p=1e-15, null_value=0).se > 0

@@ -1,5 +1,12 @@
 """CLI surface: subcommands, manifests, formats, exit codes, reproducibility."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import resamplekit
 from resamplekit.cli import main
 
 
@@ -323,3 +330,49 @@ def test_two_by_two_names_the_option_for_fractional_counts(capsys):
     result = run(capsys, "clip", "--two-by-two", "1.5,2,3,4")
     assert _one_error_line(*result)
     assert "--two-by-two" in result[2] and "invalid literal" not in result[2]
+
+
+def _digest(out):
+    return next(l for l in out.splitlines() if "input:" in l).rsplit("sha256:", 1)[1]
+
+
+def test_file_digest_is_the_sha256_of_the_file_bytes(capsys, tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"value\r\n1\r\n2\r\n3\r\n4\r\n")
+    _, out, _ = run(capsys, "bootstrap", "--data", str(path), "--n", "50")
+    assert _digest(out) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_piped_data_digest_is_the_sha256_of_the_piped_bytes():
+    piped = b"value\n1\n5\n7\n3\n"
+    src = str(Path(resamplekit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "resamplekit.cli", "bootstrap", "--data", "/dev/stdin", "--n", "50"],
+        input=piped, capture_output=True, env=env, check=True,
+    )
+    out = proc.stdout.decode()
+    assert "observed mean: 4" in out
+    assert _digest(out) == hashlib.sha256(piped).hexdigest()
+
+
+def test_poll_refuses_fractional_entries_with_the_population_message(capsys, tmp_path):
+    path = tmp_path / "votes.csv"
+    path.write_text("value\n1\n0.5\n0\n")
+    result = run(capsys, "poll", "--data", str(path), "--sample-size", "1")
+    assert _one_error_line(*result)
+    assert result[2] == "error: population entries must be 0 or 1, got 0.5\n"
+    result = run(capsys, "poll", "--fixture", "veg9", "--sample-size", "1")
+    assert _one_error_line(*result) and "not a 0/1 population" in result[2]
+
+
+def test_tiny_success_probability_is_a_short_error_naming_the_limit(capsys):
+    result = run(capsys, "montecarlo", "--trials", "8", "--count", "3", "--prob", "1e-300", "--runs", "20")
+    assert _one_error_line(*result)
+    assert "2**63" in result[2] and "below()" not in result[2] and len(result[2]) < 100
+
+
+def test_tiny_p_value_is_refused_by_name(capsys):
+    result = run(capsys, "clip", "--p", "1e-300", "--estimate", "1")
+    assert _one_error_line(*result)
+    assert "p-value 1e-300" in result[2] and "quantile" not in result[2]

@@ -231,3 +231,54 @@ def test_containers_are_immutable():
     with pytest.raises(AttributeError):
         s.values = (1.0,)
     assert math.isfinite(s.mean)
+
+
+def test_population_vector_refuses_fractional_entries_instead_of_truncating():
+    with pytest.raises(ValueError, match=r"population entries must be 0 or 1, got 0\.5$"):
+        PopulationVector((0.5, 1, 1.9))
+    assert PopulationVector(iter((1.0, 0.0, True))).entries == (1, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x,y\n1,2\n,4\n", "row 2: blank value in column 'x'"),
+        ("x,y\n1,2\n3, \n", "row 2: blank value in column 'y'"),
+        ("x,y\n1,2\n3\n", "row 2: blank value in column 'y'"),
+        ("x,y\n1,2\n3,four\n", "row 2: could not parse 'four' as a number"),
+        ("x,y\n1,2\n-inf,4\n", "row 2: value '-inf' is not finite"),
+        ("x,y\n1,nan\n", "row 1: value 'nan' is not finite"),
+        ("x,z\n1,2\n", "column 'y' not in header ['x', 'z']"),
+        ("w,y\n1,2\n", "column 'x' not in header ['w', 'y']"),
+    ],
+)
+def test_load_paired_csv_errors_name_the_row_and_column(tmp_path, text, message):
+    path = tmp_path / "pairs.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_paired_csv(path, "x", "y")
+    assert str(info.value) == message
+
+
+def test_load_paired_csv_without_data_rows_names_the_file(tmp_path):
+    path = tmp_path / "pairs.csv"
+    path.write_text("x,y\n\n")
+    with pytest.raises(ValueError) as info:
+        load_paired_csv(path, "x", "y")
+    assert str(info.value) == f"{path}: no data rows"
+
+
+def test_csv_rows_follow_dict_reader_rules(tmp_path):
+    path = tmp_path / "rules.csv"
+    # Blank lines are skipped and not counted; a repeated header name means
+    # its last column; cells are stripped; a short row's missing cell is blank.
+    path.write_bytes(b"value,group,value\r\n\r\n1,a, 7 \r\n2,b,8,extra\r\n\r\n3,a\r\n")
+    with pytest.raises(ValueError, match="^row 3: blank value in column 'value'$"):
+        load_csv(path, "value", "group")
+    path.write_bytes(b"value,group,value\r\n\r\n1,a, 7 \r\n2,b,8,extra\r\n")
+    data = load_csv(path, "value", "group")
+    assert data.values == (7.0, 8.0) and data.groups == ("a", "b")
+    assert data.label == "rules"
+    path.write_text('y,x\n"1",2\n\n 3 ,"4"\n')
+    pairs = load_paired_csv(path, "x", "y")
+    assert pairs.xs == (2.0, 4.0) and pairs.ys == (1.0, 3.0)

@@ -169,3 +169,12 @@ def test_small_population_poll():
     tiny = PopulationVector((1, 0))
     result = simulate_poll(tiny, 2, "without-replacement", 30, seed=0)
     assert set(result.proportions) == {0.5}
+
+
+def test_experiment_refuses_probabilities_finer_than_the_generator():
+    with pytest.raises(ValueError, match=r"denominator below 2\*\*63"):
+        BernoulliExperiment(8, F(1, 10**300), "exactly", 3, runs=20)
+    with pytest.raises(ValueError, match=r"2\*\*63"):
+        BernoulliExperiment(8, F(1, 2**63), "exactly", 3, runs=20)
+    finest = BernoulliExperiment(8, F(1, 2**63 - 1), "exactly", 0, runs=20)
+    assert simulate_bernoulli(finest, seed=1) == 1.0
