@@ -61,19 +61,22 @@ class CalibratedDistribution:
             x = math.log(x)
         return (x - self.center) / self.se
 
-    def cdf(self, x: float) -> float:
-        z = self._standardize(x)
+    def _lower_tail(self, z: float) -> float:
         if z == -math.inf:
             return 0.0
         if self.family == "normal":
             return normal_cdf(z)
         return t_cdf(z, self.df)
 
+    def cdf(self, x: float) -> float:
+        return self._lower_tail(self._standardize(x))
+
     def prob_less(self, x: float) -> float:
         return self.cdf(x)
 
     def prob_greater(self, x: float) -> float:
-        return 1.0 - self.cdf(x)
+        # Both families are symmetric; 1 - cdf(x) would cancel in the tail.
+        return self._lower_tail(-self._standardize(x))
 
     def prob_between(self, low: float, high: float) -> float:
         if not low < high:
@@ -83,7 +86,7 @@ class CalibratedDistribution:
     def prob_outside(self, low: float, high: float) -> float:
         if not low < high:
             raise ValueError(f"need low < high, got ({low}, {high})")
-        return self.cdf(low) + (1.0 - self.cdf(high))
+        return self.cdf(low) + self.prob_greater(high)
 
 
 def _family_quantile(p: float, family: str, df: int | None) -> float:

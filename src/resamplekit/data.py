@@ -1,11 +1,13 @@
 """Sample containers, CSV ingestion, and the built-in fixture datasets.
 
-CSV dialect: comma-separated, UTF-8, first row is a header, '.' decimal
-point.  Containers are immutable after construction and safe to share.
+CSV dialect: comma-separated, UTF-8 (a leading byte-order mark is skipped),
+first row is a header, '.' decimal point.  Containers are immutable after
+construction and safe to share.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -173,39 +175,44 @@ def _read_columns(text: str, path: Path, numeric: tuple[str, ...], group: str | 
     Rows are numbered from 1 after the header.  Cells are read by column
     index, with csv.DictReader's rules: blank lines are skipped, a short
     row's missing cells are blank, and a repeated header name means its
-    last column.
+    last column.  A row the csv module refuses (a cell over its field size
+    limit, say) is a ValueError naming the row.
     """
     rows = csv.reader(io.StringIO(text, newline=""))
-    header = next(rows, [])
-    for col in numeric + ((group,) if group else ()):
-        if col not in header:
-            raise ValueError(f"column {col!r} not in header {header}")
-    index = {name: i for i, name in enumerate(header)}
-    cells = [(col, index[col], []) for col in numeric]
-    k = index.get(group)
-    groups: list[str] = []
-    i = 0
-    for row in rows:
-        if not row:
-            continue
-        i += 1
-        width = len(row)
-        for col, j, out in cells:
-            raw = row[j].strip() if j < width else ""
-            try:
-                v = float(raw)
-            except ValueError:
-                if not raw:
-                    raise ValueError(f"row {i}: blank value in column {col!r}") from None
-                raise ValueError(f"row {i}: could not parse {raw!r} as a number") from None
-            if not math.isfinite(v):
-                raise ValueError(f"row {i}: value {raw!r} is not finite")
-            out.append(v)
-        if group:
-            g = row[k].strip() if k < width else ""
-            if not g:
-                raise ValueError(f"row {i}: blank group in column {group!r}")
-            groups.append(g)
+    i = -1  # the header is row 0
+    try:
+        header = next(rows, [])
+        i = 0
+        for col in numeric + ((group,) if group else ()):
+            if col not in header:
+                raise ValueError(f"column {col!r} not in header {header}")
+        index = {name: j for j, name in enumerate(header)}
+        cells = [(col, index[col], []) for col in numeric]
+        k = index.get(group)
+        groups: list[str] = []
+        for row in rows:
+            if not row:
+                continue
+            i += 1
+            width = len(row)
+            for col, j, out in cells:
+                raw = row[j].strip() if j < width else ""
+                try:
+                    v = float(raw)
+                except ValueError:
+                    if not raw:
+                        raise ValueError(f"row {i}: blank value in column {col!r}") from None
+                    raise ValueError(f"row {i}: could not parse {raw!r} as a number") from None
+                if not math.isfinite(v):
+                    raise ValueError(f"row {i}: value {raw!r} is not finite")
+                out.append(v)
+            if group:
+                g = row[k].strip() if k < width else ""
+                if not g:
+                    raise ValueError(f"row {i}: blank group in column {group!r}")
+                groups.append(g)
+    except csv.Error as exc:
+        raise ValueError(f"{path}: {f'row {i + 1}' if i >= 0 else 'header'}: {exc}") from None
     if not i:
         raise ValueError(f"{path}: no data rows")
     return [out for _, _, out in cells], groups
@@ -229,11 +236,17 @@ def _parse_paired_csv(text: str, path: Path, x_column: str, y_column: str) -> Pa
 
 
 def _read_once(path, parse, *columns):
-    """Read the file once and parse its UTF-8 text with ``parse(text, path,
-    *columns)``; returns (payload, the bytes that were parsed)."""
+    """Read the file once and parse its UTF-8 text, minus a leading byte-order
+    mark, with ``parse(text, path, *columns)``; returns (payload, the bytes
+    that were parsed, mark included)."""
     path = Path(path)
     raw = path.read_bytes()
-    return parse(raw.decode("utf-8"), path, *columns), raw
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        start = exc.start + (3 if raw.startswith(codecs.BOM_UTF8) else 0)
+        raise ValueError(f"{path}: not UTF-8 text at byte offset {start} ({exc.reason})") from None
+    return parse(text, path, *columns), raw
 
 
 def load_csv(path, value_column: str, group_column: str | None = None):

@@ -2,8 +2,10 @@
 
 Self-contained numerics so results are stable across environments:
 
-* ``normal_cdf`` evaluates Phi(z) = (1 + erf(z / sqrt 2)) / 2 through the C
-  library erf; absolute error is far below the documented 1e-10 bound.
+* ``normal_cdf`` evaluates Phi(z) = erfc(-z / sqrt 2) / 2 through the C
+  library erfc; absolute error is far below the documented 1e-10 bound, and
+  the lower tail keeps its relative accuracy (1 + erf(z / sqrt 2) cancels).
+  Upper tails are read as Phi(-z).
 * ``normal_quantile`` starts from Acklam's rational approximation of the
   inverse normal CDF and applies one Newton polish step against
   ``normal_cdf``, giving |Phi(q(p)) - p| < 1e-12 over (0, 1).
@@ -22,7 +24,7 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 def normal_cdf(z: float) -> float:
     """Standard normal CDF Phi(z)."""
-    return 0.5 * (1.0 + math.erf(z / _SQRT2))
+    return 0.5 * math.erfc(-z / _SQRT2)
 
 
 def normal_pdf(z: float) -> float:

@@ -31,6 +31,7 @@ one-sided variants count T* >= T_obs (or <=).
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -123,11 +124,31 @@ class Histogram:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class ResampleDistribution:
-    """Statistic values over N replicates, plus what produced them."""
+def _read_only(values) -> np.ndarray:
+    """``values`` as a float64 array that cannot be written to."""
+    arr = np.asarray(values, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
 
-    values: tuple[float, ...]
+
+def _eq_by_fields(self, other) -> bool:
+    """Value equality over the dataclass fields, ndarray fields by
+    ``np.array_equal`` (a cached tuple in ``__dict__`` is not a field)."""
+    if type(other) is not type(self):
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in dataclasses.fields(self))
+    return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+
+@dataclass(frozen=True, eq=False)
+class ResampleDistribution:
+    """Statistic values over N replicates, plus what produced them.
+
+    ``array`` is the one stored copy of the values, a read-only float64
+    array; ``values`` is a tuple of the same floats, built when first read.
+    """
+
+    array: np.ndarray
     observed: float
     statistic: str
     mode: str  # "with-replacement" | "without-replacement"
@@ -137,25 +158,15 @@ class ResampleDistribution:
     redraw_count: int = 0
 
     def __post_init__(self):
-        if len(self.values) != self.n_resamples:
-            raise ValueError(
-                f"{len(self.values)} values for {self.n_resamples} replicates"
-            )
+        if len(self.array) != self.n_resamples:
+            raise ValueError(f"{len(self.array)} values for {self.n_resamples} replicates")
+        object.__setattr__(self, "array", _read_only(self.array))
+
+    __eq__ = _eq_by_fields
 
     @functools.cached_property
-    def _array(self) -> np.ndarray:
-        """``values`` as a read-only float array, converted once for all summaries."""
-        arr = np.asarray(self.values, dtype=float)
-        arr.flags.writeable = False
-        return arr
-
-    @classmethod
-    def _from_array(cls, values: np.ndarray, **fields) -> "ResampleDistribution":
-        """A distribution whose summaries reuse the engine's own float array."""
-        dist = cls(values=tuple(values.tolist()), **fields)
-        values.flags.writeable = False
-        dist.__dict__["_array"] = values  # the slot cached_property fills
-        return dist
+    def values(self) -> tuple[float, ...]:
+        return tuple(self.array.tolist())
 
 
 @dataclass(frozen=True)
@@ -348,11 +359,6 @@ def _at_least_as_extreme(stat, observed, sidedness: str):
     raise ValueError(f"sidedness must be one of {SIDEDNESS}, got {sidedness!r}")
 
 
-def _p_value(replicates: np.ndarray, observed: float, sidedness: str) -> float:
-    hits = np.count_nonzero(_at_least_as_extreme(replicates, observed, sidedness))
-    return hits / replicates.size
-
-
 def shuffle_test(
     data: GroupedSample,
     statistic: str = STAT_MEAN_DIFF,
@@ -376,29 +382,11 @@ def shuffle_test(
         raise ValueError("need at least one replicate")
     g1, _ = data.group_names
     n1 = data.group_count(g1)
-    observed = observed_statistic(data, statistic)
     diffs = _prefix_shuffle_matrix(
         data.values, n_resamples, seed, n1, vectorized, lambda mat: _grouped_diffs(mat, n1)
     )
-    dist = ResampleDistribution._from_array(
-        diffs,
-        observed=observed,
-        statistic=statistic,
-        mode="without-replacement",
-        n_resamples=n_resamples,
-        seed=seed,
-        source_size=data.n,
-    )
-    return TestReport(
-        observed=observed,
-        p_value=_p_value(diffs, observed, sidedness),
-        statistic=statistic,
-        sidedness=sidedness,
-        n_resamples=n_resamples,
-        seed=seed,
-        histogram=Histogram.from_values(diffs, bin_width),
-        description=_difference_description(data, statistic),
-        distribution=dist,
+    return _shuffle_report(
+        data, statistic, diffs, seed, sidedness, bin_width, _difference_description(data, statistic)
     )
 
 
@@ -423,30 +411,25 @@ def shuffle_test_paired(
         raise ValueError(f"sidedness must be one of {SIDEDNESS}, got {sidedness!r}")
     if n_resamples < 1:
         raise ValueError("need at least one replicate")
-    observed = observed_statistic(data, STAT_CORRELATION)
     rs = _prefix_shuffle_matrix(
         ys, n_resamples, seed, data.n - 1, vectorized, lambda mat: _correlations(xs, mat)
     )
-    dist = ResampleDistribution._from_array(
-        rs,
-        observed=observed,
-        statistic=STAT_CORRELATION,
-        mode="without-replacement",
-        n_resamples=n_resamples,
-        seed=seed,
-        source_size=data.n,
+    return _shuffle_report(
+        data, STAT_CORRELATION, rs, seed, sidedness, bin_width,
+        "pearson correlation of y against fixed x",
     )
-    return TestReport(
-        observed=observed,
-        p_value=_p_value(rs, observed, sidedness),
-        statistic=STAT_CORRELATION,
-        sidedness=sidedness,
-        n_resamples=n_resamples,
-        seed=seed,
-        histogram=Histogram.from_values(rs, bin_width),
-        description="pearson correlation of y against fixed x",
-        distribution=dist,
-    )
+
+
+def _shuffle_report(
+    data, statistic: str, replicates: np.ndarray, seed: int, sidedness: str,
+    bin_width: float, description: str,
+) -> TestReport:
+    observed = observed_statistic(data, statistic)
+    n = len(replicates)
+    dist = ResampleDistribution(replicates, observed, statistic, "without-replacement", n, seed, data.n)
+    hits = np.count_nonzero(_at_least_as_extreme(dist.array, observed, sidedness))
+    histogram = Histogram.from_values(dist.array, bin_width)
+    return TestReport(observed, hits / n, statistic, sidedness, n, seed, histogram, description, dist)
 
 
 def exact_shuffle_p(
@@ -533,9 +516,8 @@ def bootstrap(
             redraws += _redraw_single_group_rows(idx, in_g1, blk)
             return _grouped_resample_diffs(arr, in_g1, idx)
 
-    values = run_chunks(seed, n_resamples, n, kernel, vectorized)
-    return ResampleDistribution._from_array(
-        values,
+    return ResampleDistribution(
+        run_chunks(seed, n_resamples, n, kernel, vectorized),
         observed=observed,
         statistic=statistic,
         mode="with-replacement",
@@ -595,10 +577,8 @@ def _redraw_single_group_rows(idx: np.ndarray, in_g1: np.ndarray, blk) -> int:
 
 def _values_array(dist) -> np.ndarray:
     if isinstance(dist, ResampleDistribution):
-        return dist._array
-    if isinstance(dist, np.ndarray):
-        return np.asarray(dist, dtype=float)
-    return np.asarray(list(dist), dtype=float)
+        return dist.array
+    return np.asarray(dist, dtype=float)
 
 
 def percentile(values, q: float) -> float:
@@ -652,7 +632,7 @@ def diagnostics(
     observed value falls outside the measurement scale (flagged when any),
     and whether the source sample is small.
     """
-    v = _values_array(dist)
+    v = dist.array
     mu = float(v.mean())
     med = float(np.median(v))
     m2 = float(((v - mu) ** 2).mean())
@@ -718,7 +698,7 @@ def bootstrap_report(
         description = _difference_description(data, dist.statistic)
     else:
         description = "mean"
-    values = _values_array(dist)
+    values = dist.array
     return BootstrapReport(
         distribution=dist,
         interval_level=level,

@@ -18,6 +18,7 @@ per run, as an oracle for the numpy engine.  Both give identical results.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .data import PopulationVector
-from .resampling import _prefix_shuffle_matrix, percentile_interval
+from .resampling import _eq_by_fields, _prefix_shuffle_matrix, _read_only, percentile_interval
 from .rng import run_chunks
 
 EVENTS = ("exactly", "at-least", "at-most")
@@ -115,26 +116,39 @@ def simulate_bernoulli(
     return float(np.count_nonzero(experiment.matches(counts)) / runs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PollResult:
-    """Sample proportions from repeated polls of a 0/1 population."""
+    """Sample proportions from repeated polls of a 0/1 population.
 
-    proportions: tuple[float, ...]
+    ``array`` is the one stored copy, a read-only float64 array;
+    ``proportions`` is the same as a tuple, built when first read.
+    """
+
+    array: np.ndarray
     sample_size: int
     mode: str
     n_polls: int
     seed: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "array", _read_only(self.array))
+
+    __eq__ = _eq_by_fields
+
+    @functools.cached_property
+    def proportions(self) -> tuple[float, ...]:
+        return tuple(self.array.tolist())
+
     def interval(self, level: float = 0.95) -> tuple[float, float]:
-        return percentile_interval(self.proportions, level)
+        return percentile_interval(self.array, level)
 
     @property
     def minimum(self) -> float:
-        return min(self.proportions)
+        return float(self.array.min())
 
     @property
     def maximum(self) -> float:
-        return max(self.proportions)
+        return float(self.array.max())
 
 
 def simulate_poll(
@@ -173,7 +187,7 @@ def simulate_poll(
             lambda mat: mat[:, :sample_size].mean(axis=1),
         )
     return PollResult(
-        proportions=tuple(props.tolist()),
+        props,
         sample_size=sample_size,
         mode=mode,
         n_polls=n_polls,

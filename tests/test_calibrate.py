@@ -228,3 +228,17 @@ def test_p_value_too_small_for_a_quantile_is_refused():
     with pytest.raises(ValueError, match="too small"):
         calibrate_from_p(estimate=1, p=1e-16, null_value=0)
     assert calibrate_from_p(estimate=1, p=1e-15, null_value=0).se > 0
+
+
+@pytest.mark.parametrize("family, df", [("normal", None), ("t", 5)])
+def test_far_tail_probabilities_keep_their_relative_accuracy(family, df):
+    stats = pytest.importorskip("scipy.stats")
+    ref = stats.norm if family == "normal" else stats.t(df)
+    dist = calibrate_from_interval(49, 72, family=family, df=df)
+    z = lambda x: (x - dist.center) / dist.se
+    for x in (14, 10, -40):
+        assert dist.prob_less(x) == pytest.approx(ref.cdf(z(x)), rel=1e-9, abs=0)
+        assert dist.prob_greater(121 - x) == pytest.approx(ref.sf(z(121 - x)), rel=1e-9, abs=0)
+    outside = ref.cdf(z(10)) + ref.sf(z(111))
+    assert dist.prob_outside(10, 111) == pytest.approx(outside, rel=1e-9, abs=0)
+    assert dist.prob_greater(50) == pytest.approx(ref.sf(z(50)), rel=1e-12, abs=0)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import resamplekit
 from resamplekit.cli import main
 
@@ -376,3 +378,39 @@ def test_tiny_p_value_is_refused_by_name(capsys):
     result = run(capsys, "clip", "--p", "1e-300", "--estimate", "1")
     assert _one_error_line(*result)
     assert "p-value 1e-300" in result[2] and "quantile" not in result[2]
+
+
+def test_byte_order_mark_is_skipped_and_the_digest_covers_it(capsys, tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfvalue\r\n1\r\n5\r\n7\r\n3\r\n")
+    code, out, err = run(capsys, "bootstrap", "--data", str(path), "--n", "50")
+    assert code == 0 and err == ""
+    assert "observed mean: 4" in out
+    assert _digest(out) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"value\n1\n\xff\n", "not UTF-8 text at byte offset 8 (invalid start byte)"),
+        (b"\xef\xbb\xbfvalue\n1\n\xff\n", "not UTF-8 text at byte offset 11"),
+        (b"value\n1\n\n" + b"7" * 140_000 + b"\n", "row 2: field larger than field limit"),
+        (b"value" + b"x" * 140_000 + b"\n1\n", "header: field larger than field limit"),
+    ],
+    ids=["not-utf8", "not-utf8-after-mark", "long-cell", "long-header-cell"],
+)
+def test_unreadable_data_files_are_one_error_line_naming_the_file(capsys, tmp_path, content, message):
+    path = tmp_path / "data.csv"
+    path.write_bytes(content)
+    for argv in (("bootstrap", "--data", str(path)), ("poll", "--data", str(path), "--sample-size", "1")):
+        code, out, err = run(capsys, *argv)
+        assert _one_error_line(code, out, err) and "Traceback" not in err
+        assert err.startswith(f"error: {path}: ") and message in err
+
+
+def test_far_normal_tails_are_printed_with_their_own_digits(capsys):
+    code, out, _ = run(capsys, "clip", "--ci", "49,72", "--query", "lt 14")
+    assert code == 0 and "theta lt 14: 1.14007e-15\n" in out
+    for query in ("lt 10", "gt 111"):
+        code, out, _ = run(capsys, "clip", "--ci", "49,72", "--query", query)
+        assert code == 0 and f"theta {query}: 3.75647e-18\n" in out

@@ -282,3 +282,18 @@ def test_csv_rows_follow_dict_reader_rules(tmp_path):
     path.write_text('y,x\n"1",2\n\n 3 ,"4"\n')
     pairs = load_paired_csv(path, "x", "y")
     assert pairs.xs == (2.0, 4.0) and pairs.ys == (1.0, 3.0)
+
+
+def test_a_leading_byte_order_mark_is_not_part_of_the_header(tmp_path):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.mkdir()
+    marked.mkdir()
+    body = b"value,group,x\n74,Vegetarian,1\n65,Omnivore,2\n57,Vegetarian,4\n"
+    (plain / "data.csv").write_bytes(body)
+    (marked / "data.csv").write_bytes(b"\xef\xbb\xbf" + body)
+    for load, columns in ((load_csv, ("value",)), (load_csv, ("value", "group")), (load_paired_csv, ("x", "value"))):
+        assert load(marked / "data.csv", *columns) == load(plain / "data.csv", *columns)
+    # Only a leading mark is dropped; one inside a cell stays text.
+    (marked / "data.csv").write_bytes(b"value\n\xef\xbb\xbf1\n")
+    with pytest.raises(ValueError, match="could not parse"):
+        load_csv(marked / "data.csv", "value")

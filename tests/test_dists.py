@@ -135,3 +135,20 @@ def test_t_domain_errors():
 
 def test_normal_pdf_peak():
     assert normal_pdf(0.0) == pytest.approx(1 / math.sqrt(2 * math.pi), abs=1e-15)
+
+
+def test_documented_error_bounds_hold_against_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    zs = [i / 20 for i in range(-800, 801)]
+    assert max(abs(normal_cdf(z) - stats.norm.cdf(z)) for z in zs) < 1e-10
+    for df in (1, 2, 3, 5, 10, 30, 100, 1000):
+        assert max(abs(t_cdf(x, df) - stats.t.cdf(x, df)) for x in zs) < 1e-9
+    ps = [10.0**-k for k in range(1, 301, 3)] + [i / 1000 for i in range(1, 1000)]
+    ps += [1 - 10.0**-k for k in range(1, 16)]
+    assert max(abs(stats.norm.cdf(normal_quantile(p)) - p) for p in ps) < 1e-12
+
+
+def test_normal_lower_tail_keeps_its_relative_accuracy():
+    stats = pytest.importorskip("scipy.stats")
+    for z in (-6.0, -8.5, -10.0, -20.0, -37.0):
+        assert normal_cdf(z) == pytest.approx(stats.norm.cdf(z), rel=1e-9, abs=0)
