@@ -81,6 +81,9 @@ class CalibratedDistribution:
     def prob_between(self, low: float, high: float) -> float:
         if not low < high:
             raise ValueError(f"need low < high, got ({low}, {high})")
+        if self._standardize(low) >= 0:
+            # Both ends in the upper tail: cdf(high) - cdf(low) would cancel.
+            return self.prob_greater(low) - self.prob_greater(high)
         return self.cdf(high) - self.cdf(low)
 
     def prob_outside(self, low: float, high: float) -> float:

@@ -27,13 +27,23 @@ the float summation order.  The draw plans above are checked against
 
 p-values count ties inclusively: two-sided p = #{|T*| >= |T_obs|} / N,
 one-sided variants count T* >= T_obs (or <=).
+
+The exact shuffle p (``exact_shuffle_p``) counts the same rule over all
+C(n, n1) splits without listing them.  The values are scaled to exact Python
+ints by their largest denominator (a power of two, since every double is a
+dyadic rational); the mean difference is then a monotone function of the
+first-group sum, so each test is a range of that sum; and a meet-in-the-middle
+count (Horowitz & Sahni, 1974) pairs the subset sums of the two halves of the
+rows, of subsets no larger than the smaller group, by bisection.  Its cap
+counts those half-subset sums, not the splits: at most 2^h + 2^(n-h) for
+h = n // 2, so the default of 10^6 reaches 37 rows.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -348,8 +358,9 @@ def _index_rows(blk, n_items: int, n_draws: int) -> np.ndarray:
 
 
 def _at_least_as_extreme(stat, observed, sidedness: str):
-    """Whether ``stat`` is at least as extreme as ``observed`` (ties count);
-    elementwise on float arrays, and exact on Fractions."""
+    """Whether ``stat`` is at least as extreme as ``observed`` (ties count),
+    elementwise on a float array; ``_extreme_bounds`` is the same rule on the
+    exact first-group sums."""
     if sidedness == "two-sided":
         return abs(stat) >= abs(observed)
     if sidedness == "greater":
@@ -438,38 +449,118 @@ def exact_shuffle_p(
     sidedness: str = "two-sided",
     max_splits: int = ENUMERATION_LIMIT,
 ) -> Fraction:
-    """Exact shuffle-test p by enumerating every way to split the rows.
+    """Exact shuffle-test p over every way to split the rows, ties inclusive.
 
     All C(n, n1) assignments of rows to the first group are equally likely
-    under shuffling; arithmetic is exact rational, ties inclusive.
+    under shuffling.  They are counted, not listed:
+
+    * every stored double is a dyadic rational, so scaling by the largest
+      denominator D (a power of two) makes each value an exact Python int;
+    * with n1 and n fixed, n1·n2·(mean difference) = s1·n − T·n1 for the
+      scaled first-group sum s1 and total T, so "at least as extreme" is a
+      range of s1 (see ``_extreme_bounds``);
+    * meet in the middle (Horowitz & Sahni, 1974): the subset sums of each
+      half of the rows are listed by subset size, and for each left sum the
+      right sums of the complementary size that land in the range are
+      counted by bisection in the sorted right lists.  A split is named by
+      its smaller group, so only subsets of at most min(n1, n2) values are
+      listed.
+
+    ``max_splits`` caps the number of half-subset sums listed, which is the
+    work done: at most 2^h + 2^(n−h) for h = n // 2, and far fewer when one
+    group is small.  The default reaches 37 rows for any split.
     """
     _check_statistic(data, statistic)
     if not isinstance(data, GroupedSample):
         raise ValueError("exact enumeration needs a two-group sample")
     if sidedness not in SIDEDNESS:
         raise ValueError(f"sidedness must be one of {SIDEDNESS}, got {sidedness!r}")
-    g1, g2 = data.group_names
+    g1, _ = data.group_names
     n = data.n
     n1 = data.group_count(g1)
-    total_splits = math.comb(n, n1)
-    if total_splits > max_splits:
+    h = n // 2
+    smaller = min(n1, n - n1)
+    # Counted exactly up to limit, so past max_splits whenever the true count is.
+    limit = max(max_splits, _COUNT_PRINT_LIMIT)
+    listed = sum(sum(_binomials(m, smaller, limit)) for m in (h, n - h))
+    if listed > max_splits:
+        *_, splits = _binomials(n, smaller, _COUNT_PRINT_LIMIT)
         raise ValueError(
-            f"exact enumeration is capped at C(n, n1) <= {max_splits}; "
-            f"this data has C({n}, {n1}) = {total_splits}"
+            f"exact count is capped at {max_splits} half-subset sums; this data needs "
+            f"{_count_text(listed)} for C({n}, {n1}) = {_count_text(splits)} splits"
         )
-    vals = [Fraction(v) for v in data.values]
-    total = sum(vals)
-    n2 = n - n1
+    ratios = [v.as_integer_ratio() for v in data.values]
+    scale = max(den for _, den in ratios)
+    ints = [num * (scale // den) for num, den in ratios]
+    total = sum(ints)
+    observed = sum(v for v, g in zip(ints, data.groups) if g == g1)
+    if 2 * n1 > n:
+        # Name each split by the second group instead: its sum is total − s1,
+        # which reverses the one-sided tests and keeps the two-sided one.
+        n1, observed = n - n1, total - observed
+        sidedness = {"greater": "less", "less": "greater"}.get(sidedness, sidedness)
+    low, high = _extreme_bounds(observed, total, n1, n, sidedness)
+    right = [sorted(sums) for sums in _subset_sums_by_size(ints[h:], n1)]
+    hits = 0
+    for k, left in enumerate(_subset_sums_by_size(ints[:h], n1)):
+        sums = right[n1 - k]
+        for s in left:
+            if high is not None:
+                hits += len(sums) - bisect.bisect_left(sums, high - s)
+            if low is not None:
+                hits += bisect.bisect_right(sums, low - s)
+    return Fraction(hits, math.comb(n, n1))
 
-    def diff(sum1: Fraction) -> Fraction:
-        return sum1 / n1 - (total - sum1) / n2
 
-    observed = diff(sum(Fraction(v) for v in data.group_values(g1)))
-    hits = sum(
-        _at_least_as_extreme(diff(sum(vals[i] for i in combo)), observed, sidedness)
-        for combo in itertools.combinations(range(n), n1)
-    )
-    return Fraction(hits, total_splits)
+# Error messages print counts up to this size in full.  Past it, the exact
+# binomials would take seconds to compute for a million rows and could
+# exceed the interpreter's limit on int-to-str digits.
+_COUNT_PRINT_LIMIT = 10**18
+
+
+def _binomials(m: int, size: int, limit: int):
+    """C(m, 0), C(m, 1), ..., C(m, min(size, m)), stopping after the first
+    term above ``limit``."""
+    term = 1
+    for k in range(min(size, m) + 1):
+        yield term
+        if term > limit:
+            return
+        term = term * (m - k) // (k + 1)
+
+
+def _count_text(count: int) -> str:
+    return str(count) if count <= _COUNT_PRINT_LIMIT else "more than 10^18"
+
+
+def _subset_sums_by_size(values: list[int], max_size: int) -> list[list[int]]:
+    """Entry k lists the sums of all subsets of k values, for k <= max_size."""
+    by_size = [[0]]
+    for v in values:
+        if len(by_size) <= max_size:
+            by_size.append([])
+        for k in range(len(by_size) - 1, 0, -1):
+            by_size[k] += [s + v for s in by_size[k - 1]]
+    return by_size
+
+
+def _extreme_bounds(observed: int, total: int, n1: int, n: int, sidedness: str):
+    """(low, high): a first-group sum s1 is at least as extreme as the observed
+    one iff s1 <= low or s1 >= high (None: no bound on that side).
+
+    n1·n2·(mean difference) = s1·n − total·n1 increases with s1, so the
+    one-sided tests compare s1 with the observed sum, and the two-sided test
+    keeps |s1·n − total·n1| >= a, the observed distance, as an integer floor
+    and ceiling.  The two ranges never overlap: with a = 0 they would share
+    s1 = total·n1/n, so high is at least low + 1 and every split counts once.
+    """
+    if sidedness == "greater":
+        return None, observed
+    if sidedness == "less":
+        return observed, None
+    a = abs(observed * n - total * n1)
+    low = (total * n1 - a) // n
+    return low, max(-((-(total * n1 + a)) // n), low + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -242,3 +242,17 @@ def test_far_tail_probabilities_keep_their_relative_accuracy(family, df):
     outside = ref.cdf(z(10)) + ref.sf(z(111))
     assert dist.prob_outside(10, 111) == pytest.approx(outside, rel=1e-9, abs=0)
     assert dist.prob_greater(50) == pytest.approx(ref.sf(z(50)), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("family, df", [("normal", None), ("t", 5)])
+def test_prob_between_keeps_its_relative_accuracy_in_either_tail(family, df):
+    stats = pytest.importorskip("scipy.stats")
+    ref = stats.norm if family == "normal" else stats.t(df)
+    dist = calibrate_from_interval(49, 72, family=family, df=df)
+    z = lambda x: (x - dist.center) / dist.se
+    for low, high in ((111, 120), (100, 120), (60.5, 70), (1, 10), (-40, 14), (50, 70)):
+        if z(low) >= 0:
+            want = ref.sf(z(low)) - ref.sf(z(high))
+        else:
+            want = ref.cdf(z(high)) - ref.cdf(z(low))
+        assert dist.prob_between(low, high) == pytest.approx(want, rel=1e-9, abs=0)

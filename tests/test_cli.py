@@ -26,6 +26,19 @@ def test_shuffle_test_exact_veg6(capsys):
     assert "observed mean-diff: 21.3333" in out
 
 
+def test_shuffle_test_exact_counts_millions_of_splits(capsys, tmp_path):
+    # C(24, 12) = 2,704,156 group assignments; only the observed split and
+    # its mirror image are as extreme as twelve 0.3s against twelve 0.1s.
+    path = tmp_path / "data.csv"
+    path.write_text("value,group\n" + "0.3,a\n" * 12 + "0.1,b\n" * 12)
+    code, out, err = run(
+        capsys, "shuffle-test", "--data", str(path), "--group-column", "group", "--exact"
+    )
+    assert code == 0 and err == ""
+    assert " = 1/1352078\n" in out
+    assert "2 of all 2704156 group assignments" in out
+
+
 def test_shuffle_test_monte_carlo_matches_exact(capsys):
     code, out, _ = run(
         capsys, "shuffle-test", "--fixture", "veg6", "--n", "100000", "--seed", "0"

@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resamplekit.data import GroupedSample, PairedSample, Sample, get_fixture
@@ -95,6 +97,135 @@ def test_exact_matches_brute_force_on_binary_data():
         hits += abs(d) >= abs(obs)
         total += 1
     assert exact_shuffle_p(data, "proportion-diff") == Fraction(hits, total)
+
+
+def _brute_force_exact_p(data, sidedness):
+    """Every split listed, every mean difference an exact Fraction."""
+    g1, _ = data.group_names
+    n, n1 = data.n, data.group_count(g1)
+    vals = [Fraction(v) for v in data.values]
+    total = sum(vals)
+
+    def diff(sum1):
+        return sum1 / n1 - (total - sum1) / (n - n1)
+
+    observed = diff(sum(Fraction(v) for v in data.group_values(g1)))
+    hits = 0
+    for combo in itertools.combinations(range(n), n1):
+        d = diff(sum(vals[i] for i in combo))
+        if sidedness == "two-sided":
+            hits += abs(d) >= abs(observed)
+        elif sidedness == "greater":
+            hits += d >= observed
+        else:
+            hits += d <= observed
+    return Fraction(hits, math.comb(n, n1))
+
+
+_WIDE_VALUES = (1e-300, 1e300, -1e300, 5e-324, -5e-324, 2.2250738585072014e-308, 0.0, -7.5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=12).flatmap(
+        lambda n: st.tuples(
+            st.one_of(
+                st.lists(st.integers(-20, 20).map(float), min_size=n, max_size=n),
+                st.lists(st.integers(-99, 99).map(lambda k: k / 10), min_size=n, max_size=n),
+                st.lists(
+                    st.one_of(
+                        st.sampled_from(_WIDE_VALUES), st.integers(-3, 3).map(lambda k: k / 10)
+                    ),
+                    min_size=n, max_size=n,
+                ),
+            ),
+            st.lists(st.booleans(), min_size=n, max_size=n).filter(lambda g: 0 < sum(g) < n),
+        )
+    ),
+    st.sampled_from(["two-sided", "greater", "less"]),
+)
+# Two-sided cases where the bound opposite the observed sum is not a whole
+# number and a split sum lies next to it: they pin its floor and ceiling.
+@example(([4.0, 4.0, 1.0, 2.0], [False, True, False, False]), "two-sided")
+@example(([4.0, 4.0, 4.0, 0.0, 5.0], [False, False, False, True, True]), "two-sided")
+def test_exact_p_equals_brute_force_enumeration(case, sidedness):
+    # Integer, one-decimal and wide-exponent values (subnormals next to
+    # 1e300), groups of unequal sizes in any row order.
+    values, in_first = case
+    data = GroupedSample(values, ["a" if g else "b" for g in in_first])
+    assert exact_shuffle_p(data, sidedness=sidedness) == _brute_force_exact_p(data, sidedness)
+
+
+def test_exact_p_on_thirty_one_decimal_rows_equals_a_size_indexed_dp():
+    # C(30, 13) = 119,759,850 splits.  The Counter DP below tracks, for each
+    # subset size, how many subsets reach each exact scaled sum; four distinct
+    # values keep its state small while 0.1, 0.2 and 0.7 are not dyadic.
+    rng = random.Random(30)
+    values = [rng.choice((0.1, 0.2, 0.7, 2.5)) for _ in range(30)]
+    groups = ["a" if i < 13 else "b" for i in range(30)]
+    rng.shuffle(groups)
+    data = GroupedSample(values, groups)
+    scale = max(Fraction(v).denominator for v in values)
+    ints = [int(Fraction(v) * scale) for v in values]
+    n, n1 = 30, 13
+    by_size = [Counter() for _ in range(n1 + 1)]
+    by_size[0][0] = 1
+    for v in ints:
+        for k in range(n1, 0, -1):
+            for s, c in by_size[k - 1].items():
+                by_size[k][s + v] += c
+    total = sum(ints)
+    observed = sum(v for v, g in zip(ints, groups) if g == "a")
+
+    def diff(s1):
+        return Fraction(s1, n1) - Fraction(total - s1, n - n1)
+
+    for sidedness, hit in (
+        ("two-sided", lambda d: abs(d) >= abs(diff(observed))),
+        ("greater", lambda d: d >= diff(observed)),
+        ("less", lambda d: d <= diff(observed)),
+    ):
+        hits = sum(c for s, c in by_size[n1].items() if hit(diff(s)))
+        assert exact_shuffle_p(data, sidedness=sidedness) == Fraction(hits, math.comb(n, n1))
+
+
+def test_exact_cap_counts_the_half_subset_sums_listed():
+    # 10 rows split 5/5: 2^5 + 2^5 = 64 half-subset sums, for C(10, 5) = 252 splits.
+    data = GroupedSample([float(i) for i in range(10)], ["a", "b"] * 5)
+    assert exact_shuffle_p(data, max_splits=64) == exact_shuffle_p(data)
+    with pytest.raises(ValueError, match="capped") as err:
+        exact_shuffle_p(data, max_splits=63)
+    assert "needs 64 for C(10, 5) = 252 splits" in str(err.value)
+
+
+def test_exact_cap_message_on_many_rows_is_short():
+    # C(20000, 10000) has 6,019 digits, past the interpreter's default limit
+    # for printing an int, and takes long to count exactly at 10^6 rows.
+    data = GroupedSample([float(i % 7) for i in range(20000)], ["a", "b"] * 10000)
+    with pytest.raises(ValueError, match="capped") as err:
+        exact_shuffle_p(data)
+    assert "needs more than 10^18 for C(20000, 10000) = more than 10^18 splits" in str(err.value)
+
+
+def test_exact_p_lists_no_subset_larger_than_the_smaller_group():
+    # 40 rows with 2 in one group: 2 * (1 + 20 + 190) = 422 half-subset sums
+    # for C(40, 2) = 780 splits, where an even split would need 2^20 + 2^20.
+    rng = random.Random(40)
+    values = [rng.randint(-9, 9) / 10 for _ in range(40)]
+    for groups in (["a"] * 2 + ["b"] * 38, ["a"] * 38 + ["b"] * 2):
+        data = GroupedSample(values, groups)
+        for sidedness in ("two-sided", "greater", "less"):
+            want = _brute_force_exact_p(data, sidedness)
+            assert exact_shuffle_p(data, sidedness=sidedness, max_splits=422) == want
+
+
+def test_exact_p_reaches_splits_beyond_a_million():
+    # C(24, 12) = 2,704,156 splits; the twelve larger values in one group
+    # are beaten only by that split and its mirror image.
+    data = GroupedSample([0.3] * 12 + [0.1] * 12, ["a"] * 12 + ["b"] * 12)
+    assert exact_shuffle_p(data) == Fraction(2, math.comb(24, 12))
+    assert exact_shuffle_p(data, sidedness="greater") == Fraction(1, math.comb(24, 12))
+    assert exact_shuffle_p(data, sidedness="less") == 1
 
 
 # ---------------------------------------------------------------------------
