@@ -36,6 +36,9 @@ from .data import (
     get_fixture,
 )
 from .resampling import (
+    CORRELATION_BIN_WIDTH,
+    DEFAULT_BIN_WIDTH,
+    DEFAULT_REPLICATES,
     STAT_CORRELATION,
     bootstrap_report,
     check_bin_width,
@@ -175,7 +178,7 @@ def _cmd_shuffle_test(args) -> str:
             )
 
     if args.bin_width is None:
-        args.bin_width = 0.05 if args.stat == STAT_CORRELATION else 2.0
+        args.bin_width = CORRELATION_BIN_WIDTH if args.stat == STAT_CORRELATION else DEFAULT_BIN_WIDTH
     check_bin_width(args.bin_width)
     rep = Report("shuffle-test", input_id, seed=seed, replicates=args.n)
     for key in ("stat", "sidedness", "n"):
@@ -525,11 +528,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x-column", default="x", help="for --stat correlation")
     sp.add_argument("--y-column", default="y", help="for --stat correlation")
     sp.add_argument("--stat", choices=("mean-diff", "proportion-diff", "correlation"), default="mean-diff")
-    sp.add_argument("--n", type=int, default=1000, help="number of resamples (default 1000)")
+    sp.add_argument("--n", type=int, default=DEFAULT_REPLICATES,
+                    help=f"number of resamples (default {DEFAULT_REPLICATES})")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--sidedness", choices=("two-sided", "greater", "less"), default="two-sided")
     sp.add_argument("--bin-width", type=float, default=None,
-                    help="histogram bin width (default 2, or 0.05 for correlation)")
+                    help=f"histogram bin width (default {DEFAULT_BIN_WIDTH:g}, "
+                    f"or {CORRELATION_BIN_WIDTH:g} for correlation)")
     sp.add_argument("--exact", action="store_true", help="enumerate every group assignment instead of sampling")
     _add_common(sp)
     sp.set_defaults(func=_cmd_shuffle_test)
@@ -537,14 +542,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bootstrap", help="resample rows with replacement for a confidence distribution")
     _add_input(sp)
     sp.add_argument("--stat", choices=("mean", "mean-diff", "proportion-diff"), default=None)
-    sp.add_argument("--n", type=int, default=1000)
+    sp.add_argument("--n", type=int, default=DEFAULT_REPLICATES)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--level", type=finite_number, default=0.95)
     sp.add_argument("--threshold", type=finite_number, action="append", default=[],
                     help="report the tail probability at this value (repeatable)")
     sp.add_argument("--tail-direction", choices=("ge", "gt"), default="ge")
     sp.add_argument("--bounds", default=None, help="measurement scale LOW,HIGH for diagnostics")
-    sp.add_argument("--bin-width", type=float, default=2.0)
+    sp.add_argument("--bin-width", type=float, default=DEFAULT_BIN_WIDTH)
     _add_common(sp)
     sp.set_defaults(func=_cmd_bootstrap)
 

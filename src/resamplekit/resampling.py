@@ -17,13 +17,13 @@ replicate draw sequences are:
 
 Each draw plan is one kernel, run by ``rng.run_chunks`` on numpy lanes in
 lockstep, in bounded chunks each reduced to its statistic (memory grows with
-the chunk, not with N x n), or with ``vectorized=False`` unchunked on
-``rng.ScalarLanes``, the Python-int oracle for the numpy engine.  Lane r is
-always ``substream(seed, r)`` and each statistic is evaluated row by row on
-C-contiguous rows, so neither engine nor chunk size changes a value, not even
-the float summation order.  The draw plans above are checked against
-``SeededGenerator``'s own methods in the tests and against
-``bench/refgen.py`` outside the program.
+the chunk, not with N x n).  Lane r is always ``substream(seed, r)`` and each
+statistic is evaluated row by row on C-contiguous rows, so the chunk size
+never changes a value, not even the float summation order.  The tests run
+the same kernels unchunked on ``rng.ScalarLanes``, the Python-int oracle for
+the numpy engine, and check the draw plans above against
+``SeededGenerator``'s own methods; ``bench/refgen.py`` checks them outside
+the program.
 
 p-values count ties inclusively: two-sided p = #{|T*| >= |T_obs|} / N,
 one-sided variants count T* >= T_obs (or <=).
@@ -34,9 +34,9 @@ ints by their largest denominator (a power of two, since every double is a
 dyadic rational); the mean difference is then a monotone function of the
 first-group sum, so each test is a range of that sum; and a meet-in-the-middle
 count (Horowitz & Sahni, 1974) pairs the subset sums of the two halves of the
-rows, of subsets no larger than the smaller group, by bisection.  Its cap
-counts those half-subset sums, not the splits: at most 2^h + 2^(n-h) for
-h = n // 2, so the default of 10^6 reaches 37 rows.
+rows, of subsets no larger than the smaller group, by bisection.  Its cap,
+``ENUMERATION_LIMIT``, counts those half-subset sums, not the splits: at most
+2^h + 2^(n-h) for h = n // 2, so 10^6 reaches 37 rows.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import rng
 from .data import GroupedSample, PairedSample, Sample
-from .rng import run_chunks
 
 STAT_MEAN = "mean"
 STAT_MEAN_DIFF = "mean-diff"
@@ -76,6 +76,8 @@ ENUMERATION_LIMIT = 10**6
 # Histograms refuse bin widths that could give more bins than this (reports
 # use well under 100).
 MAX_BINS = 10**4
+# Characters in the longest bar of a text histogram.
+HISTOGRAM_BAR_WIDTH = 50
 
 
 def check_bin_width(bin_width: float) -> None:
@@ -125,11 +127,11 @@ class Histogram:
         lines += [f"{c:.12g},{n}" for c, n in zip(self.centers, self.counts)]
         return "\n".join(lines) + "\n"
 
-    def to_ascii(self, max_width: int = 50) -> str:
+    def to_ascii(self) -> str:
         peak = max(self.counts) if self.counts else 0
         lines = []
         for c, n in zip(self.centers, self.counts):
-            bar = "#" * (max(1, round(n / peak * max_width)) if n else 0)
+            bar = "#" * (max(1, round(n / peak * HISTOGRAM_BAR_WIDTH)) if n else 0)
             lines.append(f"{c:>10.6g} | {bar} {n}")
         return "\n".join(lines)
 
@@ -189,7 +191,7 @@ class TestReport:
     seed: int
     histogram: Histogram
     description: str  # which direction the statistic was taken in
-    distribution: ResampleDistribution | None = None
+    distribution: ResampleDistribution
 
 
 @dataclass(frozen=True)
@@ -240,16 +242,22 @@ def _grouped_diffs(mat: np.ndarray, n1: int) -> np.ndarray:
     return s1 / n1 - s2 / (mat.shape[1] - n1)
 
 
-def _correlations(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Pearson r of fixed xs against each row of ys."""
+def _correlations(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Pearson r of fixed xs against each row of ``rows``, each row a
+    permutation of ys.
+
+    The sums are of xs - xs[0] and ys - ys[0] (the shifted-data algorithm),
+    so data far from zero do not cancel; integer data stay exact.  The y
+    sums are the same for every permutation, so they are taken once, on ys.
+    """
     n = xs.size
-    sx = xs.sum()
-    sxx = (xs * xs).sum()
-    sy = ys.sum(axis=1)
-    syy = (ys * ys).sum(axis=1)
-    sxy = (ys * xs).sum(axis=1)
-    den = np.sqrt((n * sxx - sx * sx) * (n * syy - sy * sy))
-    return (n * sxy - sx * sy) / den
+    dx = xs - xs[0]
+    dy = ys - ys[0]
+    sx, sy = dx.sum(), dy.sum()
+    den = np.sqrt((n * (dx * dx).sum() - sx * sx) * (n * (dy * dy).sum() - sy * sy))
+    products = rows - ys[0]
+    products *= dx
+    return (n * products.sum(axis=1) - sx * sy) / den
 
 
 def _check_statistic(data, statistic: str) -> None:
@@ -303,11 +311,11 @@ def observed_statistic(data, statistic: str | None = None) -> float:
         return float(_grouped_diffs(ordered.reshape(1, -1), data.group_count(g1))[0])
     xs = np.asarray(data.xs, dtype=float)
     ys = np.asarray(data.ys, dtype=float)
-    return float(_correlations(xs, ys.reshape(1, -1))[0])
+    return float(_correlations(xs, ys, ys.reshape(1, -1))[0])
 
 
 # ---------------------------------------------------------------------------
-# draw kernels, each run on either engine by run_chunks
+# draw kernels, each run by rng.run_chunks
 
 
 def _prefix_shuffle_rows(arr: np.ndarray, blk, steps: int) -> np.ndarray:
@@ -327,13 +335,13 @@ def _prefix_shuffle_rows(arr: np.ndarray, blk, steps: int) -> np.ndarray:
 
 
 def _prefix_shuffle_matrix(
-    values, n_resamples: int, seed: int, k: int, vectorized: bool, statistic=np.asarray
+    values, n_resamples: int, seed: int, k: int, statistic=np.asarray
 ) -> np.ndarray:
     """Row r is the value list after k Fisher-Yates steps of substream(seed, r).
 
     The result is ``statistic(rows)`` (by default the rows themselves), where
-    ``statistic`` maps a matrix of such rows to one result per row; the
-    vectorized engine applies it to one chunk of rows at a time.
+    ``statistic`` maps a matrix of such rows to one result per row; it is
+    applied to one chunk of rows at a time.
     """
     arr = np.asarray(values, dtype=float)
     n = arr.size
@@ -342,7 +350,7 @@ def _prefix_shuffle_matrix(
     def kernel(blk) -> np.ndarray:
         return statistic(_prefix_shuffle_rows(arr, blk, steps))
 
-    return run_chunks(seed, n_resamples, n, kernel, vectorized)
+    return rng.run_chunks(seed, n_resamples, n, kernel)
 
 
 def _index_rows(blk, n_items: int, n_draws: int) -> np.ndarray:
@@ -377,7 +385,6 @@ def shuffle_test(
     seed: int = 0,
     sidedness: str = "two-sided",
     bin_width: float = DEFAULT_BIN_WIDTH,
-    vectorized: bool = True,
 ) -> TestReport:
     """Re-deal the values to the original group sizes N times (no replacement).
 
@@ -394,7 +401,7 @@ def shuffle_test(
     g1, _ = data.group_names
     n1 = data.group_count(g1)
     diffs = _prefix_shuffle_matrix(
-        data.values, n_resamples, seed, n1, vectorized, lambda mat: _grouped_diffs(mat, n1)
+        data.values, n_resamples, seed, n1, lambda mat: _grouped_diffs(mat, n1)
     )
     return _shuffle_report(
         data, statistic, diffs, seed, sidedness, bin_width, _difference_description(data, statistic)
@@ -407,7 +414,6 @@ def shuffle_test_paired(
     seed: int = 0,
     sidedness: str = "two-sided",
     bin_width: float = CORRELATION_BIN_WIDTH,
-    vectorized: bool = True,
 ) -> TestReport:
     """Shuffle the y column against the fixed x column; statistic is Pearson r."""
     if not isinstance(data, PairedSample):
@@ -423,7 +429,7 @@ def shuffle_test_paired(
     if n_resamples < 1:
         raise ValueError("need at least one replicate")
     rs = _prefix_shuffle_matrix(
-        ys, n_resamples, seed, data.n - 1, vectorized, lambda mat: _correlations(xs, mat)
+        ys, n_resamples, seed, data.n - 1, lambda mat: _correlations(xs, ys, mat)
     )
     return _shuffle_report(
         data, STAT_CORRELATION, rs, seed, sidedness, bin_width,
@@ -447,7 +453,6 @@ def exact_shuffle_p(
     data: GroupedSample,
     statistic: str = STAT_MEAN_DIFF,
     sidedness: str = "two-sided",
-    max_splits: int = ENUMERATION_LIMIT,
 ) -> Fraction:
     """Exact shuffle-test p over every way to split the rows, ties inclusive.
 
@@ -466,9 +471,9 @@ def exact_shuffle_p(
       its smaller group, so only subsets of at most min(n1, n2) values are
       listed.
 
-    ``max_splits`` caps the number of half-subset sums listed, which is the
-    work done: at most 2^h + 2^(n−h) for h = n // 2, and far fewer when one
-    group is small.  The default reaches 37 rows for any split.
+    ``ENUMERATION_LIMIT`` caps the number of half-subset sums listed, which
+    is the work done: at most 2^h + 2^(n−h) for h = n // 2, and far fewer
+    when one group is small.  It reaches 37 rows for any split.
     """
     _check_statistic(data, statistic)
     if not isinstance(data, GroupedSample):
@@ -480,13 +485,13 @@ def exact_shuffle_p(
     n1 = data.group_count(g1)
     h = n // 2
     smaller = min(n1, n - n1)
-    # Counted exactly up to limit, so past max_splits whenever the true count is.
-    limit = max(max_splits, _COUNT_PRINT_LIMIT)
-    listed = sum(sum(_binomials(m, smaller, limit)) for m in (h, n - h))
-    if listed > max_splits:
+    # Counted exactly up to _COUNT_PRINT_LIMIT, so past the cap whenever the
+    # true count is.
+    listed = sum(sum(_binomials(m, smaller, _COUNT_PRINT_LIMIT)) for m in (h, n - h))
+    if listed > ENUMERATION_LIMIT:
         *_, splits = _binomials(n, smaller, _COUNT_PRINT_LIMIT)
         raise ValueError(
-            f"exact count is capped at {max_splits} half-subset sums; this data needs "
+            f"exact count is capped at {ENUMERATION_LIMIT} half-subset sums; this data needs "
             f"{_count_text(listed)} for C({n}, {n1}) = {_count_text(splits)} splits"
         )
     ratios = [v.as_integer_ratio() for v in data.values]
@@ -575,7 +580,6 @@ def bootstrap(
     statistic: str | None = None,
     n_resamples: int = DEFAULT_REPLICATES,
     seed: int = 0,
-    vectorized: bool = True,
 ) -> ResampleDistribution:
     """Resample whole rows with replacement N times and evaluate the statistic.
 
@@ -608,7 +612,7 @@ def bootstrap(
             return _grouped_resample_diffs(arr, in_g1, idx)
 
     return ResampleDistribution(
-        run_chunks(seed, n_resamples, n, kernel, vectorized),
+        rng.run_chunks(seed, n_resamples, n, kernel),
         observed=observed,
         statistic=statistic,
         mode="with-replacement",
@@ -781,10 +785,9 @@ def bootstrap_report(
     tail_direction: str = "ge",
     scale_bounds: tuple[float, float] | None = None,
     bin_width: float = DEFAULT_BIN_WIDTH,
-    vectorized: bool = True,
 ) -> BootstrapReport:
     """Bootstrap plus percentile interval, tail probabilities and diagnostics."""
-    dist = bootstrap(data, statistic, n_resamples, seed, vectorized)
+    dist = bootstrap(data, statistic, n_resamples, seed)
     if isinstance(data, GroupedSample):
         description = _difference_description(data, dist.statistic)
     else:

@@ -41,12 +41,12 @@ Replicated experiments take replicate r's randomness from
 scheduling.  Each draw kernel is written once, against lanes with a
 ``count``, ``below(n)`` (one draw per lane, an int64 array) and
 ``keep(lanes)`` (narrow to some lanes, each continuing its own stream).
-``SubstreamBlock`` steps them in numpy uint64 lockstep; ``ScalarLanes``
-steps one Python-int ``substream(seed, r)`` per lane.  ``run_chunks`` runs a
-kernel on blocks in bounded chunks, or with ``vectorized=False`` once,
-unchunked, on ``ScalarLanes``: an oracle for the uint64 lockstep, rejection,
-``keep`` and chunking.  The draw plans themselves are checked against
-``SeededGenerator``'s own methods in the tests, and against
+``run_chunks`` runs a kernel on ``SubstreamBlock``s, which step the lanes in
+numpy uint64 lockstep, in bounded chunks.  ``ScalarLanes`` steps one
+Python-int ``substream(seed, r)`` per lane; the tests run a kernel once,
+unchunked, on ``ScalarLanes(seed, N)`` as the oracle for the uint64
+lockstep, rejection, ``keep`` and chunking.  The draw plans themselves are
+checked against ``SeededGenerator``'s own methods in the tests, and against
 ``bench/refgen.py`` outside the program.
 
 Chunking invariant: ``run_chunks`` covers replicates 0..N-1 with blocks of
@@ -189,8 +189,8 @@ class SubstreamBlock:
     """Lockstep numpy engine over substreams seed/start .. seed/start+count-1.
 
     Lane ``i`` of the block produces exactly the sequence of
-    ``substream(seed, start + i)``, including rejection redraws, so
-    vectorized and one-replicate-at-a-time execution give identical results.
+    ``substream(seed, start + i)``, including rejection redraws, so a block
+    and one-replicate-at-a-time execution give identical results.
     The four state words of all lanes live in one ``(4, count)`` array that
     every step updates in place.
     """
@@ -224,9 +224,6 @@ class SubstreamBlock:
     def next_uint64(self) -> np.ndarray:
         """Advance every lane once; returns a uint64 array."""
         return self._step()
-
-    def random(self) -> np.ndarray:
-        return (self.next_uint64() >> np.uint64(11)) * 2.0**-53
 
     def below(self, n: int) -> np.ndarray:
         """Per-lane uniform integer on [0, n), as an int64 array."""
@@ -271,7 +268,8 @@ class SubstreamBlock:
 
 class ScalarLanes:
     """``SubstreamBlock``'s ``below`` and ``keep`` in pure Python ints: lane
-    ``i`` is the generator ``substream(seed, i)``."""
+    ``i`` is the generator ``substream(seed, i)``.  The program never runs
+    it; the tests run kernels on it as the oracle for ``SubstreamBlock``."""
 
     def __init__(self, seed: int, count: int):
         self._gens = [substream(seed, i) for i in range(count)]
@@ -285,18 +283,14 @@ class ScalarLanes:
         self.count = len(self._gens)
 
 
-def run_chunks(seed: int, count: int, width: int, kernel, vectorized: bool = True) -> np.ndarray:
+def run_chunks(seed: int, count: int, width: int, kernel) -> np.ndarray:
     """``kernel(lanes)`` over consecutive blocks of lanes 0..count-1, concatenated.
 
     ``width`` is how many values a kernel holds per lane (the row width of
     its matrices); each block has ``chunk_lanes(width)`` lanes, the last one
     fewer.  Lane r of the result always comes from ``substream(seed, r)``, so
-    the chunk size bounds memory but never changes a value.  With
-    ``vectorized=False`` the kernel runs once, unchunked, on
-    ``ScalarLanes(seed, count)``: the oracle the chunked numpy run must equal.
+    the chunk size bounds memory but never changes a value.
     """
-    if not vectorized:
-        return kernel(ScalarLanes(seed, count))
     lanes = chunk_lanes(width)
     return np.concatenate(
         [

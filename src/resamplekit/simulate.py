@@ -10,10 +10,10 @@ Poll sampling without replacement takes the first k positions of a partial
 Fisher-Yates shuffle of the population; with replacement it draws k
 independent indices.
 
-Each draw plan is one kernel run by ``rng.run_chunks``: ``vectorized=True``
-steps numpy lanes in lockstep, in bounded chunks; ``vectorized=False`` runs
-the same kernel on ``rng.ScalarLanes``, unchunked, one Python-int generator
-per run, as an oracle for the numpy engine.  Both give identical results.
+Each draw plan is one kernel run by ``rng.run_chunks``, which steps numpy
+lanes in lockstep, in bounded chunks.  The tests run the same kernels on
+``rng.ScalarLanes``, unchunked, one Python-int generator per run, as an
+oracle for the numpy engine.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import rng
 from .data import PopulationVector
 from .resampling import _eq_by_fields, _prefix_shuffle_matrix, _read_only, percentile_interval
-from .rng import run_chunks
 
 EVENTS = ("exactly", "at-least", "at-most")
 POLL_MODES = ("with-replacement", "without-replacement")
@@ -97,9 +97,7 @@ class BernoulliExperiment:
         )
 
 
-def simulate_bernoulli(
-    experiment: BernoulliExperiment, seed: int = 0, vectorized: bool = True
-) -> float:
+def simulate_bernoulli(experiment: BernoulliExperiment, seed: int = 0) -> float:
     """Fraction of runs whose success count satisfies the event."""
     num = experiment.success_probability.numerator
     den = experiment.success_probability.denominator
@@ -112,7 +110,7 @@ def simulate_bernoulli(
             counts += blk.below(den) < num
         return counts
 
-    counts = run_chunks(seed, runs, n, successes, vectorized)
+    counts = rng.run_chunks(seed, runs, n, successes)
     return float(np.count_nonzero(experiment.matches(counts)) / runs)
 
 
@@ -157,7 +155,6 @@ def simulate_poll(
     mode: str = "without-replacement",
     n_polls: int = 1000,
     seed: int = 0,
-    vectorized: bool = True,
 ) -> PollResult:
     """Poll the population N times and record each poll's sample proportion."""
     if mode not in POLL_MODES:
@@ -180,11 +177,10 @@ def simulate_poll(
                 total += entries[blk.below(n)]
             return total
 
-        props = run_chunks(seed, n_polls, sample_size, sums, vectorized) / sample_size
+        props = rng.run_chunks(seed, n_polls, sample_size, sums) / sample_size
     else:
         props = _prefix_shuffle_matrix(
-            entries, n_polls, seed, sample_size, vectorized,
-            lambda mat: mat[:, :sample_size].mean(axis=1),
+            entries, n_polls, seed, sample_size, lambda mat: mat[:, :sample_size].mean(axis=1)
         )
     return PollResult(
         props,

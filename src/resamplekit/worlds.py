@@ -17,6 +17,10 @@ from fractions import Fraction
 # Grids beyond this many worlds are refused; the posterior itself has no
 # size limit because it never materializes worlds.
 MAX_WORLDS = 10**9
+# A rendered grid prints one symbol per world only up to this many worlds,
+# this many symbols a line.
+SYMBOL_LIMIT = 2000
+SYMBOLS_PER_LINE = 25
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -122,7 +126,7 @@ class WorldTableau:
         total = self.surviving_total
         return [(r.name, Fraction(r.surviving_count, total)) for r in self.rows]
 
-    def render(self, per_line: int = 25, symbol_limit: int = 2000) -> str:
+    def render(self) -> str:
         """Text grid: one marked symbol per world, tick = consistent with data."""
         lines = [f"{self.total_worlds} equally likely worlds:"]
         for row in self.rows:
@@ -131,12 +135,12 @@ class WorldTableau:
                 f"  {row.name}: {row.world_count} worlds, "
                 f"{row.surviving_count} consistent with the data"
             )
-            if self.total_worlds <= symbol_limit:
+            if self.total_worlds <= SYMBOL_LIMIT:
                 marks = [f"{letter}✓"] * row.surviving_count + [
                     f"{letter}×"
                 ] * (row.world_count - row.surviving_count)
-                for i in range(0, len(marks), per_line):
-                    lines.append("    " + " ".join(marks[i : i + per_line]))
+                for i in range(0, len(marks), SYMBOLS_PER_LINE):
+                    lines.append("    " + " ".join(marks[i : i + SYMBOLS_PER_LINE]))
         survivors = self.surviving_total
         lines.append(
             f"  after deleting worlds inconsistent with the data, {survivors} remain"
@@ -146,27 +150,19 @@ class WorldTableau:
         return "\n".join(lines)
 
 
-def render_worlds(
-    hset: HypothesisSet, minimum: bool = True, max_worlds: int = MAX_WORLDS
-) -> WorldTableau:
-    """Integer world counts reproducing the posterior exactly.
-
-    ``minimum=True`` sizes the grid at the least common multiple of all
-    prior and prior*likelihood denominators; ``minimum=False`` uses their
-    plain product (a valid but unreduced common denominator).
-    """
+def render_worlds(hset: HypothesisSet) -> WorldTableau:
+    """Integer world counts reproducing the posterior exactly, on the
+    smallest grid: the least common multiple of all prior and
+    prior*likelihood denominators, at most ``MAX_WORLDS`` worlds."""
     posterior(hset)  # validates that some world survives
     denoms = []
     for h in hset.hypotheses:
         denoms.append(h.prior.denominator)
         denoms.append((h.prior * h.likelihood).denominator)
-    if minimum:
-        total = math.lcm(*denoms)
-    else:
-        total = math.prod(denoms)
-    if total > max_worlds:
+    total = math.lcm(*denoms)
+    if total > MAX_WORLDS:
         raise ValueError(
-            f"tableau too large: needs {total} worlds, limit is {max_worlds}"
+            f"tableau too large: needs {total} worlds, limit is {MAX_WORLDS}"
         )
     rows = []
     for h in hset.hypotheses:

@@ -261,7 +261,7 @@ def test_criterion_08_substitute_properties_for_unpublished_data():
     )
 
 
-def test_criterion_09_determinism(capsys):
+def test_criterion_09_determinism(capsys, scalar_oracle):
     argv = ["bootstrap", "--fixture", "veg6", "--threshold", "0",
             "--n", "500", "--seed", "0"]
     assert main(list(argv)) == 0
@@ -270,17 +270,17 @@ def test_criterion_09_determinism(capsys):
     second = capsys.readouterr().out
     assert first == second and first
 
-    vector = bootstrap(VEG6, n_resamples=400, seed=0, vectorized=True)
-    serial = bootstrap(VEG6, n_resamples=400, seed=0, vectorized=False)
+    vector = bootstrap(VEG6, n_resamples=400, seed=0)
+    serial = scalar_oracle(lambda: bootstrap(VEG6, n_resamples=400, seed=0))
     assert vector.values == serial.values
     assert vector.redraw_count == serial.redraw_count
 
-    vector_test = shuffle_test(VEG6, n_resamples=400, seed=0, vectorized=True)
-    serial_test = shuffle_test(VEG6, n_resamples=400, seed=0, vectorized=False)
+    vector_test = shuffle_test(VEG6, n_resamples=400, seed=0)
+    serial_test = scalar_oracle(lambda: shuffle_test(VEG6, n_resamples=400, seed=0))
     assert vector_test == serial_test
 
-    vector_poll = simulate_poll(POLL500, 25, "without-replacement", 100, 0, True)
-    serial_poll = simulate_poll(POLL500, 25, "without-replacement", 100, 0, False)
+    vector_poll = simulate_poll(POLL500, 25, "without-replacement", 100, 0)
+    serial_poll = scalar_oracle(lambda: simulate_poll(POLL500, 25, "without-replacement", 100, 0))
     assert vector_poll.proportions == serial_poll.proportions
 
     with capsys.disabled():

@@ -1,8 +1,9 @@
 """Chunked lockstep engine: chunk boundaries never change a value.
 
 The chunk constants are patched small, so every run below spans many chunks
-and ends with a partial one; each vectorized result must equal the
-one-substream-at-a-time engine and the run with the default (single) chunk.
+and ends with a partial one; each chunked result must equal the unchunked
+scalar oracle (``scalar_oracle`` in conftest.py) and the run with the
+default (single) chunk.
 """
 
 import numpy as np
@@ -22,9 +23,9 @@ TINY = GroupedSample.from_rows([(10, "a"), (20, "b")])
 N = 257  # not a multiple of any patched chunk size below
 
 
-def both_engines(fn):
-    """fn(vectorized) with small chunks must equal the scalar engine."""
-    return fn(True), fn(False)
+def both_engines(scalar_oracle, fn):
+    """fn() with small chunks, and fn() on the unchunked scalar oracle."""
+    return fn(), scalar_oracle(fn)
 
 
 def test_patched_chunks_really_split_the_runs(small_chunks):
@@ -43,48 +44,48 @@ def test_chunk_size_does_not_change_values(monkeypatch):
     assert shuffle_test(VEG6, n_resamples=N, seed=4) == whole
 
 
-def test_plain_bootstrap_across_chunks(small_chunks):
-    a, b = both_engines(lambda v: bootstrap(VEG9, n_resamples=N, seed=3, vectorized=v))
+def test_plain_bootstrap_across_chunks(small_chunks, scalar_oracle):
+    a, b = both_engines(scalar_oracle, lambda: bootstrap(VEG9, n_resamples=N, seed=3))
     assert a == b
 
 
-def test_grouped_bootstrap_redraws_across_chunks(small_chunks):
-    a, b = both_engines(lambda v: bootstrap(VEG6, n_resamples=N, seed=0, vectorized=v))
+def test_grouped_bootstrap_redraws_across_chunks(small_chunks, scalar_oracle):
+    a, b = both_engines(scalar_oracle, lambda: bootstrap(VEG6, n_resamples=N, seed=0))
     assert a == b and a.redraw_count > 0
 
 
-def test_multi_round_redraws_in_later_chunks(small_chunks):
+def test_multi_round_redraws_in_later_chunks(small_chunks, scalar_oracle):
     # One row per group: half of all attempts lose a group, so lanes of every
     # chunk need several redraw rounds.
-    a, b = both_engines(lambda v: bootstrap(TINY, n_resamples=N, seed=2, vectorized=v))
+    a, b = both_engines(scalar_oracle, lambda: bootstrap(TINY, n_resamples=N, seed=2))
     assert a == b
     assert a.redraw_count > N // 2
 
 
-def test_shuffle_tests_across_chunks(small_chunks):
-    a, b = both_engines(lambda v: shuffle_test(VEG6, n_resamples=N, seed=5, vectorized=v))
+def test_shuffle_tests_across_chunks(small_chunks, scalar_oracle):
+    a, b = both_engines(scalar_oracle, lambda: shuffle_test(VEG6, n_resamples=N, seed=5))
     assert a == b
     paired = PairedSample(
         xs=(1.0, 2.0, 3.0, 4.0, 5.0, 6.5), ys=(2.0, 1.5, 4.0, 3.0, 6.0, 5.0)
     )
     a, b = both_engines(
-        lambda v: shuffle_test_paired(paired, n_resamples=N, seed=6, vectorized=v)
+        scalar_oracle, lambda: shuffle_test_paired(paired, n_resamples=N, seed=6)
     )
     assert a == b
 
 
-def test_bernoulli_across_chunks(small_chunks):
+def test_bernoulli_across_chunks(small_chunks, scalar_oracle):
     experiment = BernoulliExperiment(8, "1/3", "at-least", 3, N)
-    a, b = both_engines(lambda v: simulate_bernoulli(experiment, seed=7, vectorized=v))
+    a, b = both_engines(scalar_oracle, lambda: simulate_bernoulli(experiment, seed=7))
     assert a == b
 
 
 @pytest.mark.parametrize("mode", ["with-replacement", "without-replacement"])
-def test_polls_across_chunks(small_chunks, mode):
-    a, b = both_engines(lambda v: simulate_poll(POLL500, 20, mode, N, seed=8, vectorized=v))
+def test_polls_across_chunks(small_chunks, scalar_oracle, mode):
+    a, b = both_engines(scalar_oracle, lambda: simulate_poll(POLL500, 20, mode, N, seed=8))
     assert a == b
     ones = PopulationVector((1, 0, 0, 1, 1))
-    a, b = both_engines(lambda v: simulate_poll(ones, 5, mode, N, seed=9, vectorized=v))
+    a, b = both_engines(scalar_oracle, lambda: simulate_poll(ones, 5, mode, N, seed=9))
     assert a == b
 
 
@@ -129,12 +130,34 @@ def test_keep_needs_a_lane():
         SubstreamBlock(0, 3).keep([])
 
 
-def test_scalar_engine_runs_unchunked(small_chunks):
+def test_scalar_engine_runs_unchunked(small_chunks, scalar_oracle, monkeypatch):
     # The scalar oracle must see all lanes at once, or the comparisons above
-    # would set one chunked run against another.
+    # would set one chunked run against another; and every library call must
+    # reach it, or they would set the numpy engine against itself.
     sizes = []
-    got = run_chunks(
-        0, N, 6, lambda lanes: sizes.append(lanes.count) or lanes.below(7), vectorized=False
+    got = scalar_oracle(
+        lambda: rng.run_chunks(0, N, 6, lambda lanes: sizes.append(lanes.count) or lanes.below(7))
     )
     assert sizes == [N]
     assert np.array_equal(got, run_chunks(0, N, 6, lambda blk: blk.below(7)))
+
+    class CountedLanes(rng.ScalarLanes):
+        def __init__(self, seed, count):
+            sizes.append(count)
+            super().__init__(seed, count)
+
+    monkeypatch.setattr(rng, "ScalarLanes", CountedLanes)
+    paired = PairedSample(xs=(1.0, 2.0, 3.0, 4.0), ys=(2.0, 1.5, 4.0, 3.0))
+    calls = [
+        lambda: bootstrap(VEG9, n_resamples=N),
+        lambda: bootstrap(VEG6, n_resamples=N),
+        lambda: shuffle_test(VEG6, n_resamples=N),
+        lambda: shuffle_test_paired(paired, n_resamples=N),
+        lambda: simulate_bernoulli(BernoulliExperiment(8, "1/3", "at-least", 3, N)),
+        lambda: simulate_poll(POLL500, 20, "with-replacement", N),
+        lambda: simulate_poll(POLL500, 20, "without-replacement", N),
+    ]
+    for call in calls:
+        sizes.clear()
+        scalar_oracle(call)
+        assert sizes == [N]

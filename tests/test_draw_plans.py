@@ -1,8 +1,8 @@
-"""Draw plans: every kernel, run vectorized across chunks, follows the
+"""Draw plans: every kernel, run on numpy lanes across chunks, follows the
 documented per-replicate plan of ``substream(seed, r)``.
 
-Both engines run the same kernels, so the engine-equivalence tests cannot
-see a fault in a draw plan.  Here the reference for lane r is built from
+The scalar oracle runs the same kernels, so the engine-equivalence tests
+cannot see a fault in a draw plan.  Here the reference for lane r is built from
 ``SeededGenerator``'s own methods (``draw_with_replacement``,
 ``sample_without_replacement``, ``shuffle``, ``below``) on
 ``substream(seed, r)``, one lane at a time, and every lane of a run that
@@ -80,7 +80,7 @@ def test_shuffle_test_first_group_follows_sample_without_replacement(small_chunk
     g1, _ = VEG6.group_names
     n1 = VEG6.group_count(g1)
     values = list(VEG6.values)
-    rows = _prefix_shuffle_matrix(values, N, 5, n1, True)
+    rows = _prefix_shuffle_matrix(values, N, 5, n1)
     diffs = shuffle_test(VEG6, n_resamples=N, seed=5).distribution.values
     for r in range(N):
         first = substream(5, r).sample_without_replacement(values, n1)
@@ -92,7 +92,7 @@ def test_shuffle_test_first_group_follows_sample_without_replacement(small_chunk
 
 def test_paired_shuffle_follows_shuffle(small_chunks):
     ys = list(PAIRED.ys)
-    rows = _prefix_shuffle_matrix(ys, N, 6, len(ys) - 1, True)
+    rows = _prefix_shuffle_matrix(ys, N, 6, len(ys) - 1)
     rs = shuffle_test_paired(PAIRED, n_resamples=N, seed=6).distribution.values
     for r in range(N):
         shuffled = substream(6, r).shuffle(ys)

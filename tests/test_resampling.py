@@ -3,7 +3,9 @@
 import itertools
 import math
 import random
+import warnings
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from resamplekit import resampling
 from resamplekit.data import GroupedSample, PairedSample, Sample, get_fixture
 from resamplekit.resampling import (
     Histogram,
@@ -62,10 +65,11 @@ def test_exact_one_row_per_group():
     assert exact_shuffle_p(data) == 1
 
 
-def test_exact_enumeration_cap():
+def test_exact_enumeration_cap(monkeypatch):
+    monkeypatch.setattr(resampling, "ENUMERATION_LIMIT", 1000)
     rows = [(float(i), "a" if i % 2 else "b") for i in range(40)]
     with pytest.raises(ValueError, match="capped"):
-        exact_shuffle_p(GroupedSample.from_rows(rows), max_splits=1000)
+        exact_shuffle_p(GroupedSample.from_rows(rows))
 
 
 @given(
@@ -189,12 +193,15 @@ def test_exact_p_on_thirty_one_decimal_rows_equals_a_size_indexed_dp():
         assert exact_shuffle_p(data, sidedness=sidedness) == Fraction(hits, math.comb(n, n1))
 
 
-def test_exact_cap_counts_the_half_subset_sums_listed():
+def test_exact_cap_counts_the_half_subset_sums_listed(monkeypatch):
     # 10 rows split 5/5: 2^5 + 2^5 = 64 half-subset sums, for C(10, 5) = 252 splits.
     data = GroupedSample([float(i) for i in range(10)], ["a", "b"] * 5)
-    assert exact_shuffle_p(data, max_splits=64) == exact_shuffle_p(data)
+    uncapped = exact_shuffle_p(data)
+    monkeypatch.setattr(resampling, "ENUMERATION_LIMIT", 64)
+    assert exact_shuffle_p(data) == uncapped
+    monkeypatch.setattr(resampling, "ENUMERATION_LIMIT", 63)
     with pytest.raises(ValueError, match="capped") as err:
-        exact_shuffle_p(data, max_splits=63)
+        exact_shuffle_p(data)
     assert "needs 64 for C(10, 5) = 252 splits" in str(err.value)
 
 
@@ -207,16 +214,17 @@ def test_exact_cap_message_on_many_rows_is_short():
     assert "needs more than 10^18 for C(20000, 10000) = more than 10^18 splits" in str(err.value)
 
 
-def test_exact_p_lists_no_subset_larger_than_the_smaller_group():
+def test_exact_p_lists_no_subset_larger_than_the_smaller_group(monkeypatch):
     # 40 rows with 2 in one group: 2 * (1 + 20 + 190) = 422 half-subset sums
     # for C(40, 2) = 780 splits, where an even split would need 2^20 + 2^20.
     rng = random.Random(40)
     values = [rng.randint(-9, 9) / 10 for _ in range(40)]
+    monkeypatch.setattr(resampling, "ENUMERATION_LIMIT", 422)
     for groups in (["a"] * 2 + ["b"] * 38, ["a"] * 38 + ["b"] * 2):
         data = GroupedSample(values, groups)
         for sidedness in ("two-sided", "greater", "less"):
             want = _brute_force_exact_p(data, sidedness)
-            assert exact_shuffle_p(data, sidedness=sidedness, max_splits=422) == want
+            assert exact_shuffle_p(data, sidedness=sidedness) == want
 
 
 def test_exact_p_reaches_splits_beyond_a_million():
@@ -294,17 +302,17 @@ def test_shuffle_test_validation():
         shuffle_test(VEG6, sidedness="both")
 
 
-def test_shuffle_replicates_preserve_value_multiset():
-    for vectorized in (True, False):
-        mat = _prefix_shuffle_matrix(VEG6.values, 50, 7, 3, vectorized)
+def test_shuffle_replicates_preserve_value_multiset(scalar_oracle):
+    for run in (lambda fn: fn(), scalar_oracle):
+        mat = run(lambda: _prefix_shuffle_matrix(VEG6.values, 50, 7, 3))
         target = sorted(VEG6.values)
         for row in mat:
             assert sorted(row) == target
 
 
-def test_shuffle_test_scalar_equals_vectorized():
-    a = shuffle_test(VEG6, n_resamples=400, seed=5, vectorized=True)
-    b = shuffle_test(VEG6, n_resamples=400, seed=5, vectorized=False)
+def test_shuffle_test_scalar_equals_vectorized(scalar_oracle):
+    a = shuffle_test(VEG6, n_resamples=400, seed=5)
+    b = scalar_oracle(lambda: shuffle_test(VEG6, n_resamples=400, seed=5))
     assert a == b
 
 
@@ -373,10 +381,44 @@ def test_paired_independent_data_large_p():
     assert report.p_value > 0.01
 
 
-def test_paired_scalar_equals_vectorized():
+def _exact_pearson(xs, ys) -> float:
+    """Pearson r of the stored doubles, from exact rational sums."""
+    xs, ys = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    n = len(xs)
+    sxy = n * sum(x * y for x, y in zip(xs, ys)) - sum(xs) * sum(ys)
+    vx = n * sum(x * x for x in xs) - sum(xs) ** 2
+    vy = n * sum(y * y for y in ys) - sum(ys) ** 2
+    r2 = sxy * sxy / (vx * vy)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        r = (Decimal(r2.numerator) / Decimal(r2.denominator)).sqrt()
+    return math.copysign(float(r), sxy)
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [
+        (1e9, 1e9 + 1, 1e9 + 2, 1e9 + 3, 1e9 + 4),
+        (10_000_000.1, 10_000_000.2, 10_000_000.3, 10_000_000.4, 10_000_000.5),
+    ],
+)
+def test_paired_correlation_does_not_cancel_on_offset_data(xs):
+    # Raw moments (n*sxx - sx*sx) lose every digit here: the first set gave
+    # r = nan, p = 0 and a histogram bin at -4.6e17, the second r = 0.565685
+    # where the stored doubles have r = 0.7999999992549419.
+    pairs = PairedSample(xs, (1, 3, 2, 5, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = shuffle_test_paired(pairs, n_resamples=500, seed=0)
+    assert report.observed == pytest.approx(_exact_pearson(pairs.xs, pairs.ys), abs=1e-12)
+    assert np.isfinite(report.distribution.array).all()
+    assert np.abs(report.distribution.array).max() <= 1 + 1e-12
+
+
+def test_paired_scalar_equals_vectorized(scalar_oracle):
     pairs = PairedSample((1, 2, 3, 4, 5, 6), (2, 1, 4, 3, 6, 5))
-    a = shuffle_test_paired(pairs, n_resamples=300, seed=4, vectorized=True)
-    b = shuffle_test_paired(pairs, n_resamples=300, seed=4, vectorized=False)
+    a = shuffle_test_paired(pairs, n_resamples=300, seed=4)
+    b = scalar_oracle(lambda: shuffle_test_paired(pairs, n_resamples=300, seed=4))
     assert a == b
 
 
@@ -426,28 +468,28 @@ def test_bootstrap_grouped_keeps_pairing_and_redraws():
     assert dist.redraw_count > 0
 
 
-def test_bootstrap_grouped_scalar_equals_vectorized_with_redraws():
-    a = bootstrap(VEG6, n_resamples=300, seed=0, vectorized=True)
-    b = bootstrap(VEG6, n_resamples=300, seed=0, vectorized=False)
+def test_bootstrap_grouped_scalar_equals_vectorized_with_redraws(scalar_oracle):
+    a = bootstrap(VEG6, n_resamples=300, seed=0)
+    b = scalar_oracle(lambda: bootstrap(VEG6, n_resamples=300, seed=0))
     assert a.values == b.values
     assert a.redraw_count == b.redraw_count
     assert a.redraw_count > 0  # 6-row 3/3 data loses a group ~3% of the time
 
 
-def test_bootstrap_multi_round_redraws_stay_in_lockstep():
+def test_bootstrap_multi_round_redraws_stay_in_lockstep(scalar_oracle):
     # With one row per group, half of all attempts lose a group, so many
     # replicates need several redraw rounds; both engines must agree anyway.
     tiny = GroupedSample.from_rows([(10, "a"), (20, "b")])
-    a = bootstrap(tiny, n_resamples=128, seed=2, vectorized=True)
-    b = bootstrap(tiny, n_resamples=128, seed=2, vectorized=False)
+    a = bootstrap(tiny, n_resamples=128, seed=2)
+    b = scalar_oracle(lambda: bootstrap(tiny, n_resamples=128, seed=2))
     assert a.values == b.values
     assert a.redraw_count == b.redraw_count
     assert a.redraw_count > 64  # expected about one redraw per replicate
 
 
-def test_bootstrap_sample_scalar_equals_vectorized():
-    a = bootstrap(VEG9, n_resamples=500, seed=3, vectorized=True)
-    b = bootstrap(VEG9, n_resamples=500, seed=3, vectorized=False)
+def test_bootstrap_sample_scalar_equals_vectorized(scalar_oracle):
+    a = bootstrap(VEG9, n_resamples=500, seed=3)
+    b = scalar_oracle(lambda: bootstrap(VEG9, n_resamples=500, seed=3))
     assert a.values == b.values
 
 

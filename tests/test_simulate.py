@@ -90,11 +90,9 @@ def test_simulation_converges_at_large_runs():
         assert abs(estimate - exact) < 4 * math.sqrt(exact * (1 - exact) / runs)
 
 
-def test_simulation_scalar_equals_vectorized():
+def test_simulation_scalar_equals_vectorized(scalar_oracle):
     exp = BernoulliExperiment(6, F(2, 7), "at-least", 2, runs=400)
-    assert simulate_bernoulli(exp, seed=5, vectorized=True) == simulate_bernoulli(
-        exp, seed=5, vectorized=False
-    )
+    assert simulate_bernoulli(exp, seed=5) == scalar_oracle(lambda: simulate_bernoulli(exp, seed=5))
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +147,10 @@ def test_poll_without_replacement_narrower_on_average():
         assert widths["without-replacement"] <= widths["with-replacement"] + 1e-9
 
 
-def test_poll_scalar_equals_vectorized():
+def test_poll_scalar_equals_vectorized(scalar_oracle):
     for mode in ("with-replacement", "without-replacement"):
-        a = simulate_poll(POLL500, 25, mode, 80, seed=9, vectorized=True)
-        b = simulate_poll(POLL500, 25, mode, 80, seed=9, vectorized=False)
+        a = simulate_poll(POLL500, 25, mode, 80, seed=9)
+        b = scalar_oracle(lambda: simulate_poll(POLL500, 25, mode, 80, seed=9))
         assert a.proportions == b.proportions
 
 

@@ -134,13 +134,6 @@ def test_tableau_size_cap():
     assert dict(posterior(h))["a"] == F(1, 10**9 + 7)
 
 
-def test_non_minimal_tableau_still_exact():
-    tableau = render_worlds(BASE, minimum=False)
-    assert tableau.total_worlds > 200
-    assert tableau.total_worlds % 200 == 0
-    assert tableau.posterior() == posterior(BASE)
-
-
 # Every p/q in [0, 1] with q <= 60.  Drawing q, then p, is the same value set
 # as st.fractions(0, 1, max_denominator=60) at a third of its generation cost.
 rational = st.integers(1, 60).flatmap(lambda q: st.integers(0, q).map(lambda p: F(p, q)))
