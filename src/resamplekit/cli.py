@@ -17,6 +17,7 @@ import sys
 
 from . import __version__
 from .calibrate import (
+    FAMILIES,
     TwoByTwo,
     calibrate_from_interval,
     calibrate_from_p,
@@ -39,7 +40,11 @@ from .resampling import (
     CORRELATION_BIN_WIDTH,
     DEFAULT_BIN_WIDTH,
     DEFAULT_REPLICATES,
+    GROUP_STATS,
+    SIDEDNESS,
     STAT_CORRELATION,
+    STAT_MEAN,
+    STAT_MEAN_DIFF,
     bootstrap_report,
     check_bin_width,
     exact_shuffle_p,
@@ -47,7 +52,7 @@ from .resampling import (
     shuffle_test,
     shuffle_test_paired,
 )
-from .simulate import BernoulliExperiment, simulate_bernoulli, simulate_poll
+from .simulate import EVENTS, BernoulliExperiment, simulate_bernoulli, simulate_poll
 from .worlds import (
     HypothesisSet,
     parse_probability,
@@ -62,6 +67,22 @@ P_VALUE_LABEL = "p value (probability of data this extreme under the baseline hy
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
+
+
+def _text(value) -> str:
+    """How a manifest option or csv value is printed: floats to 6 significant
+    digits, flags as true/false, an absent value (None, empty) as '-'.
+    Numbers in a list are joined by commas, texts by semicolons, since the
+    texts of list options may hold commas themselves."""
+    if value is None or isinstance(value, (str, list)) and not value:
+        return "-"
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return _fmt(value)
+    if isinstance(value, list):
+        return (";" if isinstance(value[0], str) else ",").join(map(_text, value))
+    return str(value)
 
 
 def _seed(args) -> int:
@@ -84,12 +105,24 @@ def _seed(args) -> int:
     return seed
 
 
-def _parse_pair(text: str, what: str) -> tuple[float, float]:
+def _split(text: str, count: int, usage: str, convert=str, sep: str | None = None) -> list:
+    """The ``count`` items of a list-valued option, each passed through
+    ``convert``.  Items are separated by commas or spaces, or by ``sep``
+    alone when it is given (then empty items count).  Too many or too few
+    items, or one that ``convert`` refuses, raise ``usage``."""
+    items = text.replace(",", " ").split() if sep is None else text.split(sep)
     try:
-        low, high = (finite_number(t) for t in text.replace(",", " ").split())
+        items = [convert(item) for item in items]
     except ValueError:
-        raise ValueError(f"{what} needs two comma-separated finite numbers, got {text!r}") from None
-    return low, high
+        items = []
+    if len(items) != count:
+        raise ValueError(usage)
+    return items
+
+
+def _pair(text: str, option: str) -> tuple[float, float]:
+    usage = f"{option} needs two comma-separated finite numbers, got {text!r}"
+    return tuple(_split(text, 2, usage, finite_number))
 
 
 def _load_input(fixture, data, parse, *columns):
@@ -107,11 +140,11 @@ def _load_input(fixture, data, parse, *columns):
 
 
 class Report:
-    """Collects body lines, the manifest and an optional histogram."""
+    """Collects body lines, csv rows, the manifest and an optional histogram."""
 
-    def __init__(self, command: str, input_id: str, seed=None, replicates=None):
+    def __init__(self, command: str, seed=None, replicates=None):
         self.command = command
-        self.input_id = input_id
+        self.input_id = "-"
         self.seed = seed
         self.replicates = replicates
         self.options: dict[str, str] = {}
@@ -122,69 +155,64 @@ class Report:
     def add(self, line: str = "") -> None:
         self.lines.append(line)
 
+    def csv(self, key: str, value) -> None:
+        self.csv_rows.append(f"{key},{_text(value)}")
+
     def option(self, key: str, value) -> None:
-        self.options[key] = str(value)
+        self.options[key] = _text(value)
+
+    def echo(self, args, *keys: str) -> None:
+        """Manifest options whose values are the parsed arguments of those names."""
+        for key in keys:
+            self.option(key, getattr(args, key.replace("-", "_")))
 
     def manifest_items(self) -> list[tuple[str, str]]:
         return [
             ("command", self.command),
             ("input", self.input_id),
             ("options", " ".join(f"{k}={v}" for k, v in sorted(self.options.items()))),
-            ("replicates", "-" if self.replicates is None else str(self.replicates)),
-            ("seed", "-" if self.seed is None else str(self.seed)),
+            ("replicates", _text(self.replicates)),
+            ("seed", _text(self.seed)),
             ("version", __version__),
         ]
 
     def emit(self, fmt: str, out_path: str | None) -> str:
-        if self.histogram is not None and out_path:
+        """The report in ``fmt``; a histogram goes to ``out_path`` instead, if given."""
+        hist = self.histogram
+        if hist is not None and out_path:
             with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(self.histogram.to_csv())
+                fh.write(hist.to_csv())
+            hist = None
         if fmt == "csv":
-            rows = [f"{k},{v}" for k, v in self.manifest_items()]
-            rows += self.csv_rows
-            if self.histogram is not None and not out_path:
-                rows.append("")
-                rows.append(self.histogram.to_csv().rstrip("\n"))
+            rows = [f"{k},{v}" for k, v in self.manifest_items()] + self.csv_rows
+            if hist is not None:
+                rows += ["", hist.to_csv().rstrip("\n")]
             return "\n".join(rows)
         text = list(self.lines)
-        if self.histogram is not None and not out_path:
-            text.append("")
-            text.append(f"histogram (bin width {self.histogram.bin_width:g}):")
-            text.append(self.histogram.to_ascii())
-        text.append("")
-        text.append("run manifest:")
-        text += [f"  {k}: {v}" for k, v in self.manifest_items()]
+        if hist is not None:
+            text += ["", f"histogram (bin width {hist.bin_width:g}):", hist.to_ascii()]
+        text += ["", "run manifest:", *(f"  {k}: {v}" for k, v in self.manifest_items())]
         return "\n".join(text)
-
-    def csv(self, key: str, value) -> None:
-        self.csv_rows.append(f"{key},{value}")
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each fills in the Report that main made for it and returns it
 
 
-def _cmd_shuffle_test(args) -> str:
-    seed = _seed(args)
+def _cmd_shuffle_test(args, rep: Report) -> Report:
     if args.stat == STAT_CORRELATION:
         if not args.data:
             raise ValueError("correlation needs --data with --x-column/--y-column")
-        data, input_id = _load_input(None, args.data, _parse_paired_csv, args.x_column, args.y_column)
+        data, rep.input_id = _load_input(None, args.data, _parse_paired_csv, args.x_column, args.y_column)
     else:
-        data, input_id = _load_input(args.fixture, args.data, _parse_csv, args.value_column, args.group_column)
+        data, rep.input_id = _load_input(args.fixture, args.data, _parse_csv, args.value_column, args.group_column)
         if not isinstance(data, GroupedSample):
-            raise ValueError(
-                f"{args.stat} needs two-group data (pass --group-column with --data)"
-            )
+            raise ValueError(f"{args.stat} needs two-group data (pass --group-column with --data)")
 
     if args.bin_width is None:
         args.bin_width = CORRELATION_BIN_WIDTH if args.stat == STAT_CORRELATION else DEFAULT_BIN_WIDTH
     check_bin_width(args.bin_width)
-    rep = Report("shuffle-test", input_id, seed=seed, replicates=args.n)
-    for key in ("stat", "sidedness", "n"):
-        rep.option(key, getattr(args, key))
-    rep.option("exact", str(args.exact).lower())
-    rep.option("bin-width", _fmt(args.bin_width))
+    rep.echo(args, "stat", "sidedness", "n", "exact", "bin-width")
 
     if args.exact:
         if args.stat == STAT_CORRELATION:
@@ -200,63 +228,44 @@ def _cmd_shuffle_test(args) -> str:
         rep.add(f"  observed {args.stat}: {_fmt(obs)}")
         rep.add(f"  {P_VALUE_LABEL}: {_fmt(float(p))} = {p}")
         rep.add(f"  {hits} of all {total} group assignments were at least this extreme")
-        rep.csv("observed", _fmt(obs))
-        rep.csv("p_value", _fmt(float(p)))
-        rep.csv("p_value_exact", str(p))
-        return rep.emit(args.format, args.out)
+        rep.csv("observed", obs)
+        rep.csv("p_value", float(p))
+        rep.csv("p_value_exact", p)
+        return rep
 
     if args.stat == STAT_CORRELATION:
-        result = shuffle_test_paired(
-            data, args.n, seed, args.sidedness, bin_width=args.bin_width
-        )
+        result = shuffle_test_paired(data, args.n, rep.seed, args.sidedness, bin_width=args.bin_width)
     else:
-        result = shuffle_test(
-            data, args.stat, args.n, seed, args.sidedness, bin_width=args.bin_width
-        )
+        result = shuffle_test(data, args.stat, args.n, rep.seed, args.sidedness, bin_width=args.bin_width)
     rep.histogram = result.histogram
     rep.add(f"shuffle test ({result.statistic}), {result.sidedness}")
     rep.add(f"  observed {result.statistic} ({result.description}): {_fmt(result.observed)}")
     rep.add(f"  {P_VALUE_LABEL}: {_fmt(result.p_value)}")
     rep.add(f"  resamples: {result.n_resamples} without replacement, seed {result.seed}")
-    rep.csv("observed", _fmt(result.observed))
-    rep.csv("p_value", _fmt(result.p_value))
-    return rep.emit(args.format, args.out)
+    rep.csv("observed", result.observed)
+    rep.csv("p_value", result.p_value)
+    return rep
 
 
-def _cmd_bootstrap(args) -> str:
-    seed = _seed(args)
+def _cmd_bootstrap(args, rep: Report) -> Report:
     check_bin_width(args.bin_width)
-    data, input_id = _load_input(args.fixture, args.data, _parse_csv, args.value_column, args.group_column)
-    bounds = _parse_pair(args.bounds, "--bounds") if args.bounds else None
+    data, rep.input_id = _load_input(args.fixture, args.data, _parse_csv, args.value_column, args.group_column)
+    bounds = _pair(args.bounds, "--bounds") if args.bounds else None
     result = bootstrap_report(
-        data,
-        statistic=args.stat,
-        n_resamples=args.n,
-        seed=seed,
-        level=args.level,
-        thresholds=args.threshold,
-        tail_direction=args.tail_direction,
-        scale_bounds=bounds,
-        bin_width=args.bin_width,
+        data, args.stat, args.n, rep.seed, level=args.level, thresholds=args.threshold,
+        tail_direction=args.tail_direction, scale_bounds=bounds, bin_width=args.bin_width,
     )
     dist = result.distribution
-    rep = Report("bootstrap", input_id, seed=seed, replicates=args.n)
     rep.option("stat", dist.statistic)
-    rep.option("level", _fmt(args.level))
-    rep.option("n", args.n)
-    rep.option("tail-direction", args.tail_direction)
-    rep.option("thresholds", ",".join(_fmt(t) for t in args.threshold) or "-")
-    rep.option("bounds", args.bounds or "-")
-    rep.option("bin-width", _fmt(args.bin_width))
+    rep.option("thresholds", args.threshold)
+    rep.echo(args, "level", "n", "tail-direction", "bounds", "bin-width")
     rep.histogram = result.histogram
 
     rep.add(f"bootstrap ({dist.statistic})")
     detail = f" ({result.description})" if result.description != dist.statistic else ""
     rep.add(f"  observed {dist.statistic}{detail}: {_fmt(dist.observed)}")
     lo, hi = result.interval
-    rep.add(
-        f"  {args.level:.0%} percentile interval: {_fmt(lo)} to {_fmt(hi)}"
-    )
+    rep.add(f"  {args.level:.0%} percentile interval: {_fmt(lo)} to {_fmt(hi)}")
     sign = ">=" if args.tail_direction == "ge" else ">"
     for threshold, prob in result.tail_probabilities:
         rep.add(
@@ -267,126 +276,91 @@ def _cmd_bootstrap(args) -> str:
     if dist.redraw_count:
         rep.add(f"  replicates redrawn (one group vanished): {dist.redraw_count}")
     diag = result.diagnostics
-    rep.add(
-        f"  diagnostics: skewness {_fmt(diag.skewness)}, "
-        f"|mean-median|/sd {_fmt(diag.mean_median_gap)}"
-    )
+    rep.add(f"  diagnostics: skewness {_fmt(diag.skewness)}, |mean-median|/sd {_fmt(diag.mean_median_gap)}")
     for note in diag.notes:
         rep.add(f"  note: {note}")
-    rep.csv("observed", _fmt(dist.observed))
-    rep.csv("interval_low", _fmt(lo))
-    rep.csv("interval_high", _fmt(hi))
+    rep.csv("observed", dist.observed)
+    rep.csv("interval_low", lo)
+    rep.csv("interval_high", hi)
     for threshold, prob in result.tail_probabilities:
-        rep.csv(f"tail_{sign}_{_fmt(threshold)}", _fmt(prob))
-    rep.csv("skewness", _fmt(diag.skewness))
-    rep.csv("skew_flagged", str(diag.skew_flagged).lower())
+        rep.csv(f"tail_{sign}_{_fmt(threshold)}", prob)
+    rep.csv("skewness", diag.skewness)
+    rep.csv("skew_flagged", diag.skew_flagged)
     if diag.out_of_bounds_fraction is not None:
-        rep.csv("out_of_bounds_fraction", _fmt(diag.out_of_bounds_fraction))
+        rep.csv("out_of_bounds_fraction", diag.out_of_bounds_fraction)
     rep.csv("redraws", dist.redraw_count)
-    return rep.emit(args.format, args.out)
+    return rep
 
 
-def _cmd_clip(args) -> str:
-    rep = Report("clip", "-")
+def _cmd_clip(args, rep: Report) -> Report:
     if args.two_by_two:
-        try:
-            counts = [int(t) for t in args.two_by_two.replace(",", " ").split()]
-        except ValueError:
-            counts = []
-        if len(counts) != 4:
-            raise ValueError(f"--two-by-two needs four whole-number counts, got {args.two_by_two!r}")
+        usage = f"--two-by-two needs four whole-number counts, got {args.two_by_two!r}"
+        counts = _split(args.two_by_two, 4, usage, int)
         table = TwoByTwo(*counts)
-        rep.option("two-by-two", args.two_by_two)
+        rep.echo(args, "two-by-two")
         rep.add(f"2x2 table: {counts[0]}/{counts[1]} events/non-events vs {counts[2]}/{counts[3]}")
-        orat = odds_ratio(table)
-        rrat = risk_ratio(table)
-        rep.add(f"  odds ratio: {_fmt(orat)}")
-        rep.add(f"  risk ratio: {_fmt(rrat)}")
-        rep.csv("odds_ratio", _fmt(orat))
-        rep.csv("risk_ratio", _fmt(rrat))
-        return rep.emit(args.format, args.out)
+        for name, ratio in (("odds", odds_ratio(table)), ("risk", risk_ratio(table))):
+            rep.add(f"  {name} ratio: {_fmt(ratio)}")
+            rep.csv(f"{name}_ratio", ratio)
+        return rep
 
-    family = args.family
-    df = args.df
+    family, df = args.family, args.df
     if args.ci:
-        low, high = _parse_pair(args.ci, "--ci")
+        low, high = _pair(args.ci, "--ci")
         dist = calibrate_from_interval(
-            low, high, level=args.level, family=family, df=df,
-            estimate=args.estimate, log_scale=args.log_scale,
+            low, high, level=args.level, family=family, df=df, estimate=args.estimate, log_scale=args.log_scale
         )
-        rep.option("ci", args.ci)
-        rep.option("level", _fmt(args.level))
+        rep.echo(args, "ci", "level")
         if args.estimate is not None:
-            rep.option("estimate", _fmt(args.estimate))
+            rep.echo(args, "estimate")
         source = f"{args.level:.0%} interval ({_fmt(low)}, {_fmt(high)})"
     elif args.p is not None:
         if args.estimate is None:
             raise ValueError("--p needs --estimate (and --null for ratio baselines)")
-        dist = calibrate_from_p(
-            args.estimate, args.p, args.null, family=family, df=df,
-            log_scale=args.log_scale,
-        )
-        rep.option("p", _fmt(args.p))
-        rep.option("estimate", _fmt(args.estimate))
-        rep.option("null", _fmt(args.null))
+        dist = calibrate_from_p(args.estimate, args.p, args.null, family=family, df=df, log_scale=args.log_scale)
+        rep.echo(args, "p", "estimate", "null")
         source = f"p={_fmt(args.p)} at estimate {_fmt(args.estimate)} (baseline {_fmt(args.null)})"
     else:
         raise ValueError("give either --ci LOW,HIGH or --p P --estimate E")
     rep.option("family", family + (f"(df={df})" if family == "t" else ""))
-    rep.option("log-scale", str(args.log_scale).lower())
+    rep.echo(args, "log-scale")
 
     rep.add(f"calibrated {family} model from {source}")
     scale_note = " on ln(theta)" if dist.log_scale else ""
     rep.add(f"  center {_fmt(dist.center)}, scale {_fmt(dist.se)}{scale_note}")
     for note in dist.notes:
         rep.add(f"  note: {note}")
-    rep.csv("center", _fmt(dist.center))
-    rep.csv("scale", _fmt(dist.se))
+    rep.csv("center", dist.center)
+    rep.csv("scale", dist.se)
     for query in args.query:
         prob = probability_query(dist, query)
         rep.add(f"  tentative probability of theta {query}: {_fmt(prob)}")
-        rep.csv(f"query {query}".replace(",", ";"), _fmt(prob))
-    return rep.emit(args.format, args.out)
+        rep.csv(f"query {query}".replace(",", ";"), prob)
+    return rep
 
 
-def _cmd_bayes(args) -> str:
-    rep = Report("bayes", "-")
+def _cmd_bayes(args, rep: Report) -> Report:
     if args.two_stage:
-        parts = [t for t in args.two_stage.replace(",", " ").split() if t]
-        if len(parts) != 3:
-            raise ValueError(
-                "--two-stage needs P_FIRST,P_SECOND_GIVEN_FIRST,P_SECOND_GIVEN_NOT_FIRST"
-            )
-        p1, p21, p20 = (parse_probability(t) for t in parts)
-        grid = two_stage_grid(p1, p21, p20)
-        rep.option("two-stage", args.two_stage)
+        usage = "--two-stage needs P_FIRST,P_SECOND_GIVEN_FIRST,P_SECOND_GIVEN_NOT_FIRST"
+        grid = two_stage_grid(*map(parse_probability, _split(args.two_stage, 3, usage)))
+        rep.echo(args, "two-stage")
         rep.add("two-stage outcomes (exact):")
-        for name, value in (
-            ("both", grid.both),
-            ("first only", grid.first_only),
-            ("second only", grid.second_only),
-            ("neither", grid.neither),
-        ):
+        for name in ("both", "first only", "second only", "neither"):
+            key = name.replace(" ", "_")
+            value = getattr(grid, key)
             rep.add(f"  {name}: {value} = {float(value):.4g}")
-            rep.csv(name.replace(" ", "_"), str(value))
+            rep.csv(key, value)
         rep.add(f"  second stage overall: {grid.second} = {float(grid.second):.4g}")
-        rep.csv("second_overall", str(grid.second))
-        return rep.emit(args.format, args.out)
+        rep.csv("second_overall", grid.second)
+        return rep
 
     if not args.hypothesis:
         raise ValueError("give --hypothesis NAME:PRIOR:LIKELIHOOD at least once")
-    triples = []
-    for spec_str in args.hypothesis:
-        bits = spec_str.split(":")
-        if len(bits) != 3:
-            raise ValueError(
-                f"--hypothesis needs NAME:PRIOR:LIKELIHOOD, got {spec_str!r}"
-            )
-        triples.append((bits[0], bits[1], bits[2]))
-    hset = HypothesisSet.from_triples(triples)
-    rep.option("hypothesis", ";".join(args.hypothesis))
-    rep.option("worlds", str(args.worlds).lower())
-    rep.option("update", ";".join(args.update) or "-")
+    hset = HypothesisSet.from_triples([
+        _split(spec, 3, f"--hypothesis needs NAME:PRIOR:LIKELIHOOD, got {spec!r}", sep=":")
+        for spec in args.hypothesis
+    ])
+    rep.echo(args, "hypothesis", "worlds", "update")
 
     rep.add("hypotheses (prior, likelihood of the data):")
     for h in hset.hypotheses:
@@ -396,119 +370,99 @@ def _cmd_bayes(args) -> str:
     rep.add("posterior probabilities (exact):")
     for name, prob in posterior(hset):
         rep.add(f"  {name}: {prob} = {float(prob):.4g}")
-        rep.csv(f"posterior_{name}", str(prob))
+        rep.csv(f"posterior_{name}", prob)
     current = hset
+    count = len(hset.hypotheses)
     for round_no, update_str in enumerate(args.update, start=1):
-        liks = [parse_probability(t) for t in update_str.split(",")]
-        current = sequential_update(current, liks)
+        usage = f"--update needs {count} likelihoods, one per hypothesis, got {update_str!r}"
+        current = sequential_update(current, map(parse_probability, _split(update_str, count, usage)))
         rep.add(f"after evidence round {round_no} (likelihoods {update_str}):")
         for name, prob in posterior(current):
             rep.add(f"  {name}: {prob} = {float(prob):.4g}")
-            rep.csv(f"round{round_no}_{name}", str(prob))
-    return rep.emit(args.format, args.out)
+            rep.csv(f"round{round_no}_{name}", prob)
+    return rep
 
 
-def _cmd_montecarlo(args) -> str:
-    seed = _seed(args)
-    experiment = BernoulliExperiment(
-        trials_per_run=args.trials,
-        success_probability=parse_probability(args.prob),
-        event=args.event,
-        event_count=args.count,
-        runs=args.runs,
-    )
-    estimate = simulate_bernoulli(experiment, seed)
+def _cmd_montecarlo(args, rep: Report) -> Report:
+    experiment = BernoulliExperiment(args.trials, parse_probability(args.prob), args.event, args.count, args.runs)
+    estimate = simulate_bernoulli(experiment, rep.seed)
     exact = experiment.exact_probability()
-    rep = Report("montecarlo", "-", seed=seed, replicates=args.runs)
-    for key in ("trials", "prob", "event", "count", "runs"):
-        rep.option(key, getattr(args, key))
+    rep.echo(args, "trials", "prob", "event", "count", "runs")
     rep.add(
         f"bernoulli experiment: {args.trials} trials at success probability "
         f"{experiment.success_probability}, event '{args.event} {args.count}'"
     )
-    rep.add(f"  simulated probability over {args.runs} runs (seed {seed}): {_fmt(estimate)}")
+    rep.add(f"  simulated probability over {args.runs} runs (seed {rep.seed}): {_fmt(estimate)}")
     rep.add(f"  exact probability: {exact} = {_fmt(float(exact))}")
     rep.add(f"  simulation error: {_fmt(abs(estimate - float(exact)))}")
-    rep.csv("estimate", _fmt(estimate))
-    rep.csv("exact", str(exact))
-    return rep.emit(args.format, args.out)
+    rep.csv("estimate", estimate)
+    rep.csv("exact", exact)
+    return rep
 
 
-def _cmd_poll(args) -> str:
-    seed = _seed(args)
-    population, input_id = _load_input(args.fixture, args.data, _parse_csv, args.value_column)
+def _cmd_poll(args, rep: Report) -> Report:
+    population, rep.input_id = _load_input(args.fixture, args.data, _parse_csv, args.value_column)
     if not args.fixture:
         population = PopulationVector(population.values)
     elif not isinstance(population, PopulationVector):
         raise ValueError(f"fixture {args.fixture!r} is not a 0/1 population")
     mode = "with-replacement" if args.mode == "with" else "without-replacement"
-    result = simulate_poll(population, args.sample_size, mode, args.polls, seed)
+    result = simulate_poll(population, args.sample_size, mode, args.polls, rep.seed)
     lo, hi = result.interval(args.level)
-    rep = Report("poll", input_id, seed=seed, replicates=args.polls)
-    rep.option("sample-size", args.sample_size)
-    rep.option("mode", args.mode)
-    rep.option("polls", args.polls)
-    rep.option("level", _fmt(args.level))
-    rep.add(
-        f"{args.polls} simulated polls of {args.sample_size} electors "
-        f"({mode}) from a population of {population.n} "
-        f"(true proportion {_fmt(population.proportion)})"
-    )
+    rep.echo(args, "sample-size", "mode", "polls", "level")
+    rep.add(f"{args.polls} simulated polls of {args.sample_size} electors ({mode}) from a population of "
+            f"{population.n} (true proportion {_fmt(population.proportion)})")
     rep.add(f"  poll proportions range: {_fmt(result.minimum)} to {_fmt(result.maximum)}")
     rep.add(
         f"  {args.level:.0%} of polls fell between {_fmt(lo)} and {_fmt(hi)} "
         f"(the {(1 - args.level) / 2:.1%} and {1 - (1 - args.level) / 2:.1%} percentiles)"
     )
-    rep.add(f"  seed {seed}")
-    rep.csv("minimum", _fmt(result.minimum))
-    rep.csv("maximum", _fmt(result.maximum))
-    rep.csv("interval_low", _fmt(lo))
-    rep.csv("interval_high", _fmt(hi))
-    return rep.emit(args.format, args.out)
+    rep.add(f"  seed {rep.seed}")
+    rep.csv("minimum", result.minimum)
+    rep.csv("maximum", result.maximum)
+    rep.csv("interval_low", lo)
+    rep.csv("interval_high", hi)
+    return rep
 
 
-def _cmd_fixtures(args) -> str:
-    rep = Report("fixtures", "-")
-    if args.name:
-        fixture = get_fixture(args.name)
-        rep.option("name", args.name)
-        rep.add(f"{fixture.name}: {fixture.description}")
-        payload = fixture.payload
-        if isinstance(payload, GroupedSample):
-            rep.add("value,group")
-            for v, g in payload.rows:
-                rep.add(f"{v:g},{g}")
-        elif isinstance(payload, Sample):
-            rep.add("value")
-            for v in payload.values:
-                rep.add(f"{v:g}")
-        else:
-            rep.add("value")
-            for e in payload.entries:
-                rep.add(f"{e}")
-        return rep.emit(args.format, args.out)
-    rep.add("built-in fixtures:")
-    for fixture in fixtures():
-        rep.add(f"  {fixture.name}: {fixture.description}")
-        rep.csv(fixture.name, fixture.description)
-    return rep.emit(args.format, args.out)
+def _cmd_fixtures(args, rep: Report) -> Report:
+    if not args.name:
+        rep.add("built-in fixtures:")
+        for fixture in fixtures():
+            rep.add(f"  {fixture.name}: {fixture.description}")
+            rep.csv(fixture.name, fixture.description)
+        return rep
+    fixture = get_fixture(args.name)
+    rep.echo(args, "name")
+    rep.add(f"{fixture.name}: {fixture.description}")
+    payload = fixture.payload
+    if isinstance(payload, GroupedSample):
+        table = ["value,group", *(f"{v:g},{g}" for v, g in payload.rows)]
+    elif isinstance(payload, Sample):
+        table = ["value", *(f"{v:g}" for v in payload.values)]
+    else:
+        table = ["value", *(f"{e}" for e in payload.entries)]
+    rep.lines += table
+    rep.csv_rows += ["", *table]
+    return rep
 
 
 # ---------------------------------------------------------------------------
 # parser
 
-
-def _add_common(sp) -> None:
-    sp.add_argument("--format", choices=("text", "csv"), default="text")
-    sp.add_argument("--out", default=None, help="write the histogram CSV to this file")
-
-
-def _add_input(sp) -> None:
-    sp.add_argument("--fixture", default=None, help="built-in dataset name")
-    sp.add_argument("--data", default=None, help="CSV file (header row, UTF-8)")
-    sp.add_argument("--value-column", default="value")
-    sp.add_argument("--group-column", default=None,
-                    help="read (value, group) rows; omit for ungrouped data")
+# Options that several subcommands take, each declared once.
+SHARED = {
+    "--fixture": dict(help="built-in dataset name"),
+    "--data": dict(help="CSV file (header row, UTF-8)"),
+    "--value-column": dict(default="value"),
+    "--group-column": dict(help="read (value, group) rows; omit for ungrouped data"),
+    "--n": dict(type=int, default=DEFAULT_REPLICATES,
+                help=f"number of resamples (default {DEFAULT_REPLICATES})"),
+    "--seed": dict(type=int, help="default 0, or RESAMPLE_SEED"),
+    "--level": dict(type=finite_number, default=0.95),
+    "--out": dict(help="write the histogram CSV to this file"),
+}
+INPUT = ("--fixture", "--data", "--value-column")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -523,90 +477,82 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("shuffle-test", help="re-deal values between groups to test 'no difference'")
-    _add_input(sp)
-    sp.add_argument("--x-column", default="x", help="for --stat correlation")
-    sp.add_argument("--y-column", default="y", help="for --stat correlation")
-    sp.add_argument("--stat", choices=("mean-diff", "proportion-diff", "correlation"), default="mean-diff")
-    sp.add_argument("--n", type=int, default=DEFAULT_REPLICATES,
-                    help=f"number of resamples (default {DEFAULT_REPLICATES})")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--sidedness", choices=("two-sided", "greater", "less"), default="two-sided")
-    sp.add_argument("--bin-width", type=float, default=None,
-                    help=f"histogram bin width (default {DEFAULT_BIN_WIDTH:g}, "
-                    f"or {CORRELATION_BIN_WIDTH:g} for correlation)")
-    sp.add_argument("--exact", action="store_true", help="enumerate every group assignment instead of sampling")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_shuffle_test)
+    def subcommand(name, handler, help, *shared, replicates=None):
+        """Adds a subcommand with --format and the ``shared`` options, whose
+        replicate count is the option ``replicates``; returns its
+        ``add_argument`` for the options of its own."""
+        sp = sub.add_parser(name, help=help)
+        for option in shared:
+            sp.add_argument(option, **SHARED[option])
+        sp.add_argument("--format", choices=("text", "csv"), default="text")
+        sp.set_defaults(func=handler, replicates_option=replicates)
+        return sp.add_argument
 
-    sp = sub.add_parser("bootstrap", help="resample rows with replacement for a confidence distribution")
-    _add_input(sp)
-    sp.add_argument("--stat", choices=("mean", "mean-diff", "proportion-diff"), default=None)
-    sp.add_argument("--n", type=int, default=DEFAULT_REPLICATES)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--level", type=finite_number, default=0.95)
-    sp.add_argument("--threshold", type=finite_number, action="append", default=[],
-                    help="report the tail probability at this value (repeatable)")
-    sp.add_argument("--tail-direction", choices=("ge", "gt"), default="ge")
-    sp.add_argument("--bounds", default=None, help="measurement scale LOW,HIGH for diagnostics")
-    sp.add_argument("--bin-width", type=float, default=DEFAULT_BIN_WIDTH)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_bootstrap)
+    add = subcommand(
+        "shuffle-test", _cmd_shuffle_test, "re-deal values between groups to test 'no difference'",
+        *INPUT, "--group-column", "--n", "--seed", "--out", replicates="n",
+    )
+    add("--x-column", default="x", help="for --stat correlation")
+    add("--y-column", default="y", help="for --stat correlation")
+    add("--stat", choices=(*GROUP_STATS, STAT_CORRELATION), default=STAT_MEAN_DIFF)
+    add("--sidedness", choices=SIDEDNESS, default=SIDEDNESS[0])
+    add("--bin-width", type=float,
+        help=f"histogram bin width (default {DEFAULT_BIN_WIDTH:g}, "
+        f"or {CORRELATION_BIN_WIDTH:g} for correlation)")
+    add("--exact", action="store_true", help="enumerate every group assignment instead of sampling")
 
-    sp = sub.add_parser("clip", help="probabilities for a quantity from a published CI or p-value")
-    sp.add_argument("--ci", default=None, help="confidence interval LOW,HIGH")
-    sp.add_argument("--level", type=finite_number, default=0.95)
-    sp.add_argument("--p", type=finite_number, default=None, help="two-sided p-value")
-    sp.add_argument("--estimate", type=finite_number, default=None)
-    sp.add_argument("--null", type=finite_number, default=0.0,
-                    help="baseline value the p-value tested against (0 differences, 1 ratios)")
-    sp.add_argument("--family", choices=("normal", "t"), default="normal")
-    sp.add_argument("--df", type=int, default=None)
-    sp.add_argument("--log-scale", action="store_true")
-    sp.add_argument("--query", action="append", default=[],
-                    help="'gt X' | 'lt X' | 'between X1,X2' | 'outside X1,X2' (repeatable)")
-    sp.add_argument("--two-by-two", default=None,
-                    help="EVENTS1,NONEVENTS1,EVENTS2,NONEVENTS2: print odds and risk ratios")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_clip)
+    add = subcommand(
+        "bootstrap", _cmd_bootstrap, "resample rows with replacement for a confidence distribution",
+        *INPUT, "--group-column", "--n", "--seed", "--level", "--out", replicates="n",
+    )
+    add("--stat", choices=(STAT_MEAN, *GROUP_STATS))
+    add("--threshold", type=finite_number, action="append", default=[],
+        help="report the tail probability at this value (repeatable)")
+    add("--tail-direction", choices=("ge", "gt"), default="ge")
+    add("--bounds", help="measurement scale LOW,HIGH for diagnostics")
+    add("--bin-width", type=float, default=DEFAULT_BIN_WIDTH)
 
-    sp = sub.add_parser("bayes", help="exact-rational posterior over discrete hypotheses")
-    sp.add_argument("--hypothesis", action="append", default=[],
-                    help="NAME:PRIOR:LIKELIHOOD, e.g. telepathy:1/4:1 (repeatable)")
-    sp.add_argument("--worlds", action="store_true", help="print the possible-worlds grid")
-    sp.add_argument("--update", action="append", default=[],
-                    help="likelihoods L1,L2,... for another round of evidence (repeatable)")
-    sp.add_argument("--two-stage", default=None,
-                    help="P1,P2_GIVEN_1,P2_GIVEN_NOT_1: joint outcomes of two events")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_bayes)
+    add = subcommand("clip", _cmd_clip, "probabilities for a quantity from a published CI or p-value", "--level")
+    add("--ci", help="confidence interval LOW,HIGH")
+    add("--p", type=finite_number, help="two-sided p-value")
+    add("--estimate", type=finite_number)
+    add("--null", type=finite_number, default=0.0,
+        help="baseline value the p-value tested against (0 differences, 1 ratios)")
+    add("--family", choices=FAMILIES, default=FAMILIES[0])
+    add("--df", type=int)
+    add("--log-scale", action="store_true")
+    add("--query", action="append", default=[],
+        help="'gt X' | 'lt X' | 'between X1,X2' | 'outside X1,X2' (repeatable)")
+    add("--two-by-two", help="EVENTS1,NONEVENTS1,EVENTS2,NONEVENTS2: print odds and risk ratios")
 
-    sp = sub.add_parser("montecarlo", help="simulate repeated Bernoulli trials and compare to exact")
-    sp.add_argument("--trials", type=int, required=True)
-    sp.add_argument("--prob", default="1/2", help="success probability ('1/2', '0.5', '50%%')")
-    sp.add_argument("--event", choices=("exactly", "at-least", "at-most"), default="exactly")
-    sp.add_argument("--count", type=int, required=True)
-    sp.add_argument("--runs", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_montecarlo)
+    add = subcommand("bayes", _cmd_bayes, "exact-rational posterior over discrete hypotheses")
+    add("--hypothesis", action="append", default=[],
+        help="NAME:PRIOR:LIKELIHOOD, e.g. telepathy:1/4:1 (repeatable)")
+    add("--worlds", action="store_true", help="print the possible-worlds grid")
+    add("--update", action="append", default=[],
+        help="likelihoods L1,L2,... for another round of evidence (repeatable)")
+    add("--two-stage", help="P1,P2_GIVEN_1,P2_GIVEN_NOT_1: joint outcomes of two events")
 
-    sp = sub.add_parser("poll", help="simulate opinion polls from a 0/1 population")
-    sp.add_argument("--fixture", default=None)
-    sp.add_argument("--data", default=None)
-    sp.add_argument("--value-column", default="value")
-    sp.add_argument("--sample-size", type=int, required=True)
-    sp.add_argument("--mode", choices=("with", "without"), default="without")
-    sp.add_argument("--polls", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--level", type=finite_number, default=0.95)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_poll)
+    add = subcommand(
+        "montecarlo", _cmd_montecarlo, "simulate repeated Bernoulli trials and compare to exact",
+        "--seed", replicates="runs",
+    )
+    add("--trials", type=int, required=True)
+    add("--prob", default="1/2", help="success probability ('1/2', '0.5', '50%%')")
+    add("--event", choices=EVENTS, default=EVENTS[0])
+    add("--count", type=int, required=True)
+    add("--runs", type=int, default=1000)
 
-    sp = sub.add_parser("fixtures", help="list or dump the built-in datasets")
-    sp.add_argument("--name", default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_fixtures)
+    add = subcommand(
+        "poll", _cmd_poll, "simulate opinion polls from a 0/1 population",
+        *INPUT, "--seed", "--level", replicates="polls",
+    )
+    add("--sample-size", type=int, required=True)
+    add("--mode", choices=("with", "without"), default="without")
+    add("--polls", type=int, default=1000)
+
+    add = subcommand("fixtures", _cmd_fixtures, "list or dump the built-in datasets")
+    add("--name")
 
     return parser
 
@@ -618,7 +564,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        print(args.func(args))
+        seed = _seed(args) if "seed" in args else None
+        replicates = getattr(args, args.replicates_option) if args.replicates_option else None
+        rep = args.func(args, Report(args.command, seed, replicates))
+        print(rep.emit(args.format, getattr(args, "out", None)))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -249,6 +249,8 @@ def _correlations(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray) -> np.ndarra
     The sums are of xs - xs[0] and ys - ys[0] (the shifted-data algorithm),
     so data far from zero do not cancel; integer data stay exact.  The y
     sums are the same for every permutation, so they are taken once, on ys.
+    The columns come from ``_paired_columns``, so the squared sums can
+    neither under- nor overflow.
     """
     n = xs.size
     dx = xs - xs[0]
@@ -258,6 +260,22 @@ def _correlations(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray) -> np.ndarra
     products = rows - ys[0]
     products *= dx
     return (n * products.sum(axis=1) - sx * sy) / den
+
+
+def _paired_columns(data: PairedSample) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y columns, each scaled by the power of two that brings its
+    largest magnitude into [0.5, 1).
+
+    The scaling is exact (short of values 2^1022 times smaller than the
+    largest) and r does not depend on it, but without it x = 0, 0, 1e-200, 0
+    underflows to a zero spread and x = 0, 1e200, 2e200, 3e200 overflows.
+    """
+
+    def unit(values):
+        arr = np.asarray(values, dtype=float)
+        return np.ldexp(arr, -np.frexp(np.abs(arr).max())[1])
+
+    return unit(data.xs), unit(data.ys)
 
 
 def _check_statistic(data, statistic: str) -> None:
@@ -309,8 +327,7 @@ def observed_statistic(data, statistic: str | None = None) -> float:
         g1, g2 = data.group_names
         ordered = np.asarray(data.group_values(g1) + data.group_values(g2), dtype=float)
         return float(_grouped_diffs(ordered.reshape(1, -1), data.group_count(g1))[0])
-    xs = np.asarray(data.xs, dtype=float)
-    ys = np.asarray(data.ys, dtype=float)
+    xs, ys = _paired_columns(data)
     return float(_correlations(xs, ys, ys.reshape(1, -1))[0])
 
 
@@ -420,8 +437,7 @@ def shuffle_test_paired(
         raise ValueError("shuffle_test_paired needs a paired sample")
     if data.n < 3:
         raise ValueError("need at least 3 pairs for a correlation test")
-    xs = np.asarray(data.xs, dtype=float)
-    ys = np.asarray(data.ys, dtype=float)
+    xs, ys = _paired_columns(data)
     if np.all(xs == xs[0]) or np.all(ys == ys[0]):
         raise ValueError("correlation undefined: a coordinate has zero variance")
     if sidedness not in SIDEDNESS:

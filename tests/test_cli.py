@@ -1,15 +1,21 @@
 """CLI surface: subcommands, manifests, formats, exit codes, reproducibility."""
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import resamplekit
 from resamplekit.cli import main
+from resamplekit.resampling import observed_statistic
+
+SUBCOMMANDS = ("shuffle-test", "bootstrap", "clip", "bayes", "montecarlo", "poll", "fixtures")
 
 
 def run(capsys, *argv):
@@ -427,3 +433,79 @@ def test_far_normal_tails_are_printed_with_their_own_digits(capsys):
     for query in ("lt 10", "gt 111"):
         code, out, _ = run(capsys, "clip", "--ci", "49,72", "--query", query)
         assert code == 0 and f"theta {query}: 3.75647e-18\n" in out
+
+
+@pytest.mark.parametrize(
+    "argv", [(), *((command,) for command in SUBCOMMANDS)], ids=lambda argv: " ".join(argv) or "program"
+)
+def test_help_prints_a_usage_line(capsys, argv):
+    code, out, err = run(capsys, *argv, "--help")
+    assert code == 0 and err == ""
+    assert out.startswith(" ".join(("usage: resamplekit", *argv)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("clip", "--ci", "49,72"),
+        ("bayes", "--two-stage", "1/10,9/10,5/10"),
+        ("montecarlo", "--trials", "8", "--count", "4", "--runs", "20"),
+        ("poll", "--fixture", "poll500", "--sample-size", "5", "--polls", "20"),
+        ("fixtures",),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_is_a_usage_error_where_there_is_no_histogram(capsys, tmp_path, argv):
+    target = tmp_path / "hist.csv"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2 and out == "" and "--out" in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("update", ["1/2,", "1/2", "1/2,1,1", ",", ""])
+def test_malformed_update_list_is_one_error_line_naming_the_option(capsys, update):
+    result = run(capsys, "bayes", "--hypothesis", "a:1/2:1/3", "--hypothesis", "b:1/2:1", "--update", update)
+    assert _one_error_line(*result), result
+    assert "--update" in result[2] and "Fraction" not in result[2]
+
+
+def test_list_options_take_commas_or_spaces(capsys):
+    def body(*argv):  # the csv rows, less the echo of the options as typed
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert code == 0 and err == ""
+        return [row for row in out.splitlines() if not row.startswith("options,")]
+
+    hypotheses = ("--hypothesis", "guessing:3/4:1/50", "--hypothesis", "telepathy:1/4:1")
+    assert body("bayes", *hypotheses, "--update", "1/50 1") == body("bayes", *hypotheses, "--update", "1/50,1")
+    assert body("bayes", "--two-stage", "1/10 9/10 5/10") == body("bayes", "--two-stage", "1/10,9/10,5/10")
+    assert body("clip", "--two-by-two", "4 6 8 2") == body("clip", "--two-by-two", "4,6,8,2")
+    assert body("clip", "--ci", "49 72") == body("clip", "--ci", "49,72")
+
+
+@pytest.mark.parametrize("name, header", [("veg6", "value,group"), ("poll500", "value")])
+def test_fixture_dump_in_csv_has_the_rows_of_the_text_dump(capsys, name, header):
+    _, text, _ = run(capsys, "fixtures", "--name", name)
+    code, out, err = run(capsys, "fixtures", "--name", name, "--format", "csv")
+    assert code == 0 and err == ""
+    assert f"\noptions,name={name}\n" in out
+    table = out.split("\n\n", 1)[1].splitlines()
+    assert table == text.split("\n\n", 1)[0].splitlines()[1:]
+    assert table[0] == header and len(table) == resamplekit.get_fixture(name).payload.n + 1
+
+
+@pytest.mark.parametrize("xs", [(0, 0, 1e-200, 0), (0, 1e200, 2e200, 3e200)], ids=["underflow", "overflow"])
+def test_correlation_of_tiny_or_huge_columns(capsys, tmp_path, xs):
+    ys = (1, 3, 2, 5)
+    path = tmp_path / "pairs.csv"
+    path.write_text("x,y\n" + "".join(f"{x!r},{y}\n" for x, y in zip(xs, ys)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "shuffle-test", "--data", str(path), "--stat", "correlation", "--n", "200")
+        observed = observed_statistic(resamplekit.PairedSample(xs, ys))
+    fx, fy = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    dx, dy = [x - sum(fx) / 4 for x in fx], [y - sum(fy) / 4 for y in fy]
+    sxy = sum(a * b for a, b in zip(dx, dy))
+    exact = math.copysign(math.sqrt(sxy * sxy / (sum(a * a for a in dx) * sum(b * b for b in dy))), sxy)
+    assert code == 0 and err == ""
+    assert abs(observed - exact) < 1e-12
+    assert f"observed correlation (pearson correlation of y against fixed x): {observed:.6g}\n" in out
