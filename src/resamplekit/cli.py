@@ -47,10 +47,10 @@ from .resampling import (
     STAT_MEAN_DIFF,
     bootstrap_report,
     check_bin_width,
+    default_bin_width,
     exact_shuffle_p,
     observed_statistic,
     shuffle_test,
-    shuffle_test_paired,
 )
 from .simulate import EVENTS, BernoulliExperiment, simulate_bernoulli, simulate_poll
 from .worlds import (
@@ -125,18 +125,25 @@ def _pair(text: str, option: str) -> tuple[float, float]:
     return tuple(_split(text, 2, usage, finite_number))
 
 
-def _load_input(fixture, data, parse, *columns):
-    """Returns (payload, input_id); a fixture wins over a file.
+def _load_input(rep, fixture, data, parse, *columns):
+    """The input's payload, named in ``rep.input_id``; a fixture wins over a
+    file, and only ``poll`` takes the 0/1 population fixtures.
 
     The file is read once and the digest is of the bytes ``parse`` analysed,
     so it names the exact input even for pipes and files rewritten mid-run.
     """
     if fixture:
-        return get_fixture(fixture).payload, f"fixture:{fixture}"
+        payload = get_fixture(fixture).payload
+        if isinstance(payload, PopulationVector) != (rep.command == "poll"):
+            what = "not a 0/1 population" if rep.command == "poll" else "a 0/1 population, for poll only"
+            raise ValueError(f"fixture {fixture!r} is {what}")
+        rep.input_id = f"fixture:{fixture}"
+        return payload
     if not data:
         raise ValueError("give either --fixture NAME or --data FILE")
     payload, raw = _read_once(data, parse, *columns)
-    return payload, f"file:{data} sha256:{hashlib.sha256(raw).hexdigest()}"
+    rep.input_id = f"file:{data} sha256:{hashlib.sha256(raw).hexdigest()}"
+    return payload
 
 
 class Report:
@@ -203,14 +210,14 @@ def _cmd_shuffle_test(args, rep: Report) -> Report:
     if args.stat == STAT_CORRELATION:
         if not args.data:
             raise ValueError("correlation needs --data with --x-column/--y-column")
-        data, rep.input_id = _load_input(None, args.data, _parse_paired_csv, args.x_column, args.y_column)
+        data = _load_input(rep, None, args.data, _parse_paired_csv, args.x_column, args.y_column)
     else:
-        data, rep.input_id = _load_input(args.fixture, args.data, _parse_csv, args.value_column, args.group_column)
+        data = _load_input(rep, args.fixture, args.data, _parse_csv, args.value_column, args.group_column)
         if not isinstance(data, GroupedSample):
             raise ValueError(f"{args.stat} needs two-group data (pass --group-column with --data)")
 
     if args.bin_width is None:
-        args.bin_width = CORRELATION_BIN_WIDTH if args.stat == STAT_CORRELATION else DEFAULT_BIN_WIDTH
+        args.bin_width = default_bin_width(args.stat)
     check_bin_width(args.bin_width)
     rep.echo(args, "stat", "sidedness", "n", "exact", "bin-width")
 
@@ -233,10 +240,7 @@ def _cmd_shuffle_test(args, rep: Report) -> Report:
         rep.csv("p_value_exact", p)
         return rep
 
-    if args.stat == STAT_CORRELATION:
-        result = shuffle_test_paired(data, args.n, rep.seed, args.sidedness, bin_width=args.bin_width)
-    else:
-        result = shuffle_test(data, args.stat, args.n, rep.seed, args.sidedness, bin_width=args.bin_width)
+    result = shuffle_test(data, args.stat, args.n, rep.seed, args.sidedness, args.bin_width)
     rep.histogram = result.histogram
     rep.add(f"shuffle test ({result.statistic}), {result.sidedness}")
     rep.add(f"  observed {result.statistic} ({result.description}): {_fmt(result.observed)}")
@@ -249,7 +253,7 @@ def _cmd_shuffle_test(args, rep: Report) -> Report:
 
 def _cmd_bootstrap(args, rep: Report) -> Report:
     check_bin_width(args.bin_width)
-    data, rep.input_id = _load_input(args.fixture, args.data, _parse_csv, args.value_column, args.group_column)
+    data = _load_input(rep, args.fixture, args.data, _parse_csv, args.value_column, args.group_column)
     bounds = _pair(args.bounds, "--bounds") if args.bounds else None
     result = bootstrap_report(
         data, args.stat, args.n, rep.seed, level=args.level, thresholds=args.threshold,
@@ -342,7 +346,7 @@ def _cmd_clip(args, rep: Report) -> Report:
 def _cmd_bayes(args, rep: Report) -> Report:
     if args.two_stage:
         usage = "--two-stage needs P_FIRST,P_SECOND_GIVEN_FIRST,P_SECOND_GIVEN_NOT_FIRST"
-        grid = two_stage_grid(*map(parse_probability, _split(args.two_stage, 3, usage)))
+        grid = two_stage_grid(*_split(args.two_stage, 3, usage))
         rep.echo(args, "two-stage")
         rep.add("two-stage outcomes (exact):")
         for name in ("both", "first only", "second only", "neither"):
@@ -375,7 +379,7 @@ def _cmd_bayes(args, rep: Report) -> Report:
     count = len(hset.hypotheses)
     for round_no, update_str in enumerate(args.update, start=1):
         usage = f"--update needs {count} likelihoods, one per hypothesis, got {update_str!r}"
-        current = sequential_update(current, map(parse_probability, _split(update_str, count, usage)))
+        current = sequential_update(current, _split(update_str, count, usage))
         rep.add(f"after evidence round {round_no} (likelihoods {update_str}):")
         for name, prob in posterior(current):
             rep.add(f"  {name}: {prob} = {float(prob):.4g}")
@@ -401,11 +405,9 @@ def _cmd_montecarlo(args, rep: Report) -> Report:
 
 
 def _cmd_poll(args, rep: Report) -> Report:
-    population, rep.input_id = _load_input(args.fixture, args.data, _parse_csv, args.value_column)
+    population = _load_input(rep, args.fixture, args.data, _parse_csv, args.value_column)
     if not args.fixture:
         population = PopulationVector(population.values)
-    elif not isinstance(population, PopulationVector):
-        raise ValueError(f"fixture {args.fixture!r} is not a 0/1 population")
     mode = "with-replacement" if args.mode == "with" else "without-replacement"
     result = simulate_poll(population, args.sample_size, mode, args.polls, rep.seed)
     lo, hi = result.interval(args.level)

@@ -59,6 +59,21 @@ STAT_PROPORTION_DIFF = "proportion-diff"
 STAT_CORRELATION = "correlation"
 GROUP_STATS = (STAT_MEAN_DIFF, STAT_PROPORTION_DIFF)
 
+# The statistics each data kind takes; the first is the kind's default.
+STATISTICS = {
+    Sample: (STAT_MEAN,),
+    GroupedSample: GROUP_STATS,
+    PairedSample: (STAT_CORRELATION,),
+}
+_KIND_NAMES = {Sample: "one-sample", GroupedSample: "two-group", PairedSample: "paired"}
+# How reports describe each statistic; the {} are the two group names.
+_DESCRIPTIONS = {
+    STAT_MEAN: "mean",
+    STAT_MEAN_DIFF: "mean({}) - mean({})",
+    STAT_PROPORTION_DIFF: "proportion({}) - proportion({})",
+    STAT_CORRELATION: "pearson correlation of y against fixed x",
+}
+
 SIDEDNESS = ("two-sided", "greater", "less")
 
 # Diagnostics thresholds.  Skewness above 0.25 marks a resample distribution
@@ -278,57 +293,54 @@ def _paired_columns(data: PairedSample) -> tuple[np.ndarray, np.ndarray]:
     return unit(data.xs), unit(data.ys)
 
 
-def _check_statistic(data, statistic: str) -> None:
-    if isinstance(data, Sample):
-        if statistic != STAT_MEAN:
-            raise ValueError(
-                f"statistic {statistic!r} needs grouped or paired data"
-            )
-    elif isinstance(data, GroupedSample):
-        if statistic not in GROUP_STATS:
-            raise ValueError(
-                f"statistic {statistic!r} does not apply to two-group data; "
-                f"use one of {GROUP_STATS}"
-            )
-        if statistic == STAT_PROPORTION_DIFF and not set(data.values) <= {0.0, 1.0}:
-            raise ValueError("proportion-diff needs 0/1 values")
-    elif isinstance(data, PairedSample):
-        if statistic != STAT_CORRELATION:
-            raise ValueError(f"paired data supports only {STAT_CORRELATION!r}")
-    else:
-        raise ValueError(f"unsupported data type {type(data).__name__}")
+def _resolve(caller: str, data, statistic: str | None, *kinds) -> str:
+    """The statistic ``caller`` computes on ``data``: ``statistic``, or the
+    default of the data's kind when it is None.  ``kinds`` are the data kinds
+    that ``caller`` takes; anything else is a ValueError."""
+    kind = next((k for k in kinds if isinstance(data, k)), None)
+    if kind is None:
+        accepted = " or ".join(_KIND_NAMES[k] for k in kinds)
+        got = f"{_KIND_NAMES[type(data)]} data" if type(data) in _KIND_NAMES else type(data).__name__
+        raise ValueError(f"{caller} needs {accepted} data, got {got}")
+    stats = STATISTICS[kind]
+    statistic = stats[0] if statistic is None else statistic
+    if statistic not in stats:
+        raise ValueError(
+            f"statistic {statistic!r} does not apply to {_KIND_NAMES[kind]} data; use one of {stats}"
+        )
+    if statistic == STAT_PROPORTION_DIFF and not set(data.values) <= {0.0, 1.0}:
+        raise ValueError("proportion-diff needs 0/1 values")
+    if statistic == STAT_CORRELATION:
+        if data.n < 3:
+            raise ValueError("need at least 3 pairs for a correlation test")
+        if len(set(data.xs)) == 1 or len(set(data.ys)) == 1:
+            raise ValueError("correlation undefined: a coordinate has zero variance")
+    return statistic
 
 
-def default_statistic(data) -> str:
-    if isinstance(data, Sample):
-        return STAT_MEAN
-    if isinstance(data, GroupedSample):
-        return STAT_MEAN_DIFF
-    if isinstance(data, PairedSample):
-        return STAT_CORRELATION
-    raise ValueError(f"unsupported data type {type(data).__name__}")
+def _describe(data, statistic: str) -> str:
+    """What ``statistic`` measures on ``data``, in the words of the reports."""
+    names = data.group_names if isinstance(data, GroupedSample) else ()
+    return _DESCRIPTIONS[statistic].format(*names)
 
 
-def _difference_description(data: GroupedSample, statistic: str) -> str:
-    g1, g2 = data.group_names
-    what = "proportion" if statistic == STAT_PROPORTION_DIFF else "mean"
-    return f"{what}({g1}) - {what}({g2})"
+def _check_sidedness(sidedness: str) -> None:
+    if sidedness not in SIDEDNESS:
+        raise ValueError(f"sidedness must be one of {SIDEDNESS}, got {sidedness!r}")
 
 
 def observed_statistic(data, statistic: str | None = None) -> float:
     """The statistic evaluated on the real data (no resampling)."""
-    if statistic is None:
-        statistic = default_statistic(data)
-    _check_statistic(data, statistic)
-    if isinstance(data, Sample):
+    statistic = _resolve("observed_statistic", data, statistic, *STATISTICS)
+    if statistic == STAT_MEAN:
         arr = np.asarray(data.values, dtype=float)
         return float(arr.reshape(1, -1).mean(axis=1)[0])
-    if isinstance(data, GroupedSample):
-        g1, g2 = data.group_names
-        ordered = np.asarray(data.group_values(g1) + data.group_values(g2), dtype=float)
-        return float(_grouped_diffs(ordered.reshape(1, -1), data.group_count(g1))[0])
-    xs, ys = _paired_columns(data)
-    return float(_correlations(xs, ys, ys.reshape(1, -1))[0])
+    if statistic == STAT_CORRELATION:
+        xs, ys = _paired_columns(data)
+        return float(_correlations(xs, ys, ys.reshape(1, -1))[0])
+    g1, g2 = data.group_names
+    ordered = np.asarray(data.group_values(g1) + data.group_values(g2), dtype=float)
+    return float(_grouped_diffs(ordered.reshape(1, -1), data.group_count(g1))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -390,38 +402,55 @@ def _at_least_as_extreme(stat, observed, sidedness: str):
         return abs(stat) >= abs(observed)
     if sidedness == "greater":
         return stat >= observed
-    if sidedness == "less":
-        return stat <= observed
-    raise ValueError(f"sidedness must be one of {SIDEDNESS}, got {sidedness!r}")
+    return stat <= observed
+
+
+def default_bin_width(statistic: str) -> float:
+    """The histogram bin width of a shuffle test of ``statistic``."""
+    return CORRELATION_BIN_WIDTH if statistic == STAT_CORRELATION else DEFAULT_BIN_WIDTH
 
 
 def shuffle_test(
-    data: GroupedSample,
-    statistic: str = STAT_MEAN_DIFF,
+    data: GroupedSample | PairedSample,
+    statistic: str | None = None,
     n_resamples: int = DEFAULT_REPLICATES,
     seed: int = 0,
     sidedness: str = "two-sided",
-    bin_width: float = DEFAULT_BIN_WIDTH,
+    bin_width: float | None = None,
 ) -> TestReport:
-    """Re-deal the values to the original group sizes N times (no replacement).
+    """Re-deal the data N times under the baseline hypothesis (no replacement).
 
-    Ties count: the p-value is the fraction of re-deals whose statistic is
-    at least as extreme as the observed one.
+    Two-group data is re-dealt to the original group sizes; paired data keeps
+    its x column and shuffles the y column against it (Pearson r).  Ties
+    count: the p-value is the fraction of re-deals whose statistic is at
+    least as extreme as the observed one.  ``bin_width`` defaults to
+    ``default_bin_width(statistic)``.
     """
-    if not isinstance(data, GroupedSample):
-        raise ValueError("shuffle_test needs a two-group sample")
-    _check_statistic(data, statistic)
-    if sidedness not in SIDEDNESS:
-        raise ValueError(f"sidedness must be one of {SIDEDNESS}, got {sidedness!r}")
+    statistic = _resolve("shuffle_test", data, statistic, GroupedSample, PairedSample)
+    _check_sidedness(sidedness)
     if n_resamples < 1:
         raise ValueError("need at least one replicate")
-    g1, _ = data.group_names
-    n1 = data.group_count(g1)
-    diffs = _prefix_shuffle_matrix(
-        data.values, n_resamples, seed, n1, lambda mat: _grouped_diffs(mat, n1)
+    if statistic == STAT_CORRELATION:
+        xs, ys = _paired_columns(data)
+        replicates = _prefix_shuffle_matrix(
+            ys, n_resamples, seed, data.n - 1, lambda mat: _correlations(xs, ys, mat)
+        )
+    else:
+        n1 = data.group_count(data.group_names[0])
+        replicates = _prefix_shuffle_matrix(
+            data.values, n_resamples, seed, n1, lambda mat: _grouped_diffs(mat, n1)
+        )
+    observed = observed_statistic(data, statistic)
+    dist = ResampleDistribution(
+        replicates, observed, statistic, "without-replacement", n_resamples, seed, data.n
     )
-    return _shuffle_report(
-        data, statistic, diffs, seed, sidedness, bin_width, _difference_description(data, statistic)
+    hits = np.count_nonzero(_at_least_as_extreme(dist.array, observed, sidedness))
+    if bin_width is None:
+        bin_width = default_bin_width(statistic)
+    histogram = Histogram.from_values(dist.array, bin_width)
+    return TestReport(
+        observed, hits / n_resamples, statistic, sidedness, n_resamples, seed, histogram,
+        _describe(data, statistic), dist,
     )
 
 
@@ -430,44 +459,15 @@ def shuffle_test_paired(
     n_resamples: int = DEFAULT_REPLICATES,
     seed: int = 0,
     sidedness: str = "two-sided",
-    bin_width: float = CORRELATION_BIN_WIDTH,
+    bin_width: float | None = None,
 ) -> TestReport:
-    """Shuffle the y column against the fixed x column; statistic is Pearson r."""
-    if not isinstance(data, PairedSample):
-        raise ValueError("shuffle_test_paired needs a paired sample")
-    if data.n < 3:
-        raise ValueError("need at least 3 pairs for a correlation test")
-    xs, ys = _paired_columns(data)
-    if np.all(xs == xs[0]) or np.all(ys == ys[0]):
-        raise ValueError("correlation undefined: a coordinate has zero variance")
-    if sidedness not in SIDEDNESS:
-        raise ValueError(f"sidedness must be one of {SIDEDNESS}, got {sidedness!r}")
-    if n_resamples < 1:
-        raise ValueError("need at least one replicate")
-    rs = _prefix_shuffle_matrix(
-        ys, n_resamples, seed, data.n - 1, lambda mat: _correlations(xs, ys, mat)
-    )
-    return _shuffle_report(
-        data, STAT_CORRELATION, rs, seed, sidedness, bin_width,
-        "pearson correlation of y against fixed x",
-    )
-
-
-def _shuffle_report(
-    data, statistic: str, replicates: np.ndarray, seed: int, sidedness: str,
-    bin_width: float, description: str,
-) -> TestReport:
-    observed = observed_statistic(data, statistic)
-    n = len(replicates)
-    dist = ResampleDistribution(replicates, observed, statistic, "without-replacement", n, seed, data.n)
-    hits = np.count_nonzero(_at_least_as_extreme(dist.array, observed, sidedness))
-    histogram = Histogram.from_values(dist.array, bin_width)
-    return TestReport(observed, hits / n, statistic, sidedness, n, seed, histogram, description, dist)
+    """``shuffle_test`` of Pearson r on paired data."""
+    return shuffle_test(data, STAT_CORRELATION, n_resamples, seed, sidedness, bin_width)
 
 
 def exact_shuffle_p(
     data: GroupedSample,
-    statistic: str = STAT_MEAN_DIFF,
+    statistic: str | None = None,
     sidedness: str = "two-sided",
 ) -> Fraction:
     """Exact shuffle-test p over every way to split the rows, ties inclusive.
@@ -491,11 +491,8 @@ def exact_shuffle_p(
     is the work done: at most 2^h + 2^(n−h) for h = n // 2, and far fewer
     when one group is small.  It reaches 37 rows for any split.
     """
-    _check_statistic(data, statistic)
-    if not isinstance(data, GroupedSample):
-        raise ValueError("exact enumeration needs a two-group sample")
-    if sidedness not in SIDEDNESS:
-        raise ValueError(f"sidedness must be one of {SIDEDNESS}, got {sidedness!r}")
+    _resolve("exact_shuffle_p", data, statistic, GroupedSample)
+    _check_sidedness(sidedness)
     g1, _ = data.group_names
     n = data.n
     n1 = data.group_count(g1)
@@ -603,16 +600,14 @@ def bootstrap(
     an entire group are redrawn (see module docstring) and counted in
     ``redraw_count``.
     """
-    if statistic is None:
-        statistic = default_statistic(data)
-    _check_statistic(data, statistic)
+    statistic = _resolve("bootstrap", data, statistic, Sample, GroupedSample)
     if n_resamples < 1:
         raise ValueError("need at least one replicate")
     n = data.n
     observed = observed_statistic(data, statistic)
     arr = np.asarray(data.values, dtype=float)
     redraws = 0
-    if isinstance(data, Sample):
+    if statistic == STAT_MEAN:
 
         def kernel(blk) -> np.ndarray:
             return arr[_index_rows(blk, n, n)].mean(axis=1)
@@ -690,16 +685,6 @@ def _values_array(dist) -> np.ndarray:
     if isinstance(dist, ResampleDistribution):
         return dist.array
     return np.asarray(dist, dtype=float)
-
-
-def percentile(values, q: float) -> float:
-    """Percentile by linear interpolation at position q*(N-1) (0-indexed)."""
-    s = np.sort(_values_array(values))
-    if s.size == 0:
-        raise ValueError("no values")
-    if not 0 <= q <= 1:
-        raise ValueError(f"percentile level must be in [0, 1], got {q}")
-    return _sorted_percentile(s, q)
 
 
 def _sorted_percentile(s: np.ndarray, q: float) -> float:
@@ -804,10 +789,6 @@ def bootstrap_report(
 ) -> BootstrapReport:
     """Bootstrap plus percentile interval, tail probabilities and diagnostics."""
     dist = bootstrap(data, statistic, n_resamples, seed)
-    if isinstance(data, GroupedSample):
-        description = _difference_description(data, dist.statistic)
-    else:
-        description = "mean"
     values = dist.array
     return BootstrapReport(
         distribution=dist,
@@ -819,5 +800,5 @@ def bootstrap_report(
         ),
         histogram=Histogram.from_values(values, bin_width),
         diagnostics=diagnostics(dist, scale_bounds),
-        description=description,
+        description=_describe(data, dist.statistic),
     )

@@ -95,17 +95,7 @@ class SeededGenerator:
     """xoshiro256** generator; identical seed means identical sequence."""
 
     def __init__(self, seed: int = 0):
-        self.seed = seed
-        self.stream_index: int | None = None
         self._s = _state_words(seed & _MASK64)
-
-    @classmethod
-    def _from_key(cls, key: int, seed: int, index: int) -> "SeededGenerator":
-        gen = cls.__new__(cls)
-        gen.seed = seed
-        gen.stream_index = index
-        gen._s = _state_words(key)
-        return gen
 
     def next_uint64(self) -> int:
         s0, s1, s2, s3 = self._s
@@ -182,7 +172,7 @@ def substream(seed: int, index: int) -> SeededGenerator:
     """
     if index < 0:
         raise ValueError(f"substream index must be >= 0, got {index}")
-    return SeededGenerator._from_key(substream_key(seed, index), seed, index)
+    return SeededGenerator(substream_key(seed, index))
 
 
 class SubstreamBlock:

@@ -33,13 +33,15 @@ def parse_probability(text: str) -> Fraction:
         value = Fraction(s[:-1].strip()) / 100 if s.endswith("%") else Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"probability {text!r} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"probability {text!r} is not a number; write it as 1/4, 0.25 or 25%") from None
     if not ZERO <= value <= ONE:
         raise ValueError(f"probability {text!r} is outside [0, 1]")
     return value
 
 
 def _check_probability(value, what: str) -> Fraction:
-    value = Fraction(value)
+    value = parse_probability(value) if isinstance(value, str) else Fraction(value)
     if not ZERO <= value <= ONE:
         raise ValueError(f"{what} must be in [0, 1], got {value}")
     return value

@@ -509,3 +509,26 @@ def test_correlation_of_tiny_or_huge_columns(capsys, tmp_path, xs):
     assert code == 0 and err == ""
     assert abs(observed - exact) < 1e-12
     assert f"observed correlation (pearson correlation of y against fixed x): {observed:.6g}\n" in out
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        ("x", ("montecarlo", "--trials", "8", "--count", "3", "--prob", "x")),
+        ("nan", ("montecarlo", "--trials", "8", "--count", "3", "--prob", "nan")),
+        ("x", ("bayes", "--two-stage", "x,1,1")),
+        ("x", ("bayes", "--hypothesis", "a:x:1")),
+        ("x", ("bayes", "--hypothesis", "a:1:1", "--update", "x")),
+    ],
+)
+def test_a_probability_that_is_no_number_is_named_with_the_accepted_forms(capsys, text, argv):
+    result = run(capsys, *argv)
+    assert _one_error_line(*result), result
+    assert result[2] == f"error: probability {text!r} is not a number; write it as 1/4, 0.25 or 25%\n"
+
+
+@pytest.mark.parametrize("command", ["bootstrap", "shuffle-test"])
+def test_the_population_fixture_is_refused_as_one_for_poll(capsys, command):
+    result = run(capsys, command, "--fixture", "poll500", "--n", "20")
+    assert _one_error_line(*result), result
+    assert result[2] == "error: fixture 'poll500' is a 0/1 population, for poll only\n"

@@ -22,7 +22,6 @@ from resamplekit.resampling import (
     diagnostics,
     exact_shuffle_p,
     observed_statistic,
-    percentile,
     percentile_interval,
     shuffle_test,
     shuffle_test_paired,
@@ -512,11 +511,12 @@ def test_percentile_interval_frozen_example():
 
 
 def test_percentile_linear_interpolation_rule():
-    # position q*(N-1), linear between order statistics
-    assert percentile([10.0, 20.0], 0.25) == 12.5
-    assert percentile([10.0, 20.0, 30.0], 0.5) == 20.0
-    assert percentile([1.0], 0.0) == 1.0
-    assert percentile([1.0], 1.0) == 1.0
+    # The q percentile sits at position q*(N-1), linear between order
+    # statistics; a level-L interval takes q = (1-L)/2 and 1 - (1-L)/2.
+    assert percentile_interval([10.0, 20.0], 0.5) == (12.5, 17.5)
+    assert percentile_interval([30.0, 10.0, 20.0], 0.5) == (15.0, 25.0)
+    assert percentile_interval([50.0, 10.0, 40.0, 20.0, 30.0], 0.5) == (20.0, 40.0)
+    assert percentile_interval([1.0, 1.0], 0.99) == (1.0, 1.0)
 
 
 def test_percentile_interval_validation():
@@ -701,7 +701,6 @@ def test_bootstrap_report_summaries_match_the_standalone_calls():
     )
     dist = rep.distribution
     values = list(dist.values)
-    assert rep.interval == (percentile(values, 0.05), percentile(values, 0.95))
     assert rep.interval == percentile_interval(values, 0.9)
     assert rep.tail_probabilities == tuple((t, tail_probability(values, t)) for t in (50.0, 61.5))
     assert rep.histogram == Histogram.from_values(values, 1.5)
@@ -724,3 +723,57 @@ def test_histogram_refuses_too_many_bins_and_names_a_width_that_fits():
     # One bin, but its index would not fit a 64-bit integer.
     with pytest.raises(ValueError, match="bin width"):
         Histogram.from_values([5.0, 5.0], 1e-300)
+
+
+# ---------------------------------------------------------------------------
+# one statistic table
+
+
+PAIRS = PairedSample((1, 2, 3, 4, 5, 6, 7), (2, 1, 4, 3, 7, 5, 6))
+
+
+def test_each_kind_defaults_to_the_first_statistic_of_its_table_entry():
+    for data, kind in ((VEG9, Sample), (VEG6, GroupedSample), (PAIRS, PairedSample)):
+        default = resampling.STATISTICS[kind][0]
+        assert observed_statistic(data) == observed_statistic(data, default)
+    assert bootstrap(VEG6, n_resamples=5).statistic == "mean-diff"
+    assert shuffle_test(PAIRS, n_resamples=5).statistic == "correlation"
+
+
+def test_each_entry_refuses_other_data_kinds_by_naming_the_kinds_it_takes():
+    population = get_fixture("poll500").payload
+    refusals = [
+        (lambda: bootstrap(PAIRS), "bootstrap needs one-sample or two-group data, got paired data"),
+        (lambda: bootstrap_report(PAIRS), "bootstrap needs one-sample or two-group data"),
+        (lambda: exact_shuffle_p(PAIRS), "exact_shuffle_p needs two-group data, got paired data"),
+        (lambda: shuffle_test(VEG9), "shuffle_test needs two-group or paired data, got one-sample data"),
+        (lambda: observed_statistic(population), "got PopulationVector"),
+    ]
+    for refuse, message in refusals:
+        with pytest.raises(ValueError) as err:
+            refuse()
+        assert message in str(err.value)
+
+
+def test_a_statistic_of_another_kind_is_refused_with_the_statistics_of_this_one():
+    for data, statistic, kind in ((VEG9, "mean-diff", "one-sample"), (VEG6, "correlation", "two-group"),
+                                  (PAIRS, "mean", "paired")):
+        with pytest.raises(ValueError, match=f"'{statistic}' does not apply to {kind} data"):
+            observed_statistic(data, statistic)
+
+
+def test_degenerate_pairs_are_refused_by_every_entry():
+    for pairs in (PairedSample((1, 2), (3, 4)), PairedSample((1, 2, 3), (4, 4, 4))):
+        for entry in (observed_statistic, shuffle_test):
+            with pytest.raises(ValueError, match="3 pairs|zero variance"):
+                entry(pairs)
+
+
+def test_shuffle_test_of_pairs_is_the_paired_shuffle_test(scalar_oracle):
+    for run in (lambda fn: fn(), scalar_oracle):
+        merged = run(lambda: shuffle_test(PAIRS, n_resamples=300, seed=9, sidedness="greater"))
+        paired = run(lambda: shuffle_test_paired(PAIRS, n_resamples=300, seed=9, sidedness="greater"))
+        assert merged == paired
+        assert merged.distribution.array.tobytes() == paired.distribution.array.tobytes()
+        assert merged.histogram.bin_width == resampling.CORRELATION_BIN_WIDTH
+        assert merged.description == "pearson correlation of y against fixed x"

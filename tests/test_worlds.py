@@ -275,3 +275,20 @@ def test_parse_probability_rejects_zero_denominators_with_value_error():
     for text in ("1/0", "0/0", "3/0%", "1/2/3", "", "%", "half"):
         with pytest.raises(ValueError):
             parse_probability(text)
+
+
+def test_text_that_is_no_number_names_the_value_and_the_accepted_forms():
+    refusals = (
+        lambda: parse_probability("x"),
+        lambda: parse_probability("nan"),
+        lambda: Hypothesis("a", "x", 1),
+        lambda: Hypothesis("a", 1, "x"),
+        lambda: two_stage_grid("x", 1, 1),
+        lambda: sequential_update(HypothesisSet.from_triples([("a", "1", "1")]), ["x"]),
+    )
+    for refuse in refusals:
+        with pytest.raises(ValueError) as err:
+            refuse()
+        message = str(err.value)
+        assert "'x'" in message or "'nan'" in message
+        assert "1/4, 0.25 or 25%" in message and "Fraction" not in message
