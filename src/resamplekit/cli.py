@@ -569,7 +569,12 @@ def main(argv=None) -> int:
         seed = _seed(args) if "seed" in args else None
         replicates = getattr(args, args.replicates_option) if args.replicates_option else None
         rep = args.func(args, Report(args.command, seed, replicates))
-        print(rep.emit(args.format, getattr(args, "out", None)))
+        print(rep.emit(args.format, getattr(args, "out", None)), flush=True)
+    except BrokenPipeError:
+        # The reader of stdout has gone; point stdout at devnull so that the
+        # flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -164,8 +164,12 @@ def t_quantile(p: float, df: int) -> float:
         hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        # Once mid is an end, every later step is a fixed point.
+        last = mid in (lo, hi)
         if t_cdf(mid, df) < p:
             lo = mid
         else:
             hi = mid
+        if last:
+            break
     return 0.5 * (lo + hi)

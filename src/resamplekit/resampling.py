@@ -1,29 +1,11 @@
 """Shuffle (permutation) tests and bootstrap confidence distributions.
 
-Replicate randomness is always derived from ``substream(seed, r)`` for
-replicate index r, so a run is fully determined by (data, statistic, number
-of replicates, seed) no matter how replicates are scheduled.  The per-
-replicate draw sequences are:
-
-* shuffle test on a two-group sample of n rows with n1 rows in the first
-  group: n1 partial forward Fisher-Yates steps over the values in original
-  row order; the first n1 positions become the first group.
-* paired shuffle test: n - 1 Fisher-Yates steps over the y column (a full
-  shuffle); the x column stays fixed.
-* bootstrap of n rows: n draws of ``below(n)``, each an index into the
-  original rows.  For grouped data a replicate that loses a whole group is
-  redrawn from the same substream (n fresh index draws per attempt) until
-  both groups are present; redraws are counted on the result.
-
-Each draw plan is one kernel, run by ``rng.run_chunks`` on numpy lanes in
-lockstep, in bounded chunks each reduced to its statistic (memory grows with
-the chunk, not with N x n).  Lane r is always ``substream(seed, r)`` and each
-statistic is evaluated row by row on C-contiguous rows, so the chunk size
-never changes a value, not even the float summation order.  The tests run
-the same kernels unchunked on ``rng.ScalarLanes``, the Python-int oracle for
-the numpy engine, and check the draw plans above against
-``SeededGenerator``'s own methods; ``bench/refgen.py`` checks them outside
-the program.
+Replicate r draws from ``substream(seed, r)``, so a run is fully
+determined by (data, statistic, number of replicates, seed).  The draw plans,
+their lanes forms and the chunking that runs them are specified once, in
+``rng``.  Each procedure here builds a kernel that reduces one chunk of
+lanes to its statistic, row by row on C-contiguous rows, so the chunk size
+never changes a value, not even the float summation order.
 
 p-values count ties inclusively: two-sided p = #{|T*| >= |T_obs|} / N,
 one-sided variants count T* >= T_obs (or <=).
@@ -344,53 +326,6 @@ def observed_statistic(data, statistic: str | None = None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# draw kernels, each run by rng.run_chunks
-
-
-def _prefix_shuffle_rows(arr: np.ndarray, blk, steps: int) -> np.ndarray:
-    """One copy of arr per lane, after `steps` Fisher-Yates steps of that lane."""
-    n = arr.size
-    mat = np.tile(arr, (blk.count, 1))
-    flat = mat.reshape(-1)
-    row_start = np.arange(0, blk.count * n, n)
-    for i in range(steps):
-        a = row_start + i
-        b = blk.below(n - i)
-        b += a
-        left = flat[a]
-        flat[a] = flat[b]
-        flat[b] = left
-    return mat
-
-
-def _prefix_shuffle_matrix(
-    values, n_resamples: int, seed: int, k: int, statistic=np.asarray
-) -> np.ndarray:
-    """Row r is the value list after k Fisher-Yates steps of substream(seed, r).
-
-    The result is ``statistic(rows)`` (by default the rows themselves), where
-    ``statistic`` maps a matrix of such rows to one result per row; it is
-    applied to one chunk of rows at a time.
-    """
-    arr = np.asarray(values, dtype=float)
-    n = arr.size
-    steps = min(k, n - 1)
-
-    def kernel(blk) -> np.ndarray:
-        return statistic(_prefix_shuffle_rows(arr, blk, steps))
-
-    return rng.run_chunks(seed, n_resamples, n, kernel)
-
-
-def _index_rows(blk, n_items: int, n_draws: int) -> np.ndarray:
-    """Row i holds n_draws successive below(n_items) draws of the block's lane i."""
-    idx = np.empty((blk.count, n_draws), dtype=np.int64)
-    for d in range(n_draws):
-        idx[:, d] = blk.below(n_items)
-    return idx
-
-
-# ---------------------------------------------------------------------------
 # shuffle tests
 
 
@@ -432,14 +367,18 @@ def shuffle_test(
         raise ValueError("need at least one replicate")
     if statistic == STAT_CORRELATION:
         xs, ys = _paired_columns(data)
-        replicates = _prefix_shuffle_matrix(
-            ys, n_resamples, seed, data.n - 1, lambda mat: _correlations(xs, ys, mat)
-        )
+
+        def kernel(blk) -> np.ndarray:
+            return _correlations(xs, ys, rng.prefix_shuffle_rows(ys, blk, data.n))
+
     else:
+        arr = np.asarray(data.values, dtype=float)
         n1 = data.group_count(data.group_names[0])
-        replicates = _prefix_shuffle_matrix(
-            data.values, n_resamples, seed, n1, lambda mat: _grouped_diffs(mat, n1)
-        )
+
+        def kernel(blk) -> np.ndarray:
+            return _grouped_diffs(rng.prefix_shuffle_rows(arr, blk, n1), n1)
+
+    replicates = rng.run_chunks(seed, n_resamples, data.n, kernel)
     observed = observed_statistic(data, statistic)
     dist = ResampleDistribution(
         replicates, observed, statistic, "without-replacement", n_resamples, seed, data.n
@@ -597,7 +536,7 @@ def bootstrap(
     """Resample whole rows with replacement N times and evaluate the statistic.
 
     Grouped data keeps each row's value/group pairing; replicates that lose
-    an entire group are redrawn (see module docstring) and counted in
+    an entire group are redrawn (the rule is in ``rng``) and counted in
     ``redraw_count``.
     """
     statistic = _resolve("bootstrap", data, statistic, Sample, GroupedSample)
@@ -610,7 +549,7 @@ def bootstrap(
     if statistic == STAT_MEAN:
 
         def kernel(blk) -> np.ndarray:
-            return arr[_index_rows(blk, n, n)].mean(axis=1)
+            return arr[rng.index_rows(blk, n, n)].mean(axis=1)
 
     else:
         g1, _ = data.group_names
@@ -618,7 +557,7 @@ def bootstrap(
 
         def kernel(blk) -> np.ndarray:
             nonlocal redraws
-            idx = _index_rows(blk, n, n)
+            idx = rng.index_rows(blk, n, n)
             redraws += _redraw_single_group_rows(idx, in_g1, blk)
             return _grouped_resample_diffs(arr, in_g1, idx)
 
@@ -669,7 +608,7 @@ def _redraw_single_group_rows(idx: np.ndarray, in_g1: np.ndarray, blk) -> int:
             raise RuntimeError("grouped bootstrap kept drawing one-group resamples")
         redraws += lanes.size
         blk.keep(lanes)
-        fresh = _index_rows(blk, n_items, n_items)
+        fresh = rng.index_rows(blk, n_items, n_items)
         bad = _lost_a_group(fresh, in_g1)
         idx[rows[~bad]] = fresh[~bad]
         lanes = np.flatnonzero(bad)

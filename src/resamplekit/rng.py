@@ -31,23 +31,43 @@ Derived draws:
 * ``below(n)`` -- rejection sampling: draw ``r`` until
   ``r < 2**64 - (2**64 mod n)``, then return ``r mod n``.  No modulo bias;
   every call consumes at least one draw.
-* ``shuffle`` -- forward Fisher-Yates: for i = 0..len-2 swap position i with
-  position ``i + below(len - i)``.
-* sampling without replacement -- the first k positions after k forward
-  Fisher-Yates steps.
+* ``sample_without_replacement(items, k)`` -- for i = 0..min(k, n-1)-1 swap
+  position i with position ``i + below(n - i)`` (forward Fisher-Yates over
+  the n items), then take the first k positions.  ``shuffle`` is k = n.
+* ``draw_with_replacement(items, k)`` -- k picks ``items[below(n)]``.
 
 Replicated experiments take replicate r's randomness from
 ``substream(seed, r)`` so results never depend on execution order or thread
-scheduling.  Each draw kernel is written once, against lanes with a
-``count``, ``below(n)`` (one draw per lane, an int64 array) and
-``keep(lanes)`` (narrow to some lanes, each continuing its own stream).
-``run_chunks`` runs a kernel on ``SubstreamBlock``s, which step the lanes in
-numpy uint64 lockstep, in bounded chunks.  ``ScalarLanes`` steps one
-Python-int ``substream(seed, r)`` per lane; the tests run a kernel once,
-unchunked, on ``ScalarLanes(seed, N)`` as the oracle for the uint64
-lockstep, rejection, ``keep`` and chunking.  The draw plans themselves are
-checked against ``SeededGenerator``'s own methods in the tests, and against
-``bench/refgen.py`` outside the program.
+scheduling.  The draw plans of the procedures, for replicate r:
+
+* bootstrap of n rows: the rows ``draw_with_replacement(range(n), n)``.
+* grouped bootstrap: a replicate whose rows lack one of the two groups draws
+  n fresh rows from the same substream, again until both groups are
+  present; each attempt counts as one redraw.
+* two-group shuffle test with n1 rows in the first group:
+  ``sample_without_replacement(values, n1)`` over the values in row order
+  is the first group; the other n - n1 positions, in their order after
+  those steps, are the second.
+* paired shuffle test: ``shuffle(ys)``; the x column stays fixed.
+* poll of k electors: ``sample_without_replacement(entries, k)``, or with
+  replacement ``draw_with_replacement(entries, k)``.
+* Bernoulli run of t trials at success probability num/den (lowest
+  terms): t draws of ``below(den)``, a success when the draw is below num.
+
+The lanes forms of the two sampling plans sit beside the ``SeededGenerator``
+methods they must match: ``prefix_shuffle_rows`` is
+``sample_without_replacement`` and ``index_rows`` is
+``draw_with_replacement``.  Bernoulli trials and polls with replacement sum
+as they draw, so they hold no index matrix.  Lanes have a ``count``,
+``below(n)`` (one draw per lane, an int64 array) and ``keep(lanes)``
+(narrow to some lanes, each continuing its own stream).  Every procedure
+builds a kernel over lanes and calls ``run_chunks``, which runs it on
+``SubstreamBlock``s that step the lanes in numpy uint64 lockstep, in bounded
+chunks.  ``ScalarLanes`` steps one Python-int ``substream(seed, r)`` per
+lane; the tests run a kernel once, unchunked, on ``ScalarLanes(seed, N)``
+as the oracle for the uint64 lockstep, rejection, ``keep`` and chunking.
+The plans themselves are checked against ``SeededGenerator``'s own methods
+in the tests, and against ``bench/refgen.py`` outside the program.
 
 Chunking invariant: ``run_chunks`` covers replicates 0..N-1 with blocks of
 at most ``chunk_lanes(width)`` lanes, and lane r of every chunk is always
@@ -126,12 +146,8 @@ class SeededGenerator:
 
     def shuffle(self, items) -> list:
         """Return a new uniformly shuffled list (forward Fisher-Yates)."""
-        out = list(items)
-        n = len(out)
-        for i in range(n - 1):
-            j = i + self.below(n - i)
-            out[i], out[j] = out[j], out[i]
-        return out
+        items = list(items)
+        return self.sample_without_replacement(items, len(items))
 
     def sample_without_replacement(self, items, k: int) -> list:
         """First k positions of a partial forward Fisher-Yates shuffle."""
@@ -153,6 +169,32 @@ class SeededGenerator:
             raise ValueError(f"draw count must be >= 1, got {k}")
         n = len(pool)
         return [pool[self.below(n)] for _ in range(k)]
+
+
+def prefix_shuffle_rows(arr: np.ndarray, blk, k: int) -> np.ndarray:
+    """``sample_without_replacement`` on lanes: one copy of arr per lane of
+    blk, after that lane's min(k, n - 1) forward Fisher-Yates steps."""
+    n = arr.size
+    mat = np.tile(arr, (blk.count, 1))
+    flat = mat.reshape(-1)
+    row_start = np.arange(0, blk.count * n, n)
+    for i in range(min(k, n - 1)):
+        a = row_start + i
+        b = blk.below(n - i)
+        b += a
+        left = flat[a]
+        flat[a] = flat[b]
+        flat[b] = left
+    return mat
+
+
+def index_rows(blk, n_items: int, n_draws: int) -> np.ndarray:
+    """``draw_with_replacement`` on lanes: row i holds n_draws successive
+    below(n_items) draws of lane i of blk."""
+    idx = np.empty((blk.count, n_draws), dtype=np.int64)
+    for d in range(n_draws):
+        idx[:, d] = blk.below(n_items)
+    return idx
 
 
 def _rotl64(x: int, k: int) -> int:

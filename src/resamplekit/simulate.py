@@ -1,19 +1,10 @@
 """Forward probability simulation with exact small-case arithmetic.
 
-Bernoulli trials use exact rational sampling: a trial with success
-probability num/den draws ``below(den)`` and succeeds when the draw is
-below ``num``, so the simulated probability is exactly the requested
-rational.  Run r of any experiment takes its randomness from
-``substream(seed, r)``.
-
-Poll sampling without replacement takes the first k positions of a partial
-Fisher-Yates shuffle of the population; with replacement it draws k
-independent indices.
-
-Each draw plan is one kernel run by ``rng.run_chunks``, which steps numpy
-lanes in lockstep, in bounded chunks.  The tests run the same kernels on
-``rng.ScalarLanes``, unchunked, one Python-int generator per run, as an
-oracle for the numpy engine.
+Bernoulli trials are sampled exactly: a trial at success probability num/den
+succeeds when ``below(den)`` is below num, so the simulated probability is
+exactly the requested rational.  Run r of any experiment draws from
+``substream(seed, r)``; the draw plans and the chunked engine that runs each
+kernel are specified in ``rng``.
 """
 
 from __future__ import annotations
@@ -27,7 +18,7 @@ import numpy as np
 
 from . import rng
 from .data import PopulationVector
-from .resampling import _eq_by_fields, _prefix_shuffle_matrix, _read_only, percentile_interval
+from .resampling import _eq_by_fields, _read_only, percentile_interval
 
 EVENTS = ("exactly", "at-least", "at-most")
 POLL_MODES = ("with-replacement", "without-replacement")
@@ -179,9 +170,11 @@ def simulate_poll(
 
         props = rng.run_chunks(seed, n_polls, sample_size, sums) / sample_size
     else:
-        props = _prefix_shuffle_matrix(
-            entries, n_polls, seed, sample_size, lambda mat: mat[:, :sample_size].mean(axis=1)
-        )
+
+        def means(blk) -> np.ndarray:
+            return rng.prefix_shuffle_rows(entries, blk, sample_size)[:, :sample_size].mean(axis=1)
+
+        props = rng.run_chunks(seed, n_polls, n, means)
     return PollResult(
         props,
         sample_size=sample_size,

@@ -41,7 +41,12 @@ def parse_probability(text: str) -> Fraction:
 
 
 def _check_probability(value, what: str) -> Fraction:
-    value = parse_probability(value) if isinstance(value, str) else Fraction(value)
+    if isinstance(value, str):
+        return parse_probability(value)
+    try:
+        value = Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} must be a number in [0, 1], got {value!r}") from None
     if not ZERO <= value <= ONE:
         raise ValueError(f"{what} must be in [0, 1], got {value}")
     return value

@@ -364,17 +364,41 @@ def test_file_digest_is_the_sha256_of_the_file_bytes(capsys, tmp_path):
     assert _digest(out) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _cli_env() -> dict:
+    """The environment for a ``python -m resamplekit.cli`` child process that
+    imports this checkout's package."""
+    src = str(Path(resamplekit.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_piped_data_digest_is_the_sha256_of_the_piped_bytes():
     piped = b"value\n1\n5\n7\n3\n"
-    src = str(Path(resamplekit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "resamplekit.cli", "bootstrap", "--data", "/dev/stdin", "--n", "50"],
-        input=piped, capture_output=True, env=env, check=True,
+        input=piped, capture_output=True, env=_cli_env(), check=True,
     )
     out = proc.stdout.decode()
     assert "observed mean: 4" in out
     assert _digest(out) == hashlib.sha256(piped).hexdigest()
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None])
+def test_closed_stdout_exits_1_with_nothing_on_stderr(unbuffered):
+    # Buffered stdout fails only when it is flushed, unbuffered at the print.
+    env = _cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "resamplekit.cli", "bootstrap", "--fixture", "veg9"],
+            stdout=w, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_poll_refuses_fractional_entries_with_the_population_message(capsys, tmp_path):

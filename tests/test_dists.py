@@ -124,6 +124,29 @@ def test_t_quantile_round_trip():
             assert t_cdf(t_quantile(p, df), df) == pytest.approx(p, abs=1e-10)
 
 
+def _t_quantile_200_steps(p, df):
+    """t_quantile with every one of its 200 bisection steps taken."""
+    lo, hi = -1.0, 1.0
+    while t_cdf(lo, df) > p:
+        lo *= 2.0
+    while t_cdf(hi, df) < p:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if t_cdf(mid, df) < p:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_t_quantile_stops_early_on_the_same_bits():
+    ps = (1e-300, 1e-12, 0.001, 0.025, 0.2, 0.4999, 0.5001, 0.8, 0.975, 0.999, 1 - 1e-12)
+    for df in (1, 2, 5, 30, 1000):
+        for p in ps:
+            assert t_quantile(p, df) == _t_quantile_200_steps(p, df), (p, df)
+
+
 def test_t_domain_errors():
     with pytest.raises(ValueError):
         t_cdf(0.0, 0)

@@ -17,12 +17,7 @@ import pytest
 
 from resamplekit import rng
 from resamplekit.data import GroupedSample, PairedSample, PopulationVector, get_fixture
-from resamplekit.resampling import (
-    _prefix_shuffle_matrix,
-    bootstrap,
-    shuffle_test,
-    shuffle_test_paired,
-)
+from resamplekit.resampling import bootstrap, shuffle_test, shuffle_test_paired
 from resamplekit.rng import substream
 from resamplekit.simulate import BernoulliExperiment, simulate_bernoulli, simulate_poll
 
@@ -80,7 +75,8 @@ def test_shuffle_test_first_group_follows_sample_without_replacement(small_chunk
     g1, _ = VEG6.group_names
     n1 = VEG6.group_count(g1)
     values = list(VEG6.values)
-    rows = _prefix_shuffle_matrix(values, N, 5, n1)
+    arr = np.asarray(values)
+    rows = rng.run_chunks(5, N, arr.size, lambda blk: rng.prefix_shuffle_rows(arr, blk, n1))
     diffs = shuffle_test(VEG6, n_resamples=N, seed=5).distribution.values
     for r in range(N):
         first = substream(5, r).sample_without_replacement(values, n1)
@@ -92,7 +88,8 @@ def test_shuffle_test_first_group_follows_sample_without_replacement(small_chunk
 
 def test_paired_shuffle_follows_shuffle(small_chunks):
     ys = list(PAIRED.ys)
-    rows = _prefix_shuffle_matrix(ys, N, 6, len(ys) - 1)
+    arr = np.asarray(ys)
+    rows = rng.run_chunks(6, N, arr.size, lambda blk: rng.prefix_shuffle_rows(arr, blk, arr.size))
     rs = shuffle_test_paired(PAIRED, n_resamples=N, seed=6).distribution.values
     for r in range(N):
         shuffled = substream(6, r).shuffle(ys)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from resamplekit import resampling
+from resamplekit import resampling, rng
 from resamplekit.data import GroupedSample, PairedSample, Sample, get_fixture
 from resamplekit.resampling import (
     Histogram,
@@ -27,7 +27,6 @@ from resamplekit.resampling import (
     shuffle_test_paired,
     tail_probability,
 )
-from resamplekit.resampling import _prefix_shuffle_matrix
 from resamplekit.rng import substream
 
 VEG6 = get_fixture("veg6").payload
@@ -192,6 +191,19 @@ def test_exact_p_on_thirty_one_decimal_rows_equals_a_size_indexed_dp():
         assert exact_shuffle_p(data, sidedness=sidedness) == Fraction(hits, math.comb(n, n1))
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="known tie fault (ROADMAP item 1): Monte Carlo hits compare float mean differences, "
+    "so splits that tie the observed one exactly can miss it (p 0.727, not 0.971)",
+)
+def test_monte_carlo_p_counts_exact_ties_like_the_exact_p():
+    data = GroupedSample([0.3, 0.4, 0.1, 0.3, 0.3, 0.4, 0.3, 0.2], ["a"] * 4 + ["b"] * 4)
+    exact = float(exact_shuffle_p(data))
+    n = 20000
+    p = shuffle_test(data, n_resamples=n, seed=0).p_value
+    assert abs(p - exact) <= 6 * math.sqrt(exact * (1 - exact) / n)
+
+
 def test_exact_cap_counts_the_half_subset_sums_listed(monkeypatch):
     # 10 rows split 5/5: 2^5 + 2^5 = 64 half-subset sums, for C(10, 5) = 252 splits.
     data = GroupedSample([float(i) for i in range(10)], ["a", "b"] * 5)
@@ -302,8 +314,13 @@ def test_shuffle_test_validation():
 
 
 def test_shuffle_replicates_preserve_value_multiset(scalar_oracle):
+    arr = np.asarray(VEG6.values)
+
+    def kernel(blk):
+        return rng.prefix_shuffle_rows(arr, blk, 3)
+
     for run in (lambda fn: fn(), scalar_oracle):
-        mat = run(lambda: _prefix_shuffle_matrix(VEG6.values, 50, 7, 3))
+        mat = run(lambda: rng.run_chunks(7, 50, arr.size, kernel))
         target = sorted(VEG6.values)
         for row in mat:
             assert sorted(row) == target
@@ -708,8 +725,6 @@ def test_bootstrap_report_summaries_match_the_standalone_calls():
 
 
 def test_histogram_refuses_too_many_bins_and_names_a_width_that_fits():
-    from resamplekit import resampling
-
     values = [74.0, 65.0, 57.0, 78.0, 54.0, 47.0, 38.0, 34.0, 93.0]
     for width in (1e-300, 0.001, 5e-324):
         with pytest.raises(ValueError, match="use a width of at least") as info:

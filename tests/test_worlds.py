@@ -292,3 +292,18 @@ def test_text_that_is_no_number_names_the_value_and_the_accepted_forms():
         message = str(err.value)
         assert "'x'" in message or "'nan'" in message
         assert "1/4, 0.25 or 25%" in message and "Fraction" not in message
+
+
+def test_non_numbers_that_are_not_text_name_the_argument_and_the_range():
+    hset = HypothesisSet.from_triples([("a", "1", "1")])
+    refusals = (
+        (lambda: two_stage_grid(float("inf"), 1, 1), "first-stage probability"),
+        (lambda: Hypothesis("a", float("nan"), 1), "prior"),
+        (lambda: Hypothesis("a", None, 1), "prior"),
+        (lambda: Hypothesis("a", 1, float("-inf")), "likelihood"),
+        (lambda: sequential_update(hset, [float("nan")]), "likelihood"),
+    )
+    for refuse, what in refusals:
+        with pytest.raises(ValueError) as err:
+            refuse()
+        assert str(err.value).startswith(f"{what} must be a number in [0, 1], got ")
