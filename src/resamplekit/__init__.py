@@ -9,117 +9,50 @@ Every random procedure is driven by a documented, cross-platform generator
 and is bit-for-bit reproducible from its seed.
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .calibrate import (
-    CalibratedDistribution,
-    TwoByTwo,
-    calibrate_from_interval,
-    calibrate_from_p,
-    odds_ratio,
-    probability_query,
-    risk_ratio,
-)
-from .data import (
-    Fixture,
-    GroupedSample,
-    PairedSample,
-    PopulationVector,
-    Sample,
-    fixtures,
-    get_fixture,
-    load_csv,
-    load_paired_csv,
-    write_csv,
-)
-from .dists import normal_cdf, normal_quantile, t_cdf, t_quantile
-from .resampling import (
-    BootstrapReport,
-    DiagnosticsReport,
-    Histogram,
-    ResampleDistribution,
-    TestReport,
-    bootstrap,
-    bootstrap_report,
-    diagnostics,
-    exact_shuffle_p,
-    percentile_interval,
-    shuffle_test,
-    shuffle_test_paired,
-    tail_probability,
-)
-from .rng import SeededGenerator, SubstreamBlock, mix64, substream
-from .simulate import (
-    BernoulliExperiment,
-    PollResult,
-    exact_binomial,
-    simulate_bernoulli,
-    simulate_poll,
-)
-from .worlds import (
-    Hypothesis,
-    HypothesisSet,
-    TwoStageOutcomes,
-    WorldTableau,
-    parse_probability,
-    posterior,
-    render_worlds,
-    sequential_update,
-    two_stage_grid,
-)
+# The public names, by the module that defines them.  A module is imported
+# the first time one of its names is read, so only the names that draw
+# (resampling, rng, simulate) import numpy.
+_EXPORTS = {
+    "calibrate": (
+        "CalibratedDistribution", "TwoByTwo", "calibrate_from_interval", "calibrate_from_p",
+        "odds_ratio", "probability_query", "risk_ratio",
+    ),
+    "data": (
+        "Fixture", "GroupedSample", "PairedSample", "PopulationVector", "Sample",
+        "fixtures", "get_fixture", "load_csv", "load_paired_csv", "write_csv",
+    ),
+    "dists": ("normal_cdf", "normal_quantile", "t_cdf", "t_quantile"),
+    "resampling": (
+        "BootstrapReport", "DiagnosticsReport", "Histogram", "ResampleDistribution", "TestReport",
+        "bootstrap", "bootstrap_report", "diagnostics", "percentile_interval",
+        "shuffle_test", "shuffle_test_paired", "tail_probability",
+    ),
+    "rng": ("SeededGenerator", "SubstreamBlock", "mix64", "substream"),
+    "simulate": (
+        "BernoulliExperiment", "PollResult", "exact_binomial", "simulate_bernoulli", "simulate_poll",
+    ),
+    "spec": ("exact_shuffle_p",),
+    "worlds": (
+        "Hypothesis", "HypothesisSet", "TwoStageOutcomes", "WorldTableau", "parse_probability",
+        "posterior", "render_worlds", "sequential_update", "two_stage_grid",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "BernoulliExperiment",
-    "BootstrapReport",
-    "CalibratedDistribution",
-    "DiagnosticsReport",
-    "Fixture",
-    "GroupedSample",
-    "Histogram",
-    "Hypothesis",
-    "HypothesisSet",
-    "PairedSample",
-    "PollResult",
-    "PopulationVector",
-    "ResampleDistribution",
-    "Sample",
-    "SeededGenerator",
-    "SubstreamBlock",
-    "TestReport",
-    "TwoByTwo",
-    "TwoStageOutcomes",
-    "WorldTableau",
-    "bootstrap",
-    "bootstrap_report",
-    "calibrate_from_interval",
-    "calibrate_from_p",
-    "diagnostics",
-    "exact_binomial",
-    "exact_shuffle_p",
-    "fixtures",
-    "get_fixture",
-    "load_csv",
-    "load_paired_csv",
-    "mix64",
-    "normal_cdf",
-    "normal_quantile",
-    "odds_ratio",
-    "parse_probability",
-    "percentile_interval",
-    "posterior",
-    "probability_query",
-    "render_worlds",
-    "risk_ratio",
-    "sequential_update",
-    "shuffle_test",
-    "shuffle_test_paired",
-    "simulate_bernoulli",
-    "simulate_poll",
-    "substream",
-    "t_cdf",
-    "t_quantile",
-    "tail_probability",
-    "two_stage_grid",
-    "write_csv",
-]
+__all__ = ["__version__", *sorted(_MODULE_OF)]
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return __all__

@@ -123,6 +123,8 @@ def calibrate_from_interval(
     if log_scale:
         if low <= 0:
             raise ValueError("log-scale calibration needs positive bounds")
+        if estimate is not None and estimate <= 0:
+            raise ValueError(f"estimate {estimate:g} must be positive on the log scale")
         lo, hi = math.log(low), math.log(high)
     else:
         lo, hi = float(low), float(high)

@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import math
 import os
+import re
 import sys
 
 from . import __version__
@@ -36,23 +37,20 @@ from .data import (
     fixtures,
     get_fixture,
 )
-from .resampling import (
+from .spec import (
     CORRELATION_BIN_WIDTH,
     DEFAULT_BIN_WIDTH,
     DEFAULT_REPLICATES,
+    EVENTS,
     GROUP_STATS,
     SIDEDNESS,
     STAT_CORRELATION,
     STAT_MEAN,
     STAT_MEAN_DIFF,
-    bootstrap_report,
     check_bin_width,
     default_bin_width,
     exact_shuffle_p,
-    observed_statistic,
-    shuffle_test,
 )
-from .simulate import EVENTS, BernoulliExperiment, simulate_bernoulli, simulate_poll
 from .worlds import (
     HypothesisSet,
     parse_probability,
@@ -67,6 +65,10 @@ P_VALUE_LABEL = "p value (probability of data this extreme under the baseline hy
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
+
+
+def _percent(x: float) -> str:
+    return _fmt(100 * x) + "%"
 
 
 def _text(value) -> str:
@@ -220,6 +222,7 @@ def _cmd_shuffle_test(args, rep: Report) -> Report:
         args.bin_width = default_bin_width(args.stat)
     check_bin_width(args.bin_width)
     rep.echo(args, "stat", "sidedness", "n", "exact", "bin-width")
+    from .resampling import observed_statistic, shuffle_test
 
     if args.exact:
         if args.stat == STAT_CORRELATION:
@@ -255,6 +258,8 @@ def _cmd_bootstrap(args, rep: Report) -> Report:
     check_bin_width(args.bin_width)
     data = _load_input(rep, args.fixture, args.data, _parse_csv, args.value_column, args.group_column)
     bounds = _pair(args.bounds, "--bounds") if args.bounds else None
+    from .resampling import bootstrap_report
+
     result = bootstrap_report(
         data, args.stat, args.n, rep.seed, level=args.level, thresholds=args.threshold,
         tail_direction=args.tail_direction, scale_bounds=bounds, bin_width=args.bin_width,
@@ -269,7 +274,7 @@ def _cmd_bootstrap(args, rep: Report) -> Report:
     detail = f" ({result.description})" if result.description != dist.statistic else ""
     rep.add(f"  observed {dist.statistic}{detail}: {_fmt(dist.observed)}")
     lo, hi = result.interval
-    rep.add(f"  {args.level:.0%} percentile interval: {_fmt(lo)} to {_fmt(hi)}")
+    rep.add(f"  {_percent(args.level)} percentile interval: {_fmt(lo)} to {_fmt(hi)}")
     sign = ">=" if args.tail_direction == "ge" else ">"
     for threshold, prob in result.tail_probabilities:
         rep.add(
@@ -317,7 +322,7 @@ def _cmd_clip(args, rep: Report) -> Report:
         rep.echo(args, "ci", "level")
         if args.estimate is not None:
             rep.echo(args, "estimate")
-        source = f"{args.level:.0%} interval ({_fmt(low)}, {_fmt(high)})"
+        source = f"{_percent(args.level)} interval ({_fmt(low)}, {_fmt(high)})"
     elif args.p is not None:
         if args.estimate is None:
             raise ValueError("--p needs --estimate (and --null for ratio baselines)")
@@ -388,7 +393,10 @@ def _cmd_bayes(args, rep: Report) -> Report:
 
 
 def _cmd_montecarlo(args, rep: Report) -> Report:
-    experiment = BernoulliExperiment(args.trials, parse_probability(args.prob), args.event, args.count, args.runs)
+    prob = parse_probability(args.prob)
+    from .simulate import BernoulliExperiment, simulate_bernoulli
+
+    experiment = BernoulliExperiment(args.trials, prob, args.event, args.count, args.runs)
     estimate = simulate_bernoulli(experiment, rep.seed)
     exact = experiment.exact_probability()
     rep.echo(args, "trials", "prob", "event", "count", "runs")
@@ -409,6 +417,8 @@ def _cmd_poll(args, rep: Report) -> Report:
     if not args.fixture:
         population = PopulationVector(population.values)
     mode = "with-replacement" if args.mode == "with" else "without-replacement"
+    from .simulate import simulate_poll
+
     result = simulate_poll(population, args.sample_size, mode, args.polls, rep.seed)
     lo, hi = result.interval(args.level)
     rep.echo(args, "sample-size", "mode", "polls", "level")
@@ -416,8 +426,8 @@ def _cmd_poll(args, rep: Report) -> Report:
             f"{population.n} (true proportion {_fmt(population.proportion)})")
     rep.add(f"  poll proportions range: {_fmt(result.minimum)} to {_fmt(result.maximum)}")
     rep.add(
-        f"  {args.level:.0%} of polls fell between {_fmt(lo)} and {_fmt(hi)} "
-        f"(the {(1 - args.level) / 2:.1%} and {1 - (1 - args.level) / 2:.1%} percentiles)"
+        f"  {_percent(args.level)} of polls fell between {_fmt(lo)} and {_fmt(hi)} "
+        f"(the {_percent((1 - args.level) / 2)} and {_percent(1 - (1 - args.level) / 2)} percentiles)"
     )
     rep.add(f"  seed {rep.seed}")
     rep.csv("minimum", result.minimum)
@@ -465,6 +475,9 @@ SHARED = {
     "--out": dict(help="write the histogram CSV to this file"),
 }
 INPUT = ("--fixture", "--data", "--value-column")
+# Options whose LOW,HIGH value may begin with a minus sign.  argparse reads
+# "-2.1,5.3" as an option name, so ``main`` attaches such a value with "=".
+SIGNED_PAIRS = ("--ci", "--bounds")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -559,10 +572,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_signed_pairs(argv: list[str]) -> list[str]:
+    """``argv`` with each ``SIGNED_PAIRS`` option joined to a following value
+    that begins with "-" and a digit or "."."""
+    out = []
+    for token in argv:
+        if out and out[-1] in SIGNED_PAIRS and re.match(r"-[\d.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_signed_pairs(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -8,55 +8,33 @@ lanes to its statistic, row by row on C-contiguous rows, so the chunk size
 never changes a value, not even the float summation order.
 
 p-values count ties inclusively: two-sided p = #{|T*| >= |T_obs|} / N,
-one-sided variants count T* >= T_obs (or <=).
-
-The exact shuffle p (``exact_shuffle_p``) counts the same rule over all
-C(n, n1) splits without listing them.  The values are scaled to exact Python
-ints by their largest denominator (a power of two, since every double is a
-dyadic rational); the mean difference is then a monotone function of the
-first-group sum, so each test is a range of that sum; and a meet-in-the-middle
-count (Horowitz & Sahni, 1974) pairs the subset sums of the two halves of the
-rows, of subsets no larger than the smaller group, by bisection.  Its cap,
-``ENUMERATION_LIMIT``, counts those half-subset sums, not the splits: at most
-2^h + 2^(n-h) for h = n // 2, so 10^6 reaches 37 rows.
+one-sided variants count T* >= T_obs (or <=).  The statistic table, these
+rules and the exact shuffle p are in ``spec``, which needs no numpy.
 """
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import rng
 from .data import GroupedSample, PairedSample, Sample
-
-STAT_MEAN = "mean"
-STAT_MEAN_DIFF = "mean-diff"
-STAT_PROPORTION_DIFF = "proportion-diff"
-STAT_CORRELATION = "correlation"
-GROUP_STATS = (STAT_MEAN_DIFF, STAT_PROPORTION_DIFF)
-
-# The statistics each data kind takes; the first is the kind's default.
-STATISTICS = {
-    Sample: (STAT_MEAN,),
-    GroupedSample: GROUP_STATS,
-    PairedSample: (STAT_CORRELATION,),
-}
-_KIND_NAMES = {Sample: "one-sample", GroupedSample: "two-group", PairedSample: "paired"}
-# How reports describe each statistic; the {} are the two group names.
-_DESCRIPTIONS = {
-    STAT_MEAN: "mean",
-    STAT_MEAN_DIFF: "mean({}) - mean({})",
-    STAT_PROPORTION_DIFF: "proportion({}) - proportion({})",
-    STAT_CORRELATION: "pearson correlation of y against fixed x",
-}
-
-SIDEDNESS = ("two-sided", "greater", "less")
+from .spec import (
+    DEFAULT_BIN_WIDTH,
+    DEFAULT_REPLICATES,
+    STAT_CORRELATION,
+    STAT_MEAN,
+    STATISTICS,
+    _check_sidedness,
+    _describe,
+    _resolve,
+    check_bin_width,
+    default_bin_width,
+)
 
 # Diagnostics thresholds.  Skewness above 0.25 marks a resample distribution
 # as visibly lopsided (mild sampling noise at N=1000 stays well below this);
@@ -64,23 +42,11 @@ SIDEDNESS = ("two-sided", "greater", "less")
 SKEWNESS_FLAG_THRESHOLD = 0.25
 SMALL_SAMPLE_SIZE = 9
 
-DEFAULT_REPLICATES = 1000
-DEFAULT_BIN_WIDTH = 2.0
-CORRELATION_BIN_WIDTH = 0.05
-
-ENUMERATION_LIMIT = 10**6
-
 # Histograms refuse bin widths that could give more bins than this (reports
 # use well under 100).
 MAX_BINS = 10**4
 # Characters in the longest bar of a text histogram.
 HISTOGRAM_BAR_WIDTH = 50
-
-
-def check_bin_width(bin_width: float) -> None:
-    """Raise ValueError unless the histogram bin width is finite and > 0."""
-    if not (math.isfinite(bin_width) and bin_width > 0):
-        raise ValueError(f"bin width must be a finite number > 0, got {bin_width}")
 
 
 @dataclass(frozen=True)
@@ -275,42 +241,6 @@ def _paired_columns(data: PairedSample) -> tuple[np.ndarray, np.ndarray]:
     return unit(data.xs), unit(data.ys)
 
 
-def _resolve(caller: str, data, statistic: str | None, *kinds) -> str:
-    """The statistic ``caller`` computes on ``data``: ``statistic``, or the
-    default of the data's kind when it is None.  ``kinds`` are the data kinds
-    that ``caller`` takes; anything else is a ValueError."""
-    kind = next((k for k in kinds if isinstance(data, k)), None)
-    if kind is None:
-        accepted = " or ".join(_KIND_NAMES[k] for k in kinds)
-        got = f"{_KIND_NAMES[type(data)]} data" if type(data) in _KIND_NAMES else type(data).__name__
-        raise ValueError(f"{caller} needs {accepted} data, got {got}")
-    stats = STATISTICS[kind]
-    statistic = stats[0] if statistic is None else statistic
-    if statistic not in stats:
-        raise ValueError(
-            f"statistic {statistic!r} does not apply to {_KIND_NAMES[kind]} data; use one of {stats}"
-        )
-    if statistic == STAT_PROPORTION_DIFF and not set(data.values) <= {0.0, 1.0}:
-        raise ValueError("proportion-diff needs 0/1 values")
-    if statistic == STAT_CORRELATION:
-        if data.n < 3:
-            raise ValueError("need at least 3 pairs for a correlation test")
-        if len(set(data.xs)) == 1 or len(set(data.ys)) == 1:
-            raise ValueError("correlation undefined: a coordinate has zero variance")
-    return statistic
-
-
-def _describe(data, statistic: str) -> str:
-    """What ``statistic`` measures on ``data``, in the words of the reports."""
-    names = data.group_names if isinstance(data, GroupedSample) else ()
-    return _DESCRIPTIONS[statistic].format(*names)
-
-
-def _check_sidedness(sidedness: str) -> None:
-    if sidedness not in SIDEDNESS:
-        raise ValueError(f"sidedness must be one of {SIDEDNESS}, got {sidedness!r}")
-
-
 def observed_statistic(data, statistic: str | None = None) -> float:
     """The statistic evaluated on the real data (no resampling)."""
     statistic = _resolve("observed_statistic", data, statistic, *STATISTICS)
@@ -331,18 +261,13 @@ def observed_statistic(data, statistic: str | None = None) -> float:
 
 def _at_least_as_extreme(stat, observed, sidedness: str):
     """Whether ``stat`` is at least as extreme as ``observed`` (ties count),
-    elementwise on a float array; ``_extreme_bounds`` is the same rule on the
-    exact first-group sums."""
+    elementwise on a float array; ``spec._extreme_bounds`` is the same rule on
+    the exact first-group sums."""
     if sidedness == "two-sided":
         return abs(stat) >= abs(observed)
     if sidedness == "greater":
         return stat >= observed
     return stat <= observed
-
-
-def default_bin_width(statistic: str) -> float:
-    """The histogram bin width of a shuffle test of ``statistic``."""
-    return CORRELATION_BIN_WIDTH if statistic == STAT_CORRELATION else DEFAULT_BIN_WIDTH
 
 
 def shuffle_test(
@@ -402,122 +327,6 @@ def shuffle_test_paired(
 ) -> TestReport:
     """``shuffle_test`` of Pearson r on paired data."""
     return shuffle_test(data, STAT_CORRELATION, n_resamples, seed, sidedness, bin_width)
-
-
-def exact_shuffle_p(
-    data: GroupedSample,
-    statistic: str | None = None,
-    sidedness: str = "two-sided",
-) -> Fraction:
-    """Exact shuffle-test p over every way to split the rows, ties inclusive.
-
-    All C(n, n1) assignments of rows to the first group are equally likely
-    under shuffling.  They are counted, not listed:
-
-    * every stored double is a dyadic rational, so scaling by the largest
-      denominator D (a power of two) makes each value an exact Python int;
-    * with n1 and n fixed, n1·n2·(mean difference) = s1·n − T·n1 for the
-      scaled first-group sum s1 and total T, so "at least as extreme" is a
-      range of s1 (see ``_extreme_bounds``);
-    * meet in the middle (Horowitz & Sahni, 1974): the subset sums of each
-      half of the rows are listed by subset size, and for each left sum the
-      right sums of the complementary size that land in the range are
-      counted by bisection in the sorted right lists.  A split is named by
-      its smaller group, so only subsets of at most min(n1, n2) values are
-      listed.
-
-    ``ENUMERATION_LIMIT`` caps the number of half-subset sums listed, which
-    is the work done: at most 2^h + 2^(n−h) for h = n // 2, and far fewer
-    when one group is small.  It reaches 37 rows for any split.
-    """
-    _resolve("exact_shuffle_p", data, statistic, GroupedSample)
-    _check_sidedness(sidedness)
-    g1, _ = data.group_names
-    n = data.n
-    n1 = data.group_count(g1)
-    h = n // 2
-    smaller = min(n1, n - n1)
-    # Counted exactly up to _COUNT_PRINT_LIMIT, so past the cap whenever the
-    # true count is.
-    listed = sum(sum(_binomials(m, smaller, _COUNT_PRINT_LIMIT)) for m in (h, n - h))
-    if listed > ENUMERATION_LIMIT:
-        *_, splits = _binomials(n, smaller, _COUNT_PRINT_LIMIT)
-        raise ValueError(
-            f"exact count is capped at {ENUMERATION_LIMIT} half-subset sums; this data needs "
-            f"{_count_text(listed)} for C({n}, {n1}) = {_count_text(splits)} splits"
-        )
-    ratios = [v.as_integer_ratio() for v in data.values]
-    scale = max(den for _, den in ratios)
-    ints = [num * (scale // den) for num, den in ratios]
-    total = sum(ints)
-    observed = sum(v for v, g in zip(ints, data.groups) if g == g1)
-    if 2 * n1 > n:
-        # Name each split by the second group instead: its sum is total − s1,
-        # which reverses the one-sided tests and keeps the two-sided one.
-        n1, observed = n - n1, total - observed
-        sidedness = {"greater": "less", "less": "greater"}.get(sidedness, sidedness)
-    low, high = _extreme_bounds(observed, total, n1, n, sidedness)
-    right = [sorted(sums) for sums in _subset_sums_by_size(ints[h:], n1)]
-    hits = 0
-    for k, left in enumerate(_subset_sums_by_size(ints[:h], n1)):
-        sums = right[n1 - k]
-        for s in left:
-            if high is not None:
-                hits += len(sums) - bisect.bisect_left(sums, high - s)
-            if low is not None:
-                hits += bisect.bisect_right(sums, low - s)
-    return Fraction(hits, math.comb(n, n1))
-
-
-# Error messages print counts up to this size in full.  Past it, the exact
-# binomials would take seconds to compute for a million rows and could
-# exceed the interpreter's limit on int-to-str digits.
-_COUNT_PRINT_LIMIT = 10**18
-
-
-def _binomials(m: int, size: int, limit: int):
-    """C(m, 0), C(m, 1), ..., C(m, min(size, m)), stopping after the first
-    term above ``limit``."""
-    term = 1
-    for k in range(min(size, m) + 1):
-        yield term
-        if term > limit:
-            return
-        term = term * (m - k) // (k + 1)
-
-
-def _count_text(count: int) -> str:
-    return str(count) if count <= _COUNT_PRINT_LIMIT else "more than 10^18"
-
-
-def _subset_sums_by_size(values: list[int], max_size: int) -> list[list[int]]:
-    """Entry k lists the sums of all subsets of k values, for k <= max_size."""
-    by_size = [[0]]
-    for v in values:
-        if len(by_size) <= max_size:
-            by_size.append([])
-        for k in range(len(by_size) - 1, 0, -1):
-            by_size[k] += [s + v for s in by_size[k - 1]]
-    return by_size
-
-
-def _extreme_bounds(observed: int, total: int, n1: int, n: int, sidedness: str):
-    """(low, high): a first-group sum s1 is at least as extreme as the observed
-    one iff s1 <= low or s1 >= high (None: no bound on that side).
-
-    n1·n2·(mean difference) = s1·n − total·n1 increases with s1, so the
-    one-sided tests compare s1 with the observed sum, and the two-sided test
-    keeps |s1·n − total·n1| >= a, the observed distance, as an integer floor
-    and ceiling.  The two ranges never overlap: with a = 0 they would share
-    s1 = total·n1/n, so high is at least low + 1 and every split counts once.
-    """
-    if sidedness == "greater":
-        return None, observed
-    if sidedness == "less":
-        return observed, None
-    a = abs(observed * n - total * n1)
-    low = (total * n1 - a) // n
-    return low, max(-((-(total * n1 + a)) // n), low + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ import numpy as np
 from . import rng
 from .data import PopulationVector
 from .resampling import _eq_by_fields, _read_only, percentile_interval
+from .spec import EVENTS
 
-EVENTS = ("exactly", "at-least", "at-most")
 POLL_MODES = ("with-replacement", "without-replacement")
 
 

@@ -19,7 +19,6 @@ from resamplekit.data import GroupedSample, get_fixture
 from resamplekit.resampling import (
     bootstrap,
     diagnostics,
-    exact_shuffle_p,
     percentile_interval,
     shuffle_test,
     tail_probability,
@@ -30,6 +29,7 @@ from resamplekit.simulate import (
     simulate_bernoulli,
     simulate_poll,
 )
+from resamplekit.spec import exact_shuffle_p
 from resamplekit.worlds import (
     HypothesisSet,
     posterior,

@@ -256,3 +256,9 @@ def test_prob_between_keeps_its_relative_accuracy_in_either_tail(family, df):
         else:
             want = ref.cdf(z(high)) - ref.cdf(z(low))
         assert dist.prob_between(low, high) == pytest.approx(want, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("estimate", [-1, 0])
+def test_log_scale_interval_needs_a_positive_estimate(estimate):
+    with pytest.raises(ValueError, match=f"estimate {estimate} must be positive on the log scale"):
+        calibrate_from_interval(1, 2, estimate=estimate, log_scale=True)

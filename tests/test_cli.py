@@ -269,13 +269,13 @@ def _one_error_line(code, out, err):
 
 
 def test_non_finite_bin_width_is_refused_before_drawing(capsys, monkeypatch):
-    import resamplekit.cli as cli
+    from resamplekit import resampling
 
     def no_draws(*args, **kwargs):
         raise AssertionError("replicates drawn for an invalid bin width")
 
-    monkeypatch.setattr(cli, "bootstrap_report", no_draws)
-    monkeypatch.setattr(cli, "shuffle_test", no_draws)
+    monkeypatch.setattr(resampling, "bootstrap_report", no_draws)
+    monkeypatch.setattr(resampling, "shuffle_test", no_draws)
     for width in ("nan", "inf", "0", "-2"):
         result = run(capsys, "bootstrap", "--fixture", "veg9", f"--bin-width={width}")
         assert _one_error_line(*result), (width, result)
@@ -556,3 +556,69 @@ def test_the_population_fixture_is_refused_as_one_for_poll(capsys, command):
     result = run(capsys, command, "--fixture", "poll500", "--n", "20")
     assert _one_error_line(*result), result
     assert result[2] == "error: fixture 'poll500' is a 0/1 population, for poll only\n"
+
+
+@pytest.mark.parametrize("level, percent", [("0.975", "97.5%"), ("0.999", "99.9%")])
+def test_interval_levels_are_printed_with_their_own_digits(capsys, level, percent):
+    code, out, _ = run(capsys, "bootstrap", "--fixture", "veg9", "--n", "50", "--level", level)
+    assert code == 0 and f"  {percent} percentile interval: " in out
+    code, out, _ = run(capsys, "clip", "--ci", "49,72", "--level", level)
+    assert code == 0 and f"calibrated normal model from {percent} interval (49, 72)" in out
+    code, out, _ = run(capsys, "poll", "--fixture", "poll500", "--sample-size", "20", "--polls", "50",
+                       "--level", level)
+    tails = {"0.975": "(the 1.25% and 98.75% percentiles)", "0.999": "(the 0.05% and 99.95% percentiles)"}
+    assert code == 0 and f"  {percent} of polls fell between " in out and tails[level] in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("clip", "--ci", "-2.1,5.3"),
+    ("clip", "--ci", "-2.1,-0.5", "--query", "gt -1"),
+    ("bootstrap", "--fixture", "veg6", "--n", "50", "--bounds", "-100,100"),
+    ("bootstrap", "--fixture", "veg6", "--n", "50", "--bounds", "-.5,100"),
+])
+def test_a_negative_interval_end_may_follow_its_option(capsys, argv):
+    *head, option, value = argv
+    spaced = run(capsys, *argv)
+    assert spaced[0] == 0
+    assert spaced == run(capsys, *head, f"{option}={value}")
+
+
+def test_values_that_begin_with_a_minus_sign_stay_what_they_were(capsys):
+    code, _, err = run(capsys, "clip", "--ci", "--query", "gt 0")
+    assert code == 2 and "argument --ci: expected one argument" in err
+    code, out, _ = run(capsys, "bootstrap", "--fixture", "veg9", "--n", "50", "--threshold", "-5")
+    assert code == 0 and "population mean >= -5: 1" in out
+    code, out, _ = run(capsys, "clip", "--ci", "-2,1", "--estimate", "-0.5")
+    assert code == 0 and "estimate=-0.5" in out
+
+
+@pytest.mark.parametrize("estimate", ["-1", "0"])
+def test_log_scale_needs_a_positive_estimate(capsys, estimate):
+    result = run(capsys, "clip", "--ci", "1,2", "--estimate", estimate, "--log-scale")
+    assert _one_error_line(*result)
+    assert result[2] == f"error: estimate {estimate} must be positive on the log scale\n"
+
+
+# Each subcommand here draws nothing (or refuses its arguments before it
+# would), so it must not wait for numpy to import.
+NUMPY_FREE_ARGVS = [
+    ("clip", "--ci", "49,72", "--query", "gt 50"),
+    ("clip", "--p", "0.04", "--estimate", "0.88", "--null", "1", "--query", "lt 1"),
+    ("clip", "--two-by-two", "4,6,8,2"),
+    ("clip", "--ci", "-2.1,5.3"),
+    ("bayes", "--hypothesis", "guessing:3/4:1/50", "--hypothesis", "telepathy:1/4:1", "--worlds",
+     "--update", "1/50,1"),
+    ("fixtures",),
+    ("montecarlo", "--trials", "8", "--prob", "1/0", "--count", "4"),
+    ("bootstrap", "--fixture", "veg9", "--bin-width", "nan"),
+]
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE_ARGVS, ids=" ".join)
+def test_subcommands_that_draw_nothing_never_import_numpy(argv):
+    child = "import sys; from resamplekit.cli import main; code = main(); print('numpy' in sys.modules); sys.exit(code)"
+    proc = subprocess.run(
+        [sys.executable, "-c", child, *argv], capture_output=True, text=True, env=_cli_env(),
+    )
+    assert proc.returncode in (0, 1), proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -13,14 +13,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from resamplekit import resampling, rng
+from resamplekit import resampling, rng, spec
 from resamplekit.data import GroupedSample, PairedSample, Sample, get_fixture
 from resamplekit.resampling import (
     Histogram,
     bootstrap,
     bootstrap_report,
     diagnostics,
-    exact_shuffle_p,
     observed_statistic,
     percentile_interval,
     shuffle_test,
@@ -28,6 +27,7 @@ from resamplekit.resampling import (
     tail_probability,
 )
 from resamplekit.rng import substream
+from resamplekit.spec import exact_shuffle_p
 
 VEG6 = get_fixture("veg6").payload
 VEG9 = get_fixture("veg9").payload
@@ -64,7 +64,7 @@ def test_exact_one_row_per_group():
 
 
 def test_exact_enumeration_cap(monkeypatch):
-    monkeypatch.setattr(resampling, "ENUMERATION_LIMIT", 1000)
+    monkeypatch.setattr(spec, "ENUMERATION_LIMIT", 1000)
     rows = [(float(i), "a" if i % 2 else "b") for i in range(40)]
     with pytest.raises(ValueError, match="capped"):
         exact_shuffle_p(GroupedSample.from_rows(rows))
@@ -208,9 +208,9 @@ def test_exact_cap_counts_the_half_subset_sums_listed(monkeypatch):
     # 10 rows split 5/5: 2^5 + 2^5 = 64 half-subset sums, for C(10, 5) = 252 splits.
     data = GroupedSample([float(i) for i in range(10)], ["a", "b"] * 5)
     uncapped = exact_shuffle_p(data)
-    monkeypatch.setattr(resampling, "ENUMERATION_LIMIT", 64)
+    monkeypatch.setattr(spec, "ENUMERATION_LIMIT", 64)
     assert exact_shuffle_p(data) == uncapped
-    monkeypatch.setattr(resampling, "ENUMERATION_LIMIT", 63)
+    monkeypatch.setattr(spec, "ENUMERATION_LIMIT", 63)
     with pytest.raises(ValueError, match="capped") as err:
         exact_shuffle_p(data)
     assert "needs 64 for C(10, 5) = 252 splits" in str(err.value)
@@ -230,7 +230,7 @@ def test_exact_p_lists_no_subset_larger_than_the_smaller_group(monkeypatch):
     # for C(40, 2) = 780 splits, where an even split would need 2^20 + 2^20.
     rng = random.Random(40)
     values = [rng.randint(-9, 9) / 10 for _ in range(40)]
-    monkeypatch.setattr(resampling, "ENUMERATION_LIMIT", 422)
+    monkeypatch.setattr(spec, "ENUMERATION_LIMIT", 422)
     for groups in (["a"] * 2 + ["b"] * 38, ["a"] * 38 + ["b"] * 2):
         data = GroupedSample(values, groups)
         for sidedness in ("two-sided", "greater", "less"):
@@ -749,7 +749,7 @@ PAIRS = PairedSample((1, 2, 3, 4, 5, 6, 7), (2, 1, 4, 3, 7, 5, 6))
 
 def test_each_kind_defaults_to_the_first_statistic_of_its_table_entry():
     for data, kind in ((VEG9, Sample), (VEG6, GroupedSample), (PAIRS, PairedSample)):
-        default = resampling.STATISTICS[kind][0]
+        default = spec.STATISTICS[kind][0]
         assert observed_statistic(data) == observed_statistic(data, default)
     assert bootstrap(VEG6, n_resamples=5).statistic == "mean-diff"
     assert shuffle_test(PAIRS, n_resamples=5).statistic == "correlation"
@@ -790,5 +790,5 @@ def test_shuffle_test_of_pairs_is_the_paired_shuffle_test(scalar_oracle):
         paired = run(lambda: shuffle_test_paired(PAIRS, n_resamples=300, seed=9, sidedness="greater"))
         assert merged == paired
         assert merged.distribution.array.tobytes() == paired.distribution.array.tobytes()
-        assert merged.histogram.bin_width == resampling.CORRELATION_BIN_WIDTH
+        assert merged.histogram.bin_width == spec.CORRELATION_BIN_WIDTH
         assert merged.description == "pearson correlation of y against fixed x"
