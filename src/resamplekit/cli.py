@@ -1,10 +1,15 @@
 """Command-line entry point.
 
-Every report embeds a run manifest (command, all options, seed, replicate
-count, library version, input digest): two runs with equal manifests print
+Every report embeds a run manifest (command, input digest, options,
+replicate count, seed, library version): two runs with equal manifests print
 byte-identical reports, and the seed is always visible, so a result can be
-audited or reproduced exactly.  Exit codes: 0 success, 1 data or domain
-error, 2 usage error.
+audited or reproduced exactly.  The manifest's options are every option the
+subcommand takes, except --seed, --fixture and --data, which it prints as
+``seed`` and ``input``.  Each is spelled in full, as the parser accepts it
+(abbreviations are refused), with its value as parsed, before any default is
+resolved: ``stat=-`` means "the data kind's default", which the report body
+names.  Floats print with ``repr``, so they read back exactly.  Exit codes:
+0 success, 1 data or domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ from .spec import (
     STAT_MEAN,
     STAT_MEAN_DIFF,
     check_bin_width,
-    default_bin_width,
     exact_shuffle_p,
 )
 from .worlds import (
@@ -68,12 +72,17 @@ def _fmt(x: float) -> str:
 
 
 def _percent(x: float) -> str:
-    return _fmt(100 * x) + "%"
+    """100·x as a percentage with 6 significant digits, or with up to 17
+    where fewer would print a level short of 1 as 100%."""
+    digits = 6
+    while x < 1 and f"{100 * x:.{digits}g}" == "100" and digits < 17:
+        digits += 1
+    return f"{100 * x:.{digits}g}%"
 
 
-def _text(value) -> str:
-    """How a manifest option or csv value is printed: floats to 6 significant
-    digits, flags as true/false, an absent value (None, empty) as '-'.
+def _text(value, number=_fmt) -> str:
+    """How a csv value or manifest option is printed: floats through
+    ``number``, flags as true/false, an absent value (None, empty) as '-'.
     Numbers in a list are joined by commas, texts by semicolons, since the
     texts of list options may hold commas themselves."""
     if value is None or isinstance(value, (str, list)) and not value:
@@ -81,9 +90,9 @@ def _text(value) -> str:
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):
-        return _fmt(value)
+        return number(value)
     if isinstance(value, list):
-        return (";" if isinstance(value[0], str) else ",").join(map(_text, value))
+        return (";" if isinstance(value[0], str) else ",").join(_text(item, number) for item in value)
     return str(value)
 
 
@@ -151,12 +160,12 @@ def _load_input(rep, fixture, data, parse, *columns):
 class Report:
     """Collects body lines, csv rows, the manifest and an optional histogram."""
 
-    def __init__(self, command: str, seed=None, replicates=None):
+    def __init__(self, command: str, options: str, seed=None, replicates=None):
         self.command = command
         self.input_id = "-"
+        self.options = options
         self.seed = seed
         self.replicates = replicates
-        self.options: dict[str, str] = {}
         self.lines: list[str] = []
         self.csv_rows: list[str] = []
         self.histogram = None
@@ -167,19 +176,11 @@ class Report:
     def csv(self, key: str, value) -> None:
         self.csv_rows.append(f"{key},{_text(value)}")
 
-    def option(self, key: str, value) -> None:
-        self.options[key] = _text(value)
-
-    def echo(self, args, *keys: str) -> None:
-        """Manifest options whose values are the parsed arguments of those names."""
-        for key in keys:
-            self.option(key, getattr(args, key.replace("-", "_")))
-
     def manifest_items(self) -> list[tuple[str, str]]:
         return [
             ("command", self.command),
             ("input", self.input_id),
-            ("options", " ".join(f"{k}={v}" for k, v in sorted(self.options.items()))),
+            ("options", self.options),
             ("replicates", _text(self.replicates)),
             ("seed", _text(self.seed)),
             ("version", __version__),
@@ -218,10 +219,8 @@ def _cmd_shuffle_test(args, rep: Report) -> Report:
         if not isinstance(data, GroupedSample):
             raise ValueError(f"{args.stat} needs two-group data (pass --group-column with --data)")
 
-    if args.bin_width is None:
-        args.bin_width = default_bin_width(args.stat)
-    check_bin_width(args.bin_width)
-    rep.echo(args, "stat", "sidedness", "n", "exact", "bin-width")
+    if args.bin_width is not None:
+        check_bin_width(args.bin_width)
     from .resampling import observed_statistic, shuffle_test
 
     if args.exact:
@@ -265,9 +264,6 @@ def _cmd_bootstrap(args, rep: Report) -> Report:
         tail_direction=args.tail_direction, scale_bounds=bounds, bin_width=args.bin_width,
     )
     dist = result.distribution
-    rep.option("stat", dist.statistic)
-    rep.option("thresholds", args.threshold)
-    rep.echo(args, "level", "n", "tail-direction", "bounds", "bin-width")
     rep.histogram = result.histogram
 
     rep.add(f"bootstrap ({dist.statistic})")
@@ -306,7 +302,6 @@ def _cmd_clip(args, rep: Report) -> Report:
         usage = f"--two-by-two needs four whole-number counts, got {args.two_by_two!r}"
         counts = _split(args.two_by_two, 4, usage, int)
         table = TwoByTwo(*counts)
-        rep.echo(args, "two-by-two")
         rep.add(f"2x2 table: {counts[0]}/{counts[1]} events/non-events vs {counts[2]}/{counts[3]}")
         for name, ratio in (("odds", odds_ratio(table)), ("risk", risk_ratio(table))):
             rep.add(f"  {name} ratio: {_fmt(ratio)}")
@@ -319,20 +314,14 @@ def _cmd_clip(args, rep: Report) -> Report:
         dist = calibrate_from_interval(
             low, high, level=args.level, family=family, df=df, estimate=args.estimate, log_scale=args.log_scale
         )
-        rep.echo(args, "ci", "level")
-        if args.estimate is not None:
-            rep.echo(args, "estimate")
         source = f"{_percent(args.level)} interval ({_fmt(low)}, {_fmt(high)})"
     elif args.p is not None:
         if args.estimate is None:
             raise ValueError("--p needs --estimate (and --null for ratio baselines)")
         dist = calibrate_from_p(args.estimate, args.p, args.null, family=family, df=df, log_scale=args.log_scale)
-        rep.echo(args, "p", "estimate", "null")
         source = f"p={_fmt(args.p)} at estimate {_fmt(args.estimate)} (baseline {_fmt(args.null)})"
     else:
         raise ValueError("give either --ci LOW,HIGH or --p P --estimate E")
-    rep.option("family", family + (f"(df={df})" if family == "t" else ""))
-    rep.echo(args, "log-scale")
 
     rep.add(f"calibrated {family} model from {source}")
     scale_note = " on ln(theta)" if dist.log_scale else ""
@@ -352,7 +341,6 @@ def _cmd_bayes(args, rep: Report) -> Report:
     if args.two_stage:
         usage = "--two-stage needs P_FIRST,P_SECOND_GIVEN_FIRST,P_SECOND_GIVEN_NOT_FIRST"
         grid = two_stage_grid(*_split(args.two_stage, 3, usage))
-        rep.echo(args, "two-stage")
         rep.add("two-stage outcomes (exact):")
         for name in ("both", "first only", "second only", "neither"):
             key = name.replace(" ", "_")
@@ -369,7 +357,6 @@ def _cmd_bayes(args, rep: Report) -> Report:
         _split(spec, 3, f"--hypothesis needs NAME:PRIOR:LIKELIHOOD, got {spec!r}", sep=":")
         for spec in args.hypothesis
     ])
-    rep.echo(args, "hypothesis", "worlds", "update")
 
     rep.add("hypotheses (prior, likelihood of the data):")
     for h in hset.hypotheses:
@@ -399,7 +386,6 @@ def _cmd_montecarlo(args, rep: Report) -> Report:
     experiment = BernoulliExperiment(args.trials, prob, args.event, args.count, args.runs)
     estimate = simulate_bernoulli(experiment, rep.seed)
     exact = experiment.exact_probability()
-    rep.echo(args, "trials", "prob", "event", "count", "runs")
     rep.add(
         f"bernoulli experiment: {args.trials} trials at success probability "
         f"{experiment.success_probability}, event '{args.event} {args.count}'"
@@ -421,7 +407,6 @@ def _cmd_poll(args, rep: Report) -> Report:
 
     result = simulate_poll(population, args.sample_size, mode, args.polls, rep.seed)
     lo, hi = result.interval(args.level)
-    rep.echo(args, "sample-size", "mode", "polls", "level")
     rep.add(f"{args.polls} simulated polls of {args.sample_size} electors ({mode}) from a population of "
             f"{population.n} (true proportion {_fmt(population.proportion)})")
     rep.add(f"  poll proportions range: {_fmt(result.minimum)} to {_fmt(result.maximum)}")
@@ -445,7 +430,6 @@ def _cmd_fixtures(args, rep: Report) -> Report:
             rep.csv(fixture.name, fixture.description)
         return rep
     fixture = get_fixture(args.name)
-    rep.echo(args, "name")
     rep.add(f"{fixture.name}: {fixture.description}")
     payload = fixture.payload
     if isinstance(payload, GroupedSample):
@@ -478,11 +462,15 @@ INPUT = ("--fixture", "--data", "--value-column")
 # Options whose LOW,HIGH value may begin with a minus sign.  argparse reads
 # "-2.1,5.3" as an option name, so ``main`` attaches such a value with "=".
 SIGNED_PAIRS = ("--ci", "--bounds")
+# Namespace entries that are no manifest options: the seed and the input have
+# manifest lines of their own, and the rest are the parser's bookkeeping.
+NOT_OPTIONS = {"seed", "fixture", "data", "command", "func", "replicates_option"}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="resamplekit",
+        allow_abbrev=False,
         description=(
             "Deterministic resampling inference: shuffle tests, bootstrap "
             "confidence distributions, probability calibration and exact Bayes. "
@@ -496,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
         """Adds a subcommand with --format and the ``shared`` options, whose
         replicate count is the option ``replicates``; returns its
         ``add_argument`` for the options of its own."""
-        sp = sub.add_parser(name, help=help)
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)
         for option in shared:
             sp.add_argument(option, **SHARED[option])
         sp.add_argument("--format", choices=("text", "csv"), default="text")
@@ -593,7 +581,11 @@ def main(argv=None) -> int:
     try:
         seed = _seed(args) if "seed" in args else None
         replicates = getattr(args, args.replicates_option) if args.replicates_option else None
-        rep = args.func(args, Report(args.command, seed, replicates))
+        options = " ".join(
+            f"{key.replace('_', '-')}={_text(value, repr)}"
+            for key, value in sorted(vars(args).items()) if key not in NOT_OPTIONS
+        )
+        rep = args.func(args, Report(args.command, options, seed, replicates))
         print(rep.emit(args.format, getattr(args, "out", None)), flush=True)
     except BrokenPipeError:
         # The reader of stdout has gone; point stdout at devnull so that the

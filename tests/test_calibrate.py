@@ -262,3 +262,14 @@ def test_prob_between_keeps_its_relative_accuracy_in_either_tail(family, df):
 def test_log_scale_interval_needs_a_positive_estimate(estimate):
     with pytest.raises(ValueError, match=f"estimate {estimate} must be positive on the log scale"):
         calibrate_from_interval(1, 2, estimate=estimate, log_scale=True)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_estimate_or_baseline_is_refused_by_name(value):
+    for log_scale in (False, True):
+        with pytest.raises(ValueError, match=f"^estimate must be a finite number, got {value}$"):
+            calibrate_from_interval(1, 2, estimate=value, log_scale=log_scale)
+        with pytest.raises(ValueError, match=f"^estimate must be a finite number, got {value}$"):
+            calibrate_from_p(value, 0.05, 1.0, log_scale=log_scale)
+        with pytest.raises(ValueError, match=f"^null_value must be a finite number, got {value}$"):
+            calibrate_from_p(2.0, 0.05, value, log_scale=log_scale)

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import resamplekit
-from resamplekit.cli import main
+from resamplekit.cli import build_parser, main
 from resamplekit.resampling import observed_statistic
 
 SUBCOMMANDS = ("shuffle-test", "bootstrap", "clip", "bayes", "montecarlo", "poll", "fixtures")
@@ -75,6 +76,66 @@ def test_manifest_embedded(capsys):
     assert "version: 0.1.0" in out
 
 
+def _manifest(out: str) -> dict:
+    """The run manifest of a text or csv report, as {key: value}."""
+    if "\nrun manifest:\n" in out:
+        lines = out.split("\nrun manifest:\n", 1)[1].splitlines()
+        return dict(line.strip().split(": ", 1) for line in lines)
+    return dict(row.split(",", 1) for row in out.splitlines()[:6])
+
+
+COLUMNS_CSV = "a,b,c,g,h\n1,9,2,u,u\n5,3,4,u,v\n7,4,9,u,u\n3,8,1,v,v\n4,1,6,v,u\n6,2,5,v,v\n"
+
+# Pairs of runs that share an argv and differ in one option the report may depend on.
+ONE_OPTION_APART = [
+    ("bootstrap --data cols.csv --n 50", "--value-column a", "--value-column b"),
+    ("bootstrap --data cols.csv --n 50 --value-column a", "--group-column g", "--group-column h"),
+    ("shuffle-test --data cols.csv --stat correlation --n 50 --y-column c", "--x-column a", "--x-column b"),
+    ("shuffle-test --data cols.csv --stat correlation --n 50 --x-column a", "--y-column b", "--y-column c"),
+    ("bootstrap --fixture veg9 --n 50", "--threshold 50", "--threshold 50.0000001"),
+    ("clip --ci 49,72", "--query 'gt 50'", "--query 'gt 60'"),
+    ("bootstrap --fixture veg9 --n 50", "--bin-width 2", "--bin-width 2.0000001"),
+    ("shuffle-test --fixture veg6 --n 50", "--out h1.csv", "--out h2.csv"),
+    ("clip --ci 49,72", "--format text", "--format csv"),
+]
+
+
+@pytest.mark.parametrize("common, first, second", ONE_OPTION_APART, ids=lambda text: text)
+def test_runs_one_option_apart_print_different_manifests(capsys, monkeypatch, tmp_path, common, first, second):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cols.csv").write_text(COLUMNS_CSV)
+    manifests = []
+    for option in (first, second):
+        code, out, err = run(capsys, *shlex.split(f"{common} {option}"))
+        assert code == 0 and err == "", (option, err)
+        manifests.append(_manifest(out))
+    assert manifests[0] != manifests[1]
+
+
+# A short argv that each subcommand answers with a report.
+REPORTING_ARGVS = {
+    "shuffle-test": ("--fixture", "veg6", "--n", "20"),
+    "bootstrap": ("--fixture", "veg9", "--n", "20"),
+    "clip": ("--ci", "49,72"),
+    "bayes": ("--hypothesis", "a:1/2:1/3", "--hypothesis", "b:1/2:1"),
+    "montecarlo": ("--trials", "8", "--count", "3", "--runs", "20"),
+    "poll": ("--fixture", "poll500", "--sample-size", "5", "--polls", "20"),
+    "fixtures": (),
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_the_manifest_records_every_option_the_subcommand_declares(capsys, command):
+    subparsers = next(action for action in build_parser()._actions if action.dest == "command")
+    declared = {
+        name[2:] for action in subparsers.choices[command]._actions
+        for name in action.option_strings if name.startswith("--")
+    }
+    code, out, _ = run(capsys, command, *REPORTING_ARGVS[command])
+    recorded = {item.split("=", 1)[0] for item in _manifest(out)["options"].split()}
+    assert code == 0 and recorded == declared - {"seed", "fixture", "data", "help"}
+
+
 def test_file_input_digest_in_manifest(capsys, tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("value\n1\n2\n3\n4\n")
@@ -115,7 +176,7 @@ def test_histogram_out_file(capsys, tmp_path):
     )
     content = target.read_text()
     assert content.startswith("bin_center,count\n")
-    assert "histogram" not in out  # written to the file instead
+    assert "histogram (bin width" not in out  # written to the file instead
 
 
 def test_clip_interval_query(capsys):
@@ -511,7 +572,7 @@ def test_fixture_dump_in_csv_has_the_rows_of_the_text_dump(capsys, name, header)
     _, text, _ = run(capsys, "fixtures", "--name", name)
     code, out, err = run(capsys, "fixtures", "--name", name, "--format", "csv")
     assert code == 0 and err == ""
-    assert f"\noptions,name={name}\n" in out
+    assert f"\noptions,format=csv name={name}\n" in out
     table = out.split("\n\n", 1)[1].splitlines()
     assert table == text.split("\n\n", 1)[0].splitlines()[1:]
     assert table[0] == header and len(table) == resamplekit.get_fixture(name).payload.n + 1
@@ -558,7 +619,9 @@ def test_the_population_fixture_is_refused_as_one_for_poll(capsys, command):
     assert result[2] == "error: fixture 'poll500' is a 0/1 population, for poll only\n"
 
 
-@pytest.mark.parametrize("level, percent", [("0.975", "97.5%"), ("0.999", "99.9%")])
+@pytest.mark.parametrize(
+    "level, percent", [("0.95", "95%"), ("0.975", "97.5%"), ("0.999", "99.9%"), ("0.9999999", "99.99999%")]
+)
 def test_interval_levels_are_printed_with_their_own_digits(capsys, level, percent):
     code, out, _ = run(capsys, "bootstrap", "--fixture", "veg9", "--n", "50", "--level", level)
     assert code == 0 and f"  {percent} percentile interval: " in out
@@ -566,7 +629,12 @@ def test_interval_levels_are_printed_with_their_own_digits(capsys, level, percen
     assert code == 0 and f"calibrated normal model from {percent} interval (49, 72)" in out
     code, out, _ = run(capsys, "poll", "--fixture", "poll500", "--sample-size", "20", "--polls", "50",
                        "--level", level)
-    tails = {"0.975": "(the 1.25% and 98.75% percentiles)", "0.999": "(the 0.05% and 99.95% percentiles)"}
+    tails = {
+        "0.95": "(the 2.5% and 97.5% percentiles)",
+        "0.975": "(the 1.25% and 98.75% percentiles)",
+        "0.999": "(the 0.05% and 99.95% percentiles)",
+        "0.9999999": "(the 5e-06% and 99.999995% percentiles)",
+    }
     assert code == 0 and f"  {percent} of polls fell between " in out and tails[level] in out
 
 
@@ -581,6 +649,18 @@ def test_a_negative_interval_end_may_follow_its_option(capsys, argv):
     spaced = run(capsys, *argv)
     assert spaced[0] == 0
     assert spaced == run(capsys, *head, f"{option}={value}")
+
+
+@pytest.mark.parametrize("argv", [
+    ("clip", "--c", "-2.1,5.3"),
+    ("bootstrap", "--fixture", "veg6", "--bou", "-1,100"),
+    ("bootstrap", "--fixture", "veg6", "--thr", "50"),
+])
+def test_abbreviated_options_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert code == 2 and out == "" and len(errors) == 1, err
+    assert errors[0].endswith("unrecognized arguments: " + " ".join(argv[-2:]))
 
 
 def test_values_that_begin_with_a_minus_sign_stay_what_they_were(capsys):

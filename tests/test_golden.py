@@ -61,16 +61,16 @@ def cli_stdout(argv: list[str], capsys) -> bytes:
 
 
 README_PINS = {
-    "shuffle-test --fixture veg6 --stat mean-diff --exact": "f641e3fcceb2487538eb9426a37d0488a566e70f018e84188232840832a4c9d4",
-    "shuffle-test --fixture veg6 --stat mean-diff --n 100000 --seed 0": "b84b2d996b18e0c1688093471f39e310f4f532836447675c68a8081b8346b9fb",
-    "bootstrap --fixture veg9 --threshold 50 --bounds 0,100": "8b6dc9efed67939d8fe15143b0481e96daa72ad5e015b9ae971152e1d6bf2821",
-    'clip --ci 49,72 --query "gt 50"': "5cb9a8cc2d84300e69f0f7d6b8d4088b499de88fd50c9c3a95df9ffc18aa209e",
-    'clip --p 0.04 --estimate 0.88 --null 1 --query "lt 1"': "684926e963b0ee1daf0ec556072bf155b7953d95090288366c5247efa0691e77",
-    "clip --two-by-two 4,6,8,2": "cb890cf56d0294c2e3fb8dc46f95574c3a143d41bb7e3ca8e56125b45665729a",
-    "bayes --hypothesis guessing:3/4:1/50 --hypothesis telepathy:1/4:1 --worlds --update 1/50,1": "49144b33359ecbefa230365656031133041b7f2a71021dc09484831893683c7a",
-    "montecarlo --trials 8 --prob 1/2 --event exactly --count 4 --runs 1000": "76e374f55e08d85f949eae8053bce23a8dedd778ba60aed8ac20e874f06b337a",
-    "poll --fixture poll500 --sample-size 20 --polls 1000": "86f6fcece60b6f21f17d587a07bb756bbc6da0c86d37034a22f49183907eb483",
-    "fixtures": "9a86c2b777221c6233bfe12252f5908ddc6fc5571cc27c4ccc13145a22a645be",
+    "shuffle-test --fixture veg6 --stat mean-diff --exact": "bc3f22200f9ebe8a3ddf359d0b807a788faf3993a6d799465b1e24a065b099d3",
+    "shuffle-test --fixture veg6 --stat mean-diff --n 100000 --seed 0": "ce900ad711c5487e7f5e7dbca3e6c4a8af4f4a4f5f5f3364cc691b823e6538ae",
+    "bootstrap --fixture veg9 --threshold 50 --bounds 0,100": "31e1ed417ac3d36403557385be0eda65c15fd8be9c8f912b99da43316e91bcf3",
+    'clip --ci 49,72 --query "gt 50"': "a9c5e2e43ca5ce1bb9a06e69c3391f320f3d5b57e32be99c811e39ff90e2883a",
+    'clip --p 0.04 --estimate 0.88 --null 1 --query "lt 1"': "5d88fa9ccedbe87b928c097e8f238f318328c4a900d64a7945d52b8a00f6809a",
+    "clip --two-by-two 4,6,8,2": "6ae5d6b5adf5b3acff3d9c031d0e364bcb53a813f28017180532891c0e49ddb5",
+    "bayes --hypothesis guessing:3/4:1/50 --hypothesis telepathy:1/4:1 --worlds --update 1/50,1": "a28a9b19301df35a896ffc4ad1c2c0896c28d079460fb4cd69dc44126a99ab46",
+    "montecarlo --trials 8 --prob 1/2 --event exactly --count 4 --runs 1000": "50652ca1c7e992073665beb92f5834c654161ee45a376fe4620f5c81607cecb2",
+    "poll --fixture poll500 --sample-size 20 --polls 1000": "d0acfe769ed8d74ab8b39050945e7c550d9830a03f8d55e0f687d7ff418e02ca",
+    "fixtures": "24128378a38aec24e3736e88e283d2b3ec2fe0fd9539e7d7e5f45c38bb64976e",
 }
 
 # Runs that no README line covers: a paired correlation test on integer data
@@ -79,12 +79,12 @@ README_PINS = {
 EXTRA_CLI = {
     "paired-correlation": (
         ["shuffle-test", "--data", "pairs.csv", "--stat", "correlation", "--n", "2000", "--seed", "7"],
-        "37984a870b3d4087dfd485c1f4ffbc7657e8405c1d0a19a4922defbe38eafac6",
+        "c28ff4163bcb2d4cda0cc2659925b767bbe0d13fd4a55645173e854de90d571d",
     ),
     "grouped-bootstrap-csv": (
         ["bootstrap", "--fixture", "veg6", "--threshold", "0", "--bounds=-100,100",
          "--n", "2000", "--seed", "11", "--format", "csv"],
-        "3c6187cfdb80287a7fca4b3588138b7d4dc78a35cf5a60fd980808c608e33eca",
+        "ab051e3390ba5aedc4714bc94034233788c06dd4ba0ac0726348e8cc106ab2f8",
     ),
 }
 
