@@ -136,6 +136,8 @@ def calibrate_from_interval(
         lo, hi = math.log(low), math.log(high)
     else:
         lo, hi = float(low), float(high)
+    if (1 + level) / 2 == 1:
+        raise ValueError(f"confidence level {level!r} is too close to 1 to calibrate from")
     q = _family_quantile((1 + level) / 2, family, df)
     if q <= 0:  # (1 + level) / 2 rounded to 0.5
         raise ValueError(f"confidence level {level:g} is too small to calibrate from")

@@ -53,6 +53,7 @@ from .spec import (
     STAT_MEAN,
     STAT_MEAN_DIFF,
     check_bin_width,
+    check_count,
     exact_shuffle_p,
 )
 from .worlds import (
@@ -380,6 +381,7 @@ def _cmd_bayes(args, rep: Report) -> Report:
 
 
 def _cmd_montecarlo(args, rep: Report) -> Report:
+    check_count("--trials", args.trials)
     prob = parse_probability(args.prob)
     from .simulate import BernoulliExperiment, simulate_bernoulli
 
@@ -399,6 +401,8 @@ def _cmd_montecarlo(args, rep: Report) -> Report:
 
 
 def _cmd_poll(args, rep: Report) -> Report:
+    if args.mode == "with":
+        check_count("--sample-size", args.sample_size)
     population = _load_input(rep, args.fixture, args.data, _parse_csv, args.value_column)
     if not args.fixture:
         population = PopulationVector(population.values)
@@ -580,7 +584,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         seed = _seed(args) if "seed" in args else None
-        replicates = getattr(args, args.replicates_option) if args.replicates_option else None
+        replicates = None
+        if args.replicates_option:
+            replicates = getattr(args, args.replicates_option)
+            check_count(f"--{args.replicates_option}", replicates)
         options = " ".join(
             f"{key.replace('_', '-')}={_text(value, repr)}"
             for key, value in sorted(vars(args).items()) if key not in NOT_OPTIONS

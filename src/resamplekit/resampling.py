@@ -198,16 +198,18 @@ class BootstrapReport:
 # statistic evaluation (shared by observed value and all replicates)
 
 
-def _grouped_diffs(mat: np.ndarray, n1: int) -> np.ndarray:
-    """Mean of the first n1 columns minus mean of the rest, per row."""
-    s1 = mat[:, :n1].sum(axis=1)
-    s2 = mat[:, n1:].sum(axis=1)
-    return s1 / n1 - s2 / (mat.shape[1] - n1)
+def _grouped_diffs(values: np.ndarray, rows: np.ndarray, n1: int) -> np.ndarray:
+    """Per row of positions ``rows``: the mean of the values at its first n1
+    positions minus the mean of the values at the rest.  Each group is
+    gathered only while it is summed."""
+    s1 = values[rows[:, :n1]].sum(axis=1)
+    s2 = values[rows[:, n1:]].sum(axis=1)
+    return s1 / n1 - s2 / (rows.shape[1] - n1)
 
 
 def _correlations(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Pearson r of fixed xs against each row of ``rows``, each row a
-    permutation of ys.
+    """Pearson r of fixed xs against ys in the order of each row of
+    ``rows``, each row a permutation of the positions 0..n-1.
 
     The sums are of xs - xs[0] and ys - ys[0] (the shifted-data algorithm),
     so data far from zero do not cancel; integer data stay exact.  The y
@@ -220,7 +222,7 @@ def _correlations(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray) -> np.ndarra
     dy = ys - ys[0]
     sx, sy = dx.sum(), dy.sum()
     den = np.sqrt((n * (dx * dx).sum() - sx * sx) * (n * (dy * dy).sum() - sy * sy))
-    products = rows - ys[0]
+    products = dy[rows]
     products *= dx
     return (n * products.sum(axis=1) - sx * sy) / den
 
@@ -249,10 +251,10 @@ def observed_statistic(data, statistic: str | None = None) -> float:
         return float(arr.reshape(1, -1).mean(axis=1)[0])
     if statistic == STAT_CORRELATION:
         xs, ys = _paired_columns(data)
-        return float(_correlations(xs, ys, ys.reshape(1, -1))[0])
+        return float(_correlations(xs, ys, rng.positions(data.n).reshape(1, -1))[0])
     g1, g2 = data.group_names
     ordered = np.asarray(data.group_values(g1) + data.group_values(g2), dtype=float)
-    return float(_grouped_diffs(ordered.reshape(1, -1), data.group_count(g1))[0])
+    return float(_grouped_diffs(ordered, rng.positions(data.n).reshape(1, -1), data.group_count(g1))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -290,18 +292,19 @@ def shuffle_test(
     _check_sidedness(sidedness)
     if n_resamples < 1:
         raise ValueError("need at least one replicate")
+    pos = rng.positions(data.n)
     if statistic == STAT_CORRELATION:
         xs, ys = _paired_columns(data)
 
         def kernel(blk) -> np.ndarray:
-            return _correlations(xs, ys, rng.prefix_shuffle_rows(ys, blk, data.n))
+            return _correlations(xs, ys, rng.prefix_shuffle_rows(pos, blk, data.n))
 
     else:
         arr = np.asarray(data.values, dtype=float)
         n1 = data.group_count(data.group_names[0])
 
         def kernel(blk) -> np.ndarray:
-            return _grouped_diffs(rng.prefix_shuffle_rows(arr, blk, n1), n1)
+            return _grouped_diffs(arr, rng.prefix_shuffle_rows(pos, blk, n1), n1)
 
     replicates = rng.run_chunks(seed, n_resamples, data.n, kernel)
     observed = observed_statistic(data, statistic)
@@ -358,15 +361,18 @@ def bootstrap(
     if statistic == STAT_MEAN:
 
         def kernel(blk) -> np.ndarray:
-            return arr[rng.index_rows(blk, n, n)].mean(axis=1)
+            return rng.draw_rows(arr, blk, n).mean(axis=1)
 
     else:
         g1, _ = data.group_names
         in_g1 = np.asarray([g == g1 for g in data.groups])
+        # int64 rows, not positions(n): numpy gathers through an int16 index
+        # about three times slower, and values and flags are both gathered.
+        items = np.arange(n)
 
         def kernel(blk) -> np.ndarray:
             nonlocal redraws
-            idx = rng.index_rows(blk, n, n)
+            idx = rng.draw_rows(items, blk, n)
             redraws += _redraw_single_group_rows(idx, in_g1, blk)
             return _grouped_resample_diffs(arr, in_g1, idx)
 
@@ -387,8 +393,10 @@ def _grouped_resample_diffs(arr: np.ndarray, in_g1: np.ndarray, idx: np.ndarray)
     mask1 = in_g1[idx]
     c1 = mask1.sum(axis=1)
     c2 = idx.shape[1] - c1
-    s1 = (picked * mask1).sum(axis=1)
-    s2 = picked.sum(axis=1) - s1
+    total = picked.sum(axis=1)
+    picked *= mask1
+    s1 = picked.sum(axis=1)
+    s2 = total - s1
     return s1 / c1 - s2 / c2
 
 
@@ -406,7 +414,7 @@ def _redraw_single_group_rows(idx: np.ndarray, in_g1: np.ndarray, blk) -> int:
     bad are stepped, so a row depends on its own substream alone.  ``blk`` is
     narrowed to those lanes on the way.
     """
-    n_items = idx.shape[1]
+    items = np.arange(idx.shape[1])
     lanes = np.flatnonzero(_lost_a_group(idx, in_g1))  # positions in blk
     rows = lanes  # the rows of idx they redraw
     redraws = 0
@@ -417,7 +425,7 @@ def _redraw_single_group_rows(idx: np.ndarray, in_g1: np.ndarray, blk) -> int:
             raise RuntimeError("grouped bootstrap kept drawing one-group resamples")
         redraws += lanes.size
         blk.keep(lanes)
-        fresh = rng.index_rows(blk, n_items, n_items)
+        fresh = rng.draw_rows(items, blk, items.size)
         bad = _lost_a_group(fresh, in_g1)
         idx[rows[~bad]] = fresh[~bad]
         lanes = np.flatnonzero(bad)
@@ -466,6 +474,18 @@ def tail_probability(dist, threshold: float, direction: str = "ge") -> float:
     raise ValueError(f"direction must be 'ge' or 'gt', got {direction!r}")
 
 
+def _central_moments(v: np.ndarray, mu: float) -> tuple[float, float]:
+    """The second and third moments of v about mu, in one pass over v - mu.
+
+    A helper, so that its two temporaries of v's size are gone before
+    ``diagnostics`` builds the next one."""
+    d = v - mu
+    d2 = d * d
+    m2 = float(d2.mean())
+    d2 *= d
+    return m2, float(d2.mean())
+
+
 def diagnostics(
     dist: ResampleDistribution, scale_bounds: tuple[float, float] | None = None
 ) -> DiagnosticsReport:
@@ -479,9 +499,9 @@ def diagnostics(
     v = dist.array
     mu = float(v.mean())
     med = float(np.median(v))
-    m2 = float(((v - mu) ** 2).mean())
+    m2, m3 = _central_moments(v, mu)
     sd = math.sqrt(m2)
-    skew = float(((v - mu) ** 3).mean() / m2**1.5) if m2 > 0 else 0.0
+    skew = m3 / m2**1.5 if m2 > 0 else 0.0
     gap = abs(mu - med) / sd if sd > 0 else 0.0
     skew_flagged = abs(skew) > SKEWNESS_FLAG_THRESHOLD
     oob = None

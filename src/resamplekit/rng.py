@@ -55,19 +55,27 @@ scheduling.  The draw plans of the procedures, for replicate r:
   terms): t draws of ``below(den)``, a success when the draw is below num.
 
 The lanes forms of the two sampling plans sit beside the ``SeededGenerator``
-methods they must match: ``prefix_shuffle_rows`` is
-``sample_without_replacement`` and ``index_rows`` is
-``draw_with_replacement``.  Bernoulli trials and polls with replacement sum
-as they draw, so they hold no index matrix.  Lanes have a ``count``,
-``below(n)`` (one draw per lane, an int64 array) and ``keep(lanes)``
-(narrow to some lanes, each continuing its own stream).  Every procedure
-builds a kernel over lanes and calls ``run_chunks``, which runs it on
-``SubstreamBlock``s that step the lanes in numpy uint64 lockstep, in bounded
-chunks.  ``ScalarLanes`` steps one Python-int ``substream(seed, r)`` per
-lane; the tests run a kernel once, unchunked, on ``ScalarLanes(seed, N)``
-as the oracle for the uint64 lockstep, rejection, ``keep`` and chunking.
-The plans themselves are checked against ``SeededGenerator``'s own methods
-in the tests, and against ``bench/refgen.py`` outside the program.
+methods they must match, and take items as those methods do:
+``prefix_shuffle_rows(items, blk, k)`` is ``sample_without_replacement`` and
+``draw_rows(items, blk, k)`` is ``draw_with_replacement``.  The kernels that
+permute (both shuffle tests and the poll without replacement) pass
+``positions(n)``, row positions in int16 or int32, and gather values from the
+result as they reduce it, the poll only its first k columns; so a chunk holds
+no float64 copy of every row beside the positions.  The plain bootstrap
+draws its values directly.  The grouped bootstrap draws ``np.arange(n)`` and
+gathers values and group flags from that one index.  Bernoulli trials and
+polls with replacement sum as they draw, so they hold no row matrix.
+
+Lanes have a ``count``, ``below(n)`` (one draw per lane, an int64 array) and
+``keep(lanes)`` (narrow to some lanes, each continuing its own stream).
+Every procedure builds a kernel over lanes and calls ``run_chunks``, which
+runs it on ``SubstreamBlock``s that step the lanes in numpy uint64 lockstep,
+in bounded chunks.  ``ScalarLanes`` steps one Python-int
+``substream(seed, r)`` per lane; the tests run a kernel once, unchunked, on
+``ScalarLanes(seed, N)`` as the oracle for the uint64 lockstep, rejection,
+``keep`` and chunking.  The plans themselves are checked against
+``SeededGenerator``'s own methods in the tests, and against
+``bench/refgen.py`` outside the program.
 
 Chunking invariant: ``run_chunks`` covers replicates 0..N-1 with blocks of
 at most ``chunk_lanes(width)`` lanes, and lane r of every chunk is always
@@ -171,11 +179,18 @@ class SeededGenerator:
         return [pool[self.below(n)] for _ in range(k)]
 
 
-def prefix_shuffle_rows(arr: np.ndarray, blk, k: int) -> np.ndarray:
-    """``sample_without_replacement`` on lanes: one copy of arr per lane of
+def positions(n: int) -> np.ndarray:
+    """The positions 0..n-1 in the narrowest signed integer type that holds
+    them: int16 up to 2**15 rows, int32 above (int64 past 2**31)."""
+    dtype = np.int16 if n <= 1 << 15 else np.int32 if n <= 1 << 31 else np.int64
+    return np.arange(n, dtype=dtype)
+
+
+def prefix_shuffle_rows(items: np.ndarray, blk, k: int) -> np.ndarray:
+    """``sample_without_replacement`` on lanes: one copy of items per lane of
     blk, after that lane's min(k, n - 1) forward Fisher-Yates steps."""
-    n = arr.size
-    mat = np.tile(arr, (blk.count, 1))
+    n = items.size
+    mat = np.tile(items, (blk.count, 1))
     flat = mat.reshape(-1)
     row_start = np.arange(0, blk.count * n, n)
     for i in range(min(k, n - 1)):
@@ -188,13 +203,14 @@ def prefix_shuffle_rows(arr: np.ndarray, blk, k: int) -> np.ndarray:
     return mat
 
 
-def index_rows(blk, n_items: int, n_draws: int) -> np.ndarray:
-    """``draw_with_replacement`` on lanes: row i holds n_draws successive
-    below(n_items) draws of lane i of blk."""
-    idx = np.empty((blk.count, n_draws), dtype=np.int64)
-    for d in range(n_draws):
-        idx[:, d] = blk.below(n_items)
-    return idx
+def draw_rows(items: np.ndarray, blk, k: int) -> np.ndarray:
+    """``draw_with_replacement`` on lanes: row i holds the k picks
+    ``items[below(n)]`` of lane i of blk, in draw order."""
+    n = items.size
+    rows = np.empty((blk.count, k), dtype=items.dtype)
+    for d in range(k):
+        rows[:, d] = items[blk.below(n)]
+    return rows
 
 
 def _rotl64(x: int, k: int) -> int:

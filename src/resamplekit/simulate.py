@@ -170,9 +170,11 @@ def simulate_poll(
 
         props = rng.run_chunks(seed, n_polls, sample_size, sums) / sample_size
     else:
+        pos = rng.positions(n)
 
         def means(blk) -> np.ndarray:
-            return rng.prefix_shuffle_rows(entries, blk, sample_size)[:, :sample_size].mean(axis=1)
+            picked = rng.prefix_shuffle_rows(pos, blk, sample_size)[:, :sample_size]
+            return entries[picked].mean(axis=1)
 
         props = rng.run_chunks(seed, n_polls, n, means)
     return PollResult(

@@ -54,6 +54,10 @@ DEFAULT_BIN_WIDTH = 2.0
 CORRELATION_BIN_WIDTH = 0.05
 
 ENUMERATION_LIMIT = 10**6
+# The most replicates, runs, polls, trials per run or draws per poll that a
+# command line may ask for: each one is drawn, so a count far past this
+# would run for hours and grow its results without bound.
+MAX_REPLICATES = 10**8
 
 
 def _resolve(caller: str, data, statistic: str | None, *kinds) -> str:
@@ -90,6 +94,13 @@ def _describe(data, statistic: str) -> str:
 def _check_sidedness(sidedness: str) -> None:
     if sidedness not in SIDEDNESS:
         raise ValueError(f"sidedness must be one of {SIDEDNESS}, got {sidedness!r}")
+
+
+def check_count(option: str, count: int) -> None:
+    """Raise ValueError naming ``option`` when ``count`` is above
+    MAX_REPLICATES."""
+    if count > MAX_REPLICATES:
+        raise ValueError(f"{option} must be at most {MAX_REPLICATES}, got {count}")
 
 
 def check_bin_width(bin_width: float) -> None:

@@ -222,6 +222,13 @@ def test_interval_level_too_small_for_a_width_is_refused():
         calibrate_from_interval(1, 2, level=1e-300)
 
 
+@pytest.mark.parametrize("family, df", [("normal", None), ("t", 5)])
+def test_interval_level_too_close_to_1_for_a_quantile_is_refused(family, df):
+    with pytest.raises(ValueError, match=r"level 0\.9999999999999999 is too close to 1"):
+        calibrate_from_interval(49, 72, level=0.9999999999999999, family=family, df=df)
+    assert calibrate_from_interval(49, 72, level=0.9999999999999998, family=family, df=df).se > 0
+
+
 def test_p_value_too_small_for_a_quantile_is_refused():
     with pytest.raises(ValueError, match="p-value 1e-300 is too small"):
         calibrate_from_p(estimate=1, p=1e-300, null_value=0)

@@ -6,11 +6,14 @@ scalar oracle (``scalar_oracle`` in conftest.py) and the run with the
 default (single) chunk.
 """
 
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from resamplekit import rng
-from resamplekit.data import GroupedSample, PairedSample, PopulationVector, get_fixture
+from resamplekit.data import GroupedSample, PairedSample, PopulationVector, Sample, get_fixture
 from resamplekit.resampling import bootstrap, shuffle_test, shuffle_test_paired
 from resamplekit.rng import SubstreamBlock, run_chunks, substream
 from resamplekit.simulate import BernoulliExperiment, simulate_bernoulli, simulate_poll
@@ -161,3 +164,42 @@ def test_scalar_engine_runs_unchunked(small_chunks, scalar_oracle, monkeypatch):
         sizes.clear()
         scalar_oracle(call)
         assert sizes == [N]
+
+
+def _wide_data():
+    """2000 one-decimal rows (one-sample, two-group and paired) and 10^4 0/1 voters."""
+    rand = random.Random(2000)
+    values = [round(rand.gauss(50, 12), 1) for _ in range(2000)]
+    groups = [rand.choice("ab") for _ in values]
+    ys = [round(v / 2 + rand.gauss(0, 10), 1) for v in values]
+    voters = [int(rand.random() < 0.55) for _ in range(10**4)]
+    return Sample(values), GroupedSample(values, groups), PairedSample(values, ys), PopulationVector(voters)
+
+
+SAMPLE, GROUPED, PAIRED, VOTERS = _wide_data()
+
+
+@pytest.mark.parametrize(
+    "call, limit_mb",
+    [
+        (lambda: simulate_poll(VOTERS, 200, "without-replacement", 1024), 40),
+        (lambda: bootstrap(SAMPLE, n_resamples=1024), 24),
+        (lambda: shuffle_test_paired(PAIRED, n_resamples=1024), 24),
+        (lambda: shuffle_test(GROUPED, n_resamples=1024), 15),
+        (lambda: bootstrap(GROUPED, n_resamples=1024), 40),
+    ],
+    ids=["poll-without", "bootstrap", "paired-shuffle", "grouped-shuffle", "grouped-bootstrap"],
+)
+def test_a_wide_chunk_holds_row_positions_or_one_value_matrix(call, limit_mb):
+    # One chunk of 1024 lanes (CHUNK_FLOOR) over 2000 rows or 10^4 voters.
+    # A float64 matrix of every row per lane is 16 MB for 2000 rows and 82 MB
+    # for the voters.  The permuting kernels hold int16 positions (4 and
+    # 20 MB) and gather values only as they reduce them; the bootstraps hold
+    # one matrix of drawn values, or of drawn rows and their values.
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 10**6

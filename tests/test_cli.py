@@ -15,6 +15,7 @@ import pytest
 import resamplekit
 from resamplekit.cli import build_parser, main
 from resamplekit.resampling import observed_statistic
+from resamplekit.spec import MAX_REPLICATES
 
 SUBCOMMANDS = ("shuffle-test", "bootstrap", "clip", "bayes", "montecarlo", "poll", "fixtures")
 
@@ -484,6 +485,35 @@ def test_tiny_p_value_is_refused_by_name(capsys):
     assert "p-value 1e-300" in result[2] and "quantile" not in result[2]
 
 
+def test_a_level_too_close_to_1_is_refused_by_name(capsys):
+    result = run(capsys, "clip", "--ci", "49,72", "--level", "0.9999999999999999")
+    assert _one_error_line(*result)
+    assert "level 0.9999999999999999" in result[2] and "quantile" not in result[2]
+
+
+HUGE = str(2**64)
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("shuffle-test", "--fixture", "veg6", "--n", HUGE), "--n"),
+    (("bootstrap", "--fixture", "veg9", "--n", HUGE), "--n"),
+    (("montecarlo", "--trials", HUGE, "--count", "1"), "--trials"),
+    (("montecarlo", "--trials", "8", "--count", "1", "--runs", HUGE), "--runs"),
+    (("poll", "--fixture", "poll500", "--sample-size", "5", "--polls", HUGE), "--polls"),
+    (("poll", "--fixture", "poll500", "--sample-size", HUGE, "--mode", "with"), "--sample-size"),
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else value)
+def test_counts_above_the_replicate_limit_are_refused_before_drawing(capsys, monkeypatch, argv, option):
+    from resamplekit import rng
+
+    def no_draws(*args):
+        raise AssertionError("replicates drawn for a count above the limit")
+
+    monkeypatch.setattr(rng, "run_chunks", no_draws)
+    result = run(capsys, *argv)
+    assert _one_error_line(*result)
+    assert result[2] == f"error: {option} must be at most {MAX_REPLICATES}, got {HUGE}\n"
+
+
 def test_byte_order_mark_is_skipped_and_the_digest_covers_it(capsys, tmp_path):
     path = tmp_path / "bom.csv"
     path.write_bytes(b"\xef\xbb\xbfvalue\r\n1\r\n5\r\n7\r\n3\r\n")
@@ -691,6 +721,7 @@ NUMPY_FREE_ARGVS = [
     ("fixtures",),
     ("montecarlo", "--trials", "8", "--prob", "1/0", "--count", "4"),
     ("bootstrap", "--fixture", "veg9", "--bin-width", "nan"),
+    ("bootstrap", "--fixture", "veg9", "--n", str(2**64)),
 ]
 
 

@@ -9,6 +9,7 @@ cannot see a fault in a draw plan.  Here the reference for lane r is built from
 spans many chunks (including the first and the last) is compared.
 """
 
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -109,6 +110,18 @@ def test_poll_without_replacement_follows_sample_without_replacement(
     for r in range(N):
         picked = substream(8, r).sample_without_replacement(entries, k)
         assert got[r] == sum(picked) / k
+
+
+def test_poll_of_more_voters_than_int16_positions_follows_sample_without_replacement(scalar_oracle):
+    rand = random.Random(40)
+    entries = [int(rand.random() < 0.5) for _ in range(40_000)]
+    population = PopulationVector(entries)
+    assert rng.positions(population.n).dtype == np.int32
+    got = simulate_poll(population, 60, "without-replacement", 4, seed=12)
+    assert scalar_oracle(lambda: simulate_poll(population, 60, "without-replacement", 4, seed=12)) == got
+    for r in range(4):
+        picked = substream(12, r).sample_without_replacement(entries, 60)
+        assert got.proportions[r] == sum(picked) / 60
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from resamplekit.rng import (
     SeededGenerator,
     SubstreamBlock,
     mix64,
+    positions,
     substream,
     substream_key,
 )
@@ -211,3 +213,10 @@ def test_scalar_lanes_match_the_block():
         want = block.below(bound)
         got = lanes.below(bound)
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+def test_positions_take_the_narrowest_signed_type():
+    assert positions(6).tolist() == [0, 1, 2, 3, 4, 5]
+    assert positions(1 << 15).dtype == np.int16
+    wide = positions((1 << 15) + 1)
+    assert wide.dtype == np.int32 and wide[-1] == 1 << 15
