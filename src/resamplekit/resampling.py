@@ -3,9 +3,10 @@
 Replicate r draws from ``substream(seed, r)``, so a run is fully
 determined by (data, statistic, number of replicates, seed).  The draw plans,
 their lanes forms and the chunking that runs them are specified once, in
-``rng``.  Each procedure here builds a kernel that reduces one chunk of
-lanes to its statistic, row by row on C-contiguous rows, so the chunk size
-never changes a value, not even the float summation order.
+``rng``.  Each procedure here builds a kernel that reduces one block of
+lanes to its statistic: it draws the block's table, holds row state for
+sub-blocks, and reduces floats in row blocks, row by row on C-contiguous
+rows, so no block size changes a value, not even the float summation order.
 
 p-values count ties inclusively: two-sided p = #{|T*| >= |T_obs|} / N,
 one-sided variants count T* >= T_obs (or <=).  The statistic table, these
@@ -33,6 +34,7 @@ from .spec import (
     _describe,
     _resolve,
     check_bin_width,
+    check_count,
     default_bin_width,
 )
 
@@ -198,13 +200,38 @@ class BootstrapReport:
 # statistic evaluation (shared by observed value and all replicates)
 
 
+def _in_row_blocks(reduce, rows: np.ndarray) -> np.ndarray:
+    """``reduce`` of the rows of ``rows``, taken on row blocks of at most
+    ``rng.CHUNK_ELEMENTS`` values, concatenated."""
+    return rng.in_blocks(lambda lanes: reduce(rows[lanes]), len(rows), rng.row_lanes(rows.shape[1]))
+
+
+def _shuffled(pos: np.ndarray, blk, k: int, reduce) -> np.ndarray:
+    """``reduce(rows)`` for every lane of blk, where rows are
+    ``prefix_shuffle_rows(pos, ...)`` after the lanes' min(k, n - 1) steps.
+
+    The draws of the whole block come first, in one draw table; rows are
+    built for sub-blocks of ``chunk_lanes(n)`` lanes, each released before
+    the next is built."""
+    table = rng.draw_table(blk, rng.shuffle_steps(pos.size, k))
+    return rng.in_blocks(
+        lambda lanes: reduce(rng.prefix_shuffle_rows(pos, table[:, lanes])),
+        blk.count,
+        rng.chunk_lanes(pos.size),
+    )
+
+
 def _grouped_diffs(values: np.ndarray, rows: np.ndarray, n1: int) -> np.ndarray:
     """Per row of positions ``rows``: the mean of the values at its first n1
     positions minus the mean of the values at the rest.  Each group is
-    gathered only while it is summed."""
-    s1 = values[rows[:, :n1]].sum(axis=1)
-    s2 = values[rows[:, n1:]].sum(axis=1)
-    return s1 / n1 - s2 / (rows.shape[1] - n1)
+    gathered only while it is summed, a row block at a time."""
+
+    def diffs(block):
+        s1 = values[block[:, :n1]].sum(axis=1)
+        s2 = values[block[:, n1:]].sum(axis=1)
+        return s1 / n1 - s2 / (block.shape[1] - n1)
+
+    return _in_row_blocks(diffs, rows)
 
 
 def _correlations(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -222,9 +249,13 @@ def _correlations(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray) -> np.ndarra
     dy = ys - ys[0]
     sx, sy = dx.sum(), dy.sum()
     den = np.sqrt((n * (dx * dx).sum() - sx * sx) * (n * (dy * dy).sum() - sy * sy))
-    products = dy[rows]
-    products *= dx
-    return (n * products.sum(axis=1) - sx * sy) / den
+
+    def correlations(block):
+        products = dy[block]
+        products *= dx
+        return (n * products.sum(axis=1) - sx * sy) / den
+
+    return _in_row_blocks(correlations, rows)
 
 
 def _paired_columns(data: PairedSample) -> tuple[np.ndarray, np.ndarray]:
@@ -292,21 +323,16 @@ def shuffle_test(
     _check_sidedness(sidedness)
     if n_resamples < 1:
         raise ValueError("need at least one replicate")
-    pos = rng.positions(data.n)
+    check_count("n_resamples", n_resamples)
     if statistic == STAT_CORRELATION:
         xs, ys = _paired_columns(data)
-
-        def kernel(blk) -> np.ndarray:
-            return _correlations(xs, ys, rng.prefix_shuffle_rows(pos, blk, data.n))
-
+        k, reduce = data.n, functools.partial(_correlations, xs, ys)
     else:
         arr = np.asarray(data.values, dtype=float)
-        n1 = data.group_count(data.group_names[0])
-
-        def kernel(blk) -> np.ndarray:
-            return _grouped_diffs(arr, rng.prefix_shuffle_rows(pos, blk, n1), n1)
-
-    replicates = rng.run_chunks(seed, n_resamples, data.n, kernel)
+        k = data.group_count(data.group_names[0])
+        reduce = functools.partial(_grouped_diffs, arr, n1=k)
+    pos = rng.positions(data.n)
+    replicates = rng.run_chunks(seed, n_resamples, data.n, lambda blk: _shuffled(pos, blk, k, reduce))
     observed = observed_statistic(data, statistic)
     dist = ResampleDistribution(
         replicates, observed, statistic, "without-replacement", n_resamples, seed, data.n
@@ -354,6 +380,7 @@ def bootstrap(
     statistic = _resolve("bootstrap", data, statistic, Sample, GroupedSample)
     if n_resamples < 1:
         raise ValueError("need at least one replicate")
+    check_count("n_resamples", n_resamples)
     n = data.n
     observed = observed_statistic(data, statistic)
     arr = np.asarray(data.values, dtype=float)
@@ -361,20 +388,35 @@ def bootstrap(
     if statistic == STAT_MEAN:
 
         def kernel(blk) -> np.ndarray:
-            return rng.draw_rows(arr, blk, n).mean(axis=1)
+            table = rng.draw_table(blk, [n] * n)
+            return rng.in_blocks(
+                lambda lanes: rng.draw_rows(arr, table[:, lanes]).mean(axis=1), blk.count, rng.row_lanes(n)
+            )
 
     else:
         g1, _ = data.group_names
         in_g1 = np.asarray([g == g1 for g in data.groups])
-        # int64 rows, not positions(n): numpy gathers through an int16 index
-        # about three times slower, and values and flags are both gathered.
-        items = np.arange(n)
 
         def kernel(blk) -> np.ndarray:
             nonlocal redraws
-            idx = rng.draw_rows(items, blk, n)
-            redraws += _redraw_single_group_rows(idx, in_g1, blk)
-            return _grouped_resample_diffs(arr, in_g1, idx)
+            diffs, lost = _grouped_resample_diffs(arr, in_g1, blk)
+            # Each attempt continues a lost lane's own stream, and only the
+            # lanes still lost are stepped, so a replicate depends on its own
+            # substream alone.  blk is narrowed to those lanes on the way.
+            lanes = np.flatnonzero(lost)  # positions in blk
+            replicates = lanes  # the replicates of this block they redraw
+            rounds = 0
+            while lanes.size:
+                rounds += 1
+                if rounds > _MAX_REDRAW_ROUNDS:
+                    raise RuntimeError("grouped bootstrap kept drawing one-group resamples")
+                redraws += lanes.size
+                blk.keep(lanes)
+                fresh, lost = _grouped_resample_diffs(arr, in_g1, blk)
+                diffs[replicates[~lost]] = fresh[~lost]
+                lanes = np.flatnonzero(lost)
+                replicates = replicates[lost]
+            return diffs
 
     return ResampleDistribution(
         rng.run_chunks(seed, n_resamples, n, kernel),
@@ -388,49 +430,31 @@ def bootstrap(
     )
 
 
-def _grouped_resample_diffs(arr: np.ndarray, in_g1: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    picked = arr[idx]
-    mask1 = in_g1[idx]
-    c1 = mask1.sum(axis=1)
-    c2 = idx.shape[1] - c1
-    total = picked.sum(axis=1)
-    picked *= mask1
-    s1 = picked.sum(axis=1)
-    s2 = total - s1
-    return s1 / c1 - s2 / c2
+def _grouped_resample_diffs(arr: np.ndarray, in_g1: np.ndarray, blk) -> tuple[np.ndarray, np.ndarray]:
+    """Each lane of blk draws n rows: the mean of their group-1 values minus
+    the mean of the others, and whether the lane drew only one group (its
+    difference is then nan).
 
-
-def _lost_a_group(idx: np.ndarray, in_g1: np.ndarray) -> np.ndarray:
-    counts = in_g1[idx].sum(axis=1)
-    return (counts == 0) | (counts == idx.shape[1])
-
-
-def _redraw_single_group_rows(idx: np.ndarray, in_g1: np.ndarray, blk) -> int:
-    """Redraw, in place, the rows of idx that lost a whole group; returns the
-    number of redraws.
-
-    ``blk`` is the lanes object whose lanes drew idx.  Each attempt continues
-    a bad lane's own stream with n fresh index draws, and only the lanes still
-    bad are stepped, so a row depends on its own substream alone.  ``blk`` is
-    narrowed to those lanes on the way.
+    Values and flags are both gathered through one intp index of the drawn
+    rows, ``lane_rows`` of the table.
     """
-    items = np.arange(idx.shape[1])
-    lanes = np.flatnonzero(_lost_a_group(idx, in_g1))  # positions in blk
-    rows = lanes  # the rows of idx they redraw
-    redraws = 0
-    rounds = 0
-    while lanes.size:
-        rounds += 1
-        if rounds > _MAX_REDRAW_ROUNDS:
-            raise RuntimeError("grouped bootstrap kept drawing one-group resamples")
-        redraws += lanes.size
-        blk.keep(lanes)
-        fresh = rng.draw_rows(items, blk, items.size)
-        bad = _lost_a_group(fresh, in_g1)
-        idx[rows[~bad]] = fresh[~bad]
-        lanes = np.flatnonzero(bad)
-        rows = rows[bad]
-    return redraws
+    n = arr.size
+    table = rng.draw_table(blk, [n] * n)
+    counts = np.empty(blk.count, dtype=np.int64)
+
+    def diffs(lanes):
+        idx = rng.lane_rows(table[:, lanes])
+        picked = arr[idx]
+        mask1 = in_g1[idx]
+        c1 = counts[lanes] = mask1.sum(axis=1)
+        total = picked.sum(axis=1)
+        picked *= mask1
+        s1 = picked.sum(axis=1)
+        s2 = total - s1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return s1 / c1 - s2 / (n - c1)
+
+    return rng.in_blocks(diffs, blk.count, rng.row_lanes(n)), (counts == 0) | (counts == n)
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +498,14 @@ def tail_probability(dist, threshold: float, direction: str = "ge") -> float:
     raise ValueError(f"direction must be 'ge' or 'gt', got {direction!r}")
 
 
+def _median(v: np.ndarray) -> float:
+    """The median of v from one sort: the middle value, or the mean of the
+    two middle values, as ``np.median`` takes it."""
+    s = np.sort(v)
+    k = s.size // 2
+    return float(s[k] if s.size % 2 else (s[k - 1] + s[k]) / 2)
+
+
 def _central_moments(v: np.ndarray, mu: float) -> tuple[float, float]:
     """The second and third moments of v about mu, in one pass over v - mu.
 
@@ -498,7 +530,7 @@ def diagnostics(
     """
     v = dist.array
     mu = float(v.mean())
-    med = float(np.median(v))
+    med = _median(v)
     m2, m3 = _central_moments(v, mu)
     sd = math.sqrt(m2)
     skew = m3 / m2**1.5 if m2 > 0 else 0.0

@@ -55,33 +55,47 @@ scheduling.  The draw plans of the procedures, for replicate r:
   terms): t draws of ``below(den)``, a success when the draw is below num.
 
 The lanes forms of the two sampling plans sit beside the ``SeededGenerator``
-methods they must match, and take items as those methods do:
-``prefix_shuffle_rows(items, blk, k)`` is ``sample_without_replacement`` and
-``draw_rows(items, blk, k)`` is ``draw_with_replacement``.  The kernels that
-permute (both shuffle tests and the poll without replacement) pass
-``positions(n)``, row positions in int16 or int32, and gather values from the
-result as they reduce it, the poll only its first k columns; so a chunk holds
-no float64 copy of every row beside the positions.  The plain bootstrap
-draws its values directly.  The grouped bootstrap draws ``np.arange(n)`` and
-gathers values and group flags from that one index.  Bernoulli trials and
-polls with replacement sum as they draw, so they hold no row matrix.
+methods they must match, and take items as those methods do.  Each is split
+into draw and apply.  ``draw_table(lanes, ns)`` makes every draw of a set of
+lanes in one lockstep pass: a draw-major table whose row d is
+``lanes.below(ns[d])``, in ``position_dtype`` (int16, int32 past 2^15 rows).
+``prefix_shuffle_rows(items, table)`` applies the columns of a table of
+``shuffle_steps(n, k)`` and is ``sample_without_replacement``;
+``draw_rows(items, table)`` applies a table of n draws of ``below(n)`` and is
+``draw_with_replacement``.  The kernels that permute (both shuffle tests and
+the poll without replacement) pass ``positions(n)`` and gather values from
+the result as they reduce it, the poll only its first k columns.  The plain
+bootstrap draws its values; the grouped bootstrap gathers values and group
+flags through one index, ``lane_rows`` of its table.  Bernoulli trials and
+polls with replacement sum as they draw, so they hold no table.
 
 Lanes have a ``count``, ``below(n)`` (one draw per lane, an int64 array) and
 ``keep(lanes)`` (narrow to some lanes, each continuing its own stream).
 Every procedure builds a kernel over lanes and calls ``run_chunks``, which
-runs it on ``SubstreamBlock``s that step the lanes in numpy uint64 lockstep,
-in bounded chunks.  ``ScalarLanes`` steps one Python-int
-``substream(seed, r)`` per lane; the tests run a kernel once, unchunked, on
-``ScalarLanes(seed, N)`` as the oracle for the uint64 lockstep, rejection,
-``keep`` and chunking.  The plans themselves are checked against
-``SeededGenerator``'s own methods in the tests, and against
-``bench/refgen.py`` outside the program.
+runs it on blocks: ``SubstreamBlock``s that step the lanes in numpy uint64
+lockstep.  ``ScalarLanes`` steps one Python-int ``substream(seed, r)`` per
+lane; the tests run a kernel once, unchunked, on ``ScalarLanes(seed, N)`` as
+the oracle for the uint64 lockstep, rejection, ``keep`` and chunking.  The
+plans themselves are checked against ``SeededGenerator``'s own methods in the
+tests, and against ``bench/refgen.py`` outside the program.
+
+Memory is bounded at three levels, for rows of n values.  A block has
+``block_lanes(n)`` lanes, and a kernel draws its whole table for the block at
+once, so numpy's per-call cost of ``below`` is spread over many lanes; where
+``chunk_lanes(n)`` sits at CHUNK_FLOOR that is 8 // the table's itemsize
+times as many lanes (4096 for int16), so the table takes the bytes of a
+float64 row matrix of CHUNK_FLOOR lanes.  Row state (a shuffle's positions)
+is held for sub-blocks of ``chunk_lanes(n)`` lanes, each released before the
+next is built.  Floats are gathered and reduced in row blocks of
+``row_lanes(n)`` lanes, at most CHUNK_ELEMENTS values, on C-contiguous rows.
 
 Chunking invariant: ``run_chunks`` covers replicates 0..N-1 with blocks of
-at most ``chunk_lanes(width)`` lanes, and lane r of every chunk is always
-``substream(seed, r)``.  Chunk boundaries therefore bound memory but never
-change a value: any chunk size gives the same results as one block of N
-lanes and as N scalar substreams.
+at most ``block_lanes(width)`` lanes, and lane r of every block is always
+``substream(seed, r)``.  Each lane's draws, its table column, its row and
+each pairwise sum over that row depend on that lane alone, so block,
+sub-block and row-block boundaries bound memory but never change a value:
+any sizes give the same results as one block of N lanes and as N scalar
+substreams.
 """
 
 from __future__ import annotations
@@ -97,11 +111,14 @@ _MIX_C2 = 0x94D049BB133111EB
 # below() accepts 1 <= n < 2**63 so results always fit a signed 64-bit int.
 _MAX_BELOW = 1 << 63
 
-# Chunk size of run_chunks (see chunk_lanes): about CHUNK_ELEMENTS values per
-# chunk, so a kernel's matrices stay in cache and memory stays bounded by the
-# chunk rather than by replicates x row width.
+# Sizes of run_chunks' blocks and of a kernel's sub-blocks and row blocks
+# (see block_lanes, chunk_lanes, row_lanes): about CHUNK_ELEMENTS values per
+# sub-block, so a kernel's matrices stay in cache and memory stays bounded by
+# the block rather than by replicates x row width.
 CHUNK_ELEMENTS = 1 << 18
 CHUNK_FLOOR = 1 << 10
+# Draws per tile of draw_rows' transpose.
+_TILE = 128
 
 
 def mix64(x: int) -> int:
@@ -179,38 +196,72 @@ class SeededGenerator:
         return [pool[self.below(n)] for _ in range(k)]
 
 
+def position_dtype(n: int) -> type:
+    """The narrowest signed integer type that holds the positions 0..n-1:
+    int16 up to 2**15 rows, int32 above (int64 past 2**31)."""
+    return np.int16 if n <= 1 << 15 else np.int32 if n <= 1 << 31 else np.int64
+
+
 def positions(n: int) -> np.ndarray:
-    """The positions 0..n-1 in the narrowest signed integer type that holds
-    them: int16 up to 2**15 rows, int32 above (int64 past 2**31)."""
-    dtype = np.int16 if n <= 1 << 15 else np.int32 if n <= 1 << 31 else np.int64
-    return np.arange(n, dtype=dtype)
+    """The positions 0..n-1 in ``position_dtype(n)``."""
+    return np.arange(n, dtype=position_dtype(n))
 
 
-def prefix_shuffle_rows(items: np.ndarray, blk, k: int) -> np.ndarray:
-    """``sample_without_replacement`` on lanes: one copy of items per lane of
-    blk, after that lane's min(k, n - 1) forward Fisher-Yates steps."""
+def shuffle_steps(n: int, k: int) -> range:
+    """The ranges of the draws of ``sample_without_replacement`` of k of n
+    items: ``below(n - i)`` for i = 0..min(k, n-1)-1."""
+    return range(n, n - min(k, n - 1), -1)
+
+
+def draw_table(lanes, ns) -> np.ndarray:
+    """The draw-major table of lanes: row d holds ``lanes.below(ns[d])``, one
+    draw per lane, in ``position_dtype(max(ns))``."""
+    table = np.empty((len(ns), lanes.count), dtype=position_dtype(max(ns, default=1)))
+    for row, n in zip(table, ns):
+        row[:] = lanes.below(n)
+    return table
+
+
+def prefix_shuffle_rows(items: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``sample_without_replacement`` on lanes: row j is a copy of items after
+    the forward Fisher-Yates steps of column j of ``table`` (step i swaps
+    positions i and i + table[i, j]), a ``draw_table`` of ``shuffle_steps``."""
     n = items.size
-    mat = np.tile(items, (blk.count, 1))
+    count = table.shape[1]
+    mat = np.tile(items, (count, 1))
     flat = mat.reshape(-1)
-    row_start = np.arange(0, blk.count * n, n)
-    for i in range(min(k, n - 1)):
-        a = row_start + i
-        b = blk.below(n - i)
-        b += a
+    a = np.arange(0, count * n, n)
+    for step in table:
+        b = step + a
         left = flat[a]
         flat[a] = flat[b]
         flat[b] = left
+        a += 1
     return mat
 
 
-def draw_rows(items: np.ndarray, blk, k: int) -> np.ndarray:
-    """``draw_with_replacement`` on lanes: row i holds the k picks
-    ``items[below(n)]`` of lane i of blk, in draw order."""
-    n = items.size
-    rows = np.empty((blk.count, k), dtype=items.dtype)
-    for d in range(k):
-        rows[:, d] = items[blk.below(n)]
+def draw_rows(items: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``draw_with_replacement`` on lanes: row j holds the picks
+    ``items[table[:, j]]`` of column j of ``table``, in draw order, as
+    C-contiguous rows."""
+    return items[lane_rows(table)]
+
+
+def lane_rows(table: np.ndarray) -> np.ndarray:
+    """The columns of ``table`` as C-contiguous rows of intp, so row j is
+    ``draw_rows(np.arange(n), table)``.  The transpose goes _TILE draws at a
+    time, which keeps its strided reads in cache."""
+    k, count = table.shape
+    rows = np.empty((count, k), dtype=np.intp)
+    for d in range(0, k, _TILE):
+        rows[:, d : d + _TILE] = table[d : d + _TILE].T
     return rows
+
+
+def in_blocks(fn, count: int, size: int) -> np.ndarray:
+    """``fn(lanes)`` for the consecutive slices ``lanes`` of at most ``size``
+    of 0..count-1, concatenated."""
+    return np.concatenate([fn(slice(start, start + size)) for start in range(0, count, size)])
 
 
 def _rotl64(x: int, k: int) -> int:
@@ -335,11 +386,11 @@ def run_chunks(seed: int, count: int, width: int, kernel) -> np.ndarray:
     """``kernel(lanes)`` over consecutive blocks of lanes 0..count-1, concatenated.
 
     ``width`` is how many values a kernel holds per lane (the row width of
-    its matrices); each block has ``chunk_lanes(width)`` lanes, the last one
+    its matrices); each block has ``block_lanes(width)`` lanes, the last one
     fewer.  Lane r of the result always comes from ``substream(seed, r)``, so
-    the chunk size bounds memory but never changes a value.
+    the block size bounds memory but never changes a value.
     """
-    lanes = chunk_lanes(width)
+    lanes = block_lanes(width)
     return np.concatenate(
         [
             kernel(SubstreamBlock(seed, min(lanes, count - start), start))
@@ -349,10 +400,27 @@ def run_chunks(seed: int, count: int, width: int, kernel) -> np.ndarray:
 
 
 def chunk_lanes(width: int) -> int:
-    """Lanes per chunk for rows of ``width`` values: CHUNK_ELEMENTS // width,
-    but at least CHUNK_FLOOR so numpy's per-call cost is spread over enough
-    lanes."""
+    """Lanes per sub-block for rows of ``width`` values: CHUNK_ELEMENTS //
+    width, but at least CHUNK_FLOOR so numpy's per-call cost is spread over
+    enough lanes."""
     return max(CHUNK_FLOOR, CHUNK_ELEMENTS // max(width, 1))
+
+
+def block_lanes(width: int) -> int:
+    """Lanes per block for rows of ``width`` values: ``chunk_lanes(width)``,
+    times 8 // the itemsize of ``position_dtype(width)`` where that sits at
+    CHUNK_FLOOR, so a block's draw table takes the bytes of a sub-block's
+    float64 rows (4096 lanes for int16 positions)."""
+    lanes = chunk_lanes(width)
+    if lanes == CHUNK_FLOOR:
+        lanes *= 8 // np.dtype(position_dtype(width)).itemsize
+    return lanes
+
+
+def row_lanes(width: int) -> int:
+    """Lanes per row block: at most CHUNK_ELEMENTS values of ``width``-value
+    rows, at least one row."""
+    return max(1, CHUNK_ELEMENTS // max(width, 1))
 
 
 _U5, _U7, _U9, _U57 = (np.uint64(k) for k in (5, 7, 9, 57))

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import rng
 from .data import PopulationVector
-from .resampling import _eq_by_fields, _read_only, percentile_interval
-from .spec import EVENTS
+from .resampling import _eq_by_fields, _in_row_blocks, _read_only, _shuffled, percentile_interval
+from .spec import EVENTS, check_count
 
 POLL_MODES = ("with-replacement", "without-replacement")
 
@@ -94,6 +94,8 @@ def simulate_bernoulli(experiment: BernoulliExperiment, seed: int = 0) -> float:
     den = experiment.success_probability.denominator
     n = experiment.trials_per_run
     runs = experiment.runs
+    check_count("trials_per_run", n)
+    check_count("runs", runs)
 
     def successes(blk) -> np.ndarray:
         counts = np.zeros(blk.count, dtype=np.int64)
@@ -154,6 +156,8 @@ def simulate_poll(
         raise ValueError("sample size must be >= 1")
     if n_polls < 1:
         raise ValueError("need at least one poll")
+    check_count("sample_size", sample_size)
+    check_count("n_polls", n_polls)
     n = population.n
     if mode == "without-replacement" and sample_size > n:
         raise ValueError(
@@ -172,11 +176,10 @@ def simulate_poll(
     else:
         pos = rng.positions(n)
 
-        def means(blk) -> np.ndarray:
-            picked = rng.prefix_shuffle_rows(pos, blk, sample_size)[:, :sample_size]
-            return entries[picked].mean(axis=1)
+        def means(rows) -> np.ndarray:
+            return _in_row_blocks(lambda block: entries[block[:, :sample_size]].mean(axis=1), rows)
 
-        props = rng.run_chunks(seed, n_polls, n, means)
+        props = rng.run_chunks(seed, n_polls, n, lambda blk: _shuffled(pos, blk, sample_size, means))
     return PollResult(
         props,
         sample_size=sample_size,

@@ -55,8 +55,8 @@ CORRELATION_BIN_WIDTH = 0.05
 
 ENUMERATION_LIMIT = 10**6
 # The most replicates, runs, polls, trials per run or draws per poll that a
-# command line may ask for: each one is drawn, so a count far past this
-# would run for hours and grow its results without bound.
+# command line or a library call may ask for: each one is drawn, so a count
+# far past this would run for hours and grow its results without bound.
 MAX_REPLICATES = 10**8
 
 

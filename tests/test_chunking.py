@@ -8,10 +8,12 @@ default (single) chunk.
 
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import test_golden
 from resamplekit import rng
 from resamplekit.data import GroupedSample, PairedSample, PopulationVector, Sample, get_fixture
 from resamplekit.resampling import bootstrap, shuffle_test, shuffle_test_paired
@@ -166,6 +168,60 @@ def test_scalar_engine_runs_unchunked(small_chunks, scalar_oracle, monkeypatch):
         assert sizes == [N]
 
 
+@pytest.fixture
+def tiny_blocks(monkeypatch):
+    """Chunk constants small enough that block, sub-block and row-block
+    boundaries all fall inside each pinned run below: 6- to 10-row data gets
+    blocks of 20 lanes, sub-blocks of 5 and row blocks of 2 to 4."""
+    monkeypatch.setattr(rng, "CHUNK_ELEMENTS", 24)
+    monkeypatch.setattr(rng, "CHUNK_FLOOR", 5)
+
+
+def test_wide_blocks_draw_four_times_the_floor_lanes():
+    assert rng.block_lanes(2000) == rng.block_lanes(10**4) == 4 * rng.CHUNK_FLOOR == 4096
+    assert rng.chunk_lanes(2000) == rng.CHUNK_FLOOR
+    assert rng.block_lanes(40_000) == 2 * rng.CHUNK_FLOOR  # int32 positions
+    assert rng.block_lanes(255) == rng.chunk_lanes(255) == rng.CHUNK_ELEMENTS // 255
+
+
+def test_tiny_blocks_put_every_boundary_inside_a_block(tiny_blocks):
+    for width, rows in ((6, 4), (9, 2), (10, 2), (500, 1)):
+        assert (rng.block_lanes(width), rng.chunk_lanes(width), rng.row_lanes(width)) == (20, 5, rows)
+
+
+@pytest.mark.parametrize("name", list(test_golden.ARRAYS))
+def test_pinned_arrays_across_block_sub_block_and_row_block_boundaries(tiny_blocks, scalar_oracle, name):
+    make, pin = test_golden.ARRAYS[name]
+    arr = make()
+    assert np.array_equal(arr, scalar_oracle(make))
+    assert test_golden.sha256(arr.astype("<f8").tobytes()) == pin
+
+
+def test_grouped_bootstrap_redraws_across_row_blocks_of_one_block(tiny_blocks, scalar_oracle):
+    # The pinned grouped bootstrap (veg6, seed 2) redraws lanes on both sides
+    # of a row-block boundary inside one block, and counts them as the
+    # scalar oracle does.
+    n, seed, count = VEG6.n, 2, 3000
+    in_g1 = [g == VEG6.group_names[0] for g in VEG6.groups]
+    lost = [
+        r for r in range(count)
+        if len({in_g1[i] for i in substream(seed, r).draw_with_replacement(range(n), n)}) < 2
+    ]
+    block, row_block = rng.block_lanes(n), rng.row_lanes(n)
+    row_blocks_per_block = Counter(r // block for r in {r - r % row_block for r in lost})
+    assert max(row_blocks_per_block.values()) > 1
+    dist = bootstrap(VEG6, n_resamples=count, seed=seed)
+    assert dist == scalar_oracle(lambda: bootstrap(VEG6, n_resamples=count, seed=seed))
+    assert dist.redraw_count >= len(lost)
+
+
+@pytest.mark.parametrize("sidedness", ["two-sided", "greater", "less"])
+def test_grouped_shuffle_p_values_across_boundaries(tiny_blocks, scalar_oracle, sidedness):
+    a = shuffle_test(VEG6, n_resamples=3000, seed=3, sidedness=sidedness)
+    assert a == scalar_oracle(lambda: shuffle_test(VEG6, n_resamples=3000, seed=3, sidedness=sidedness))
+    assert np.array_equal(a.distribution.array, test_golden.ARRAYS["shuffle-veg6"][0]())
+
+
 def _wide_data():
     """2000 one-decimal rows (one-sample, two-group and paired) and 10^4 0/1 voters."""
     rand = random.Random(2000)
@@ -187,15 +243,25 @@ SAMPLE, GROUPED, PAIRED, VOTERS = _wide_data()
         (lambda: shuffle_test_paired(PAIRED, n_resamples=1024), 24),
         (lambda: shuffle_test(GROUPED, n_resamples=1024), 15),
         (lambda: bootstrap(GROUPED, n_resamples=1024), 40),
+        (lambda: simulate_poll(VOTERS, 200, "without-replacement", 4096), 40),
+        (lambda: bootstrap(SAMPLE, n_resamples=4096), 24),
+        (lambda: shuffle_test_paired(PAIRED, n_resamples=4096), 24),
+        (lambda: shuffle_test(GROUPED, n_resamples=4096), 15),
+        (lambda: bootstrap(GROUPED, n_resamples=4096), 40),
     ],
-    ids=["poll-without", "bootstrap", "paired-shuffle", "grouped-shuffle", "grouped-bootstrap"],
+    ids=[
+        "poll-without", "bootstrap", "paired-shuffle", "grouped-shuffle", "grouped-bootstrap",
+        "poll-without-block", "bootstrap-block", "paired-shuffle-block", "grouped-shuffle-block",
+        "grouped-bootstrap-block",
+    ],
 )
 def test_a_wide_chunk_holds_row_positions_or_one_value_matrix(call, limit_mb):
-    # One chunk of 1024 lanes (CHUNK_FLOOR) over 2000 rows or 10^4 voters.
-    # A float64 matrix of every row per lane is 16 MB for 2000 rows and 82 MB
-    # for the voters.  The permuting kernels hold int16 positions (4 and
-    # 20 MB) and gather values only as they reduce them; the bootstraps hold
-    # one matrix of drawn values, or of drawn rows and their values.
+    # 1024 lanes (CHUNK_FLOOR) or one full block of 4096 over 2000 rows or
+    # 10^4 voters.  A float64 matrix of every row per lane is 16 MB for 2000
+    # rows and 82 MB for the voters at 1024 lanes.  A block's int16 draw
+    # table takes those 16 MB for 2000 rows at 4096 lanes; the permuting
+    # kernels hold int16 positions for 1024 lanes at a time (4 and 20 MB)
+    # and every kernel gathers values only in row blocks as it reduces them.
     tracemalloc.start()
     try:
         call()
@@ -203,3 +269,4 @@ def test_a_wide_chunk_holds_row_positions_or_one_value_matrix(call, limit_mb):
     finally:
         tracemalloc.stop()
     assert peak < limit_mb * 10**6
+

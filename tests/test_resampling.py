@@ -317,7 +317,7 @@ def test_shuffle_replicates_preserve_value_multiset(scalar_oracle):
     arr = np.asarray(VEG6.values)
 
     def kernel(blk):
-        return rng.prefix_shuffle_rows(arr, blk, 3)
+        return rng.prefix_shuffle_rows(arr, rng.draw_table(blk, rng.shuffle_steps(arr.size, 3)))
 
     for run in (lambda fn: fn(), scalar_oracle):
         mat = run(lambda: rng.run_chunks(7, 50, arr.size, kernel))
@@ -516,6 +516,37 @@ def test_bootstrap_validation():
         bootstrap(VEG9, n_resamples=0)
 
 
+def _refused_before_drawing(monkeypatch, call, argument):
+    """``call()`` raises a ValueError that names ``argument`` and the limit,
+    and draws nothing."""
+
+    def no_draws(*args):
+        raise AssertionError("drew replicates")
+
+    monkeypatch.setattr(rng, "run_chunks", no_draws)
+    with pytest.raises(ValueError, match=rf"^{argument} must be at most {spec.MAX_REPLICATES}, got {2**64}$"):
+        call()
+
+
+def test_bootstrap_refuses_replicate_counts_above_the_limit(monkeypatch):
+    _refused_before_drawing(monkeypatch, lambda: bootstrap(Sample([1.0, 2.0, 5.0]), n_resamples=2**64), "n_resamples")
+    _refused_before_drawing(monkeypatch, lambda: bootstrap(VEG6, n_resamples=2**64), "n_resamples")
+
+
+def test_bootstrap_report_refuses_replicate_counts_above_the_limit(monkeypatch):
+    _refused_before_drawing(monkeypatch, lambda: bootstrap_report(VEG9, n_resamples=2**64), "n_resamples")
+
+
+def test_shuffle_test_refuses_replicate_counts_above_the_limit(monkeypatch):
+    _refused_before_drawing(monkeypatch, lambda: shuffle_test(VEG6, n_resamples=2**64), "n_resamples")
+    paired = PairedSample(xs=(1.0, 2.0, 3.0), ys=(2.0, 1.0, 3.0))
+    _refused_before_drawing(monkeypatch, lambda: shuffle_test_paired(paired, n_resamples=2**64), "n_resamples")
+
+
+def test_replicate_limit_itself_is_accepted():
+    spec.check_count("n_resamples", spec.MAX_REPLICATES)
+
+
 # ---------------------------------------------------------------------------
 # percentile interval / tails
 
@@ -603,6 +634,25 @@ def test_diagnostics_constant_sample():
     assert diag.mean_median_gap == 0.0
     assert not diag.skew_flagged
     assert diag.small_sample  # 3 < 9
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 6, 101, 1000, 1001])
+def test_diagnostics_median_is_np_median_on_odd_and_even_sizes_with_ties(size):
+    # The median comes from one sort; the mean-median gap must keep every
+    # bit of the gap taken from np.median's partition.
+    rand = random.Random(size)
+    for values in (
+        [float(rand.randint(0, 3)) for _ in range(size)],  # many ties
+        [round(rand.gauss(0, 1), 1) for _ in range(size)],  # some ties
+        [rand.choice((0.1, 0.2, 0.30000000000000004, 1 / 3, 2.5e-8)) for _ in range(size)],
+    ):
+        dist = resampling.ResampleDistribution(values, 0.0, "mean", "with-replacement", size, 0, 20)
+        v = dist.array
+        mu = float(v.mean())
+        d = v - mu
+        sd = math.sqrt(float((d * d).mean()))
+        want = abs(mu - float(np.median(v))) / sd if sd > 0 else 0.0
+        assert diagnostics(dist).mean_median_gap == want
 
 
 def test_diagnostics_bounds_validation():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from resamplekit import rng
 from resamplekit.data import PopulationVector, get_fixture
 from resamplekit.simulate import (
     BernoulliExperiment,
@@ -12,6 +13,7 @@ from resamplekit.simulate import (
     simulate_bernoulli,
     simulate_poll,
 )
+from resamplekit.spec import MAX_REPLICATES
 
 F = Fraction
 POLL500 = get_fixture("poll500").payload
@@ -152,6 +154,33 @@ def test_poll_scalar_equals_vectorized(scalar_oracle):
         a = simulate_poll(POLL500, 25, mode, 80, seed=9)
         b = scalar_oracle(lambda: simulate_poll(POLL500, 25, mode, 80, seed=9))
         assert a.proportions == b.proportions
+
+
+def _refused_before_drawing(monkeypatch, call, argument):
+    """``call()`` raises a ValueError that names ``argument`` and the limit,
+    and draws nothing."""
+
+    def no_draws(*args):
+        raise AssertionError("drew replicates")
+
+    monkeypatch.setattr(rng, "run_chunks", no_draws)
+    with pytest.raises(ValueError, match=rf"^{argument} must be at most {MAX_REPLICATES}, got {2**64}$"):
+        call()
+
+
+def test_poll_refuses_counts_above_the_limit(monkeypatch):
+    for mode in ("with-replacement", "without-replacement"):
+        _refused_before_drawing(monkeypatch, lambda: simulate_poll(POLL500, 20, mode, 2**64), "n_polls")
+    _refused_before_drawing(
+        monkeypatch, lambda: simulate_poll(POLL500, 2**64, "with-replacement", 10), "sample_size"
+    )
+
+
+def test_bernoulli_refuses_counts_above_the_limit(monkeypatch):
+    runs = BernoulliExperiment(8, F(1, 2), "exactly", 4, 2**64)
+    _refused_before_drawing(monkeypatch, lambda: simulate_bernoulli(runs), "runs")
+    trials = BernoulliExperiment(2**64, F(1, 2), "exactly", 4, 10)
+    _refused_before_drawing(monkeypatch, lambda: simulate_bernoulli(trials), "trials_per_run")
 
 
 def test_poll_validation():
