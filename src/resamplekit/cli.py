@@ -463,9 +463,10 @@ SHARED = {
     "--out": dict(help="write the histogram CSV to this file"),
 }
 INPUT = ("--fixture", "--data", "--value-column")
-# Options whose LOW,HIGH value may begin with a minus sign.  argparse reads
-# "-2.1,5.3" as an option name, so ``main`` attaches such a value with "=".
-SIGNED_PAIRS = ("--ci", "--bounds")
+# Options whose number or LOW,HIGH value may begin with a minus sign.  argparse
+# reads "-2.1,5.3" or "-2.5e-3" as an option name, so ``main`` attaches such
+# a value with "=".
+SIGNED = ("--ci", "--bounds", "--estimate", "--null", "--threshold")
 # Namespace entries that are no manifest options: the seed and the input have
 # manifest lines of their own, and the rest are the parser's bookkeeping.
 NOT_OPTIONS = {"seed", "fixture", "data", "command", "func", "replicates_option"}
@@ -564,12 +565,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_signed_pairs(argv: list[str]) -> list[str]:
-    """``argv`` with each ``SIGNED_PAIRS`` option joined to a following value
-    that begins with "-" and a digit or "."."""
+def _attach_signed(argv: list[str]) -> list[str]:
+    """``argv`` with each ``SIGNED`` option joined to a following value that
+    begins with "-" and a digit or "."."""
     out = []
     for token in argv:
-        if out and out[-1] in SIGNED_PAIRS and re.match(r"-[\d.]", token):
+        if out and out[-1] in SIGNED and re.match(r"-[\d.]", token):
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -579,7 +580,7 @@ def _attach_signed_pairs(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(_attach_signed_pairs(sys.argv[1:] if argv is None else list(argv)))
+        args = parser.parse_args(_attach_signed(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -3,10 +3,11 @@
 Replicate r draws from ``substream(seed, r)``, so a run is fully
 determined by (data, statistic, number of replicates, seed).  The draw plans,
 their lanes forms and the chunking that runs them are specified once, in
-``rng``.  Each procedure here builds a kernel that reduces one block of
-lanes to its statistic: it draws the block's table, holds row state for
-sub-blocks, and reduces floats in row blocks, row by row on C-contiguous
-rows, so no block size changes a value, not even the float summation order.
+``rng``.  Each procedure here has a kernel, a function that reduces one
+block of lanes to its statistic and its redraws: it draws the block's table,
+holds row state for sub-blocks, and reduces floats in row blocks, row by row
+on C-contiguous rows, so no block size changes a value, not even the float
+summation order.
 
 p-values count ties inclusively: two-sided p = #{|T*| >= |T_obs|} / N,
 one-sided variants count T* >= T_obs (or <=).  The statistic table, these
@@ -101,14 +102,14 @@ class Histogram:
         return "\n".join(lines)
 
 
-def _read_only(values) -> np.ndarray:
+def read_only(values) -> np.ndarray:
     """``values`` as a float64 array that cannot be written to."""
     arr = np.asarray(values, dtype=np.float64)
     arr.flags.writeable = False
     return arr
 
 
-def _eq_by_fields(self, other) -> bool:
+def eq_by_fields(self, other) -> bool:
     """Value equality over the dataclass fields, ndarray fields by
     ``np.array_equal`` (a cached tuple in ``__dict__`` is not a field)."""
     if type(other) is not type(self):
@@ -137,9 +138,9 @@ class ResampleDistribution:
     def __post_init__(self):
         if len(self.array) != self.n_resamples:
             raise ValueError(f"{len(self.array)} values for {self.n_resamples} replicates")
-        object.__setattr__(self, "array", _read_only(self.array))
+        object.__setattr__(self, "array", read_only(self.array))
 
-    __eq__ = _eq_by_fields
+    __eq__ = eq_by_fields
 
     @functools.cached_property
     def values(self) -> tuple[float, ...]:
@@ -200,27 +201,6 @@ class BootstrapReport:
 # statistic evaluation (shared by observed value and all replicates)
 
 
-def _in_row_blocks(reduce, rows: np.ndarray) -> np.ndarray:
-    """``reduce`` of the rows of ``rows``, taken on row blocks of at most
-    ``rng.CHUNK_ELEMENTS`` values, concatenated."""
-    return rng.in_blocks(lambda lanes: reduce(rows[lanes]), len(rows), rng.row_lanes(rows.shape[1]))
-
-
-def _shuffled(pos: np.ndarray, blk, k: int, reduce) -> np.ndarray:
-    """``reduce(rows)`` for every lane of blk, where rows are
-    ``prefix_shuffle_rows(pos, ...)`` after the lanes' min(k, n - 1) steps.
-
-    The draws of the whole block come first, in one draw table; rows are
-    built for sub-blocks of ``chunk_lanes(n)`` lanes, each released before
-    the next is built."""
-    table = rng.draw_table(blk, rng.shuffle_steps(pos.size, k))
-    return rng.in_blocks(
-        lambda lanes: reduce(rng.prefix_shuffle_rows(pos, table[:, lanes])),
-        blk.count,
-        rng.chunk_lanes(pos.size),
-    )
-
-
 def _grouped_diffs(values: np.ndarray, rows: np.ndarray, n1: int) -> np.ndarray:
     """Per row of positions ``rows``: the mean of the values at its first n1
     positions minus the mean of the values at the rest.  Each group is
@@ -231,7 +211,7 @@ def _grouped_diffs(values: np.ndarray, rows: np.ndarray, n1: int) -> np.ndarray:
         s2 = values[block[:, n1:]].sum(axis=1)
         return s1 / n1 - s2 / (block.shape[1] - n1)
 
-    return _in_row_blocks(diffs, rows)
+    return rng.in_row_blocks(diffs, rows)
 
 
 def _correlations(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -255,7 +235,7 @@ def _correlations(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray) -> np.ndarra
         products *= dx
         return (n * products.sum(axis=1) - sx * sy) / den
 
-    return _in_row_blocks(correlations, rows)
+    return rng.in_row_blocks(correlations, rows)
 
 
 def _paired_columns(data: PairedSample) -> tuple[np.ndarray, np.ndarray]:
@@ -331,8 +311,8 @@ def shuffle_test(
         arr = np.asarray(data.values, dtype=float)
         k = data.group_count(data.group_names[0])
         reduce = functools.partial(_grouped_diffs, arr, n1=k)
-    pos = rng.positions(data.n)
-    replicates = rng.run_chunks(seed, n_resamples, data.n, lambda blk: _shuffled(pos, blk, k, reduce))
+    kernel = functools.partial(rng.shuffled, rng.positions(data.n), k, reduce)
+    replicates, _ = rng.run_chunks(seed, n_resamples, data.n, kernel)
     observed = observed_statistic(data, statistic)
     dist = ResampleDistribution(
         replicates, observed, statistic, "without-replacement", n_resamples, seed, data.n
@@ -384,50 +364,45 @@ def bootstrap(
     n = data.n
     observed = observed_statistic(data, statistic)
     arr = np.asarray(data.values, dtype=float)
-    redraws = 0
     if statistic == STAT_MEAN:
-
-        def kernel(blk) -> np.ndarray:
-            table = rng.draw_table(blk, [n] * n)
-            return rng.in_blocks(
-                lambda lanes: rng.draw_rows(arr, table[:, lanes]).mean(axis=1), blk.count, rng.row_lanes(n)
-            )
-
+        kernel = functools.partial(_bootstrap_means, arr)
     else:
         g1, _ = data.group_names
-        in_g1 = np.asarray([g == g1 for g in data.groups])
+        kernel = functools.partial(_grouped_bootstrap_diffs, arr, np.asarray([g == g1 for g in data.groups]))
+    values, redraws = rng.run_chunks(seed, n_resamples, n, kernel)
+    return ResampleDistribution(values, observed, statistic, "with-replacement", n_resamples, seed, n, redraws)
 
-        def kernel(blk) -> np.ndarray:
-            nonlocal redraws
-            diffs, lost = _grouped_resample_diffs(arr, in_g1, blk)
-            # Each attempt continues a lost lane's own stream, and only the
-            # lanes still lost are stepped, so a replicate depends on its own
-            # substream alone.  blk is narrowed to those lanes on the way.
-            lanes = np.flatnonzero(lost)  # positions in blk
-            replicates = lanes  # the replicates of this block they redraw
-            rounds = 0
-            while lanes.size:
-                rounds += 1
-                if rounds > _MAX_REDRAW_ROUNDS:
-                    raise RuntimeError("grouped bootstrap kept drawing one-group resamples")
-                redraws += lanes.size
-                blk.keep(lanes)
-                fresh, lost = _grouped_resample_diffs(arr, in_g1, blk)
-                diffs[replicates[~lost]] = fresh[~lost]
-                lanes = np.flatnonzero(lost)
-                replicates = replicates[lost]
-            return diffs
 
-    return ResampleDistribution(
-        rng.run_chunks(seed, n_resamples, n, kernel),
-        observed=observed,
-        statistic=statistic,
-        mode="with-replacement",
-        n_resamples=n_resamples,
-        seed=seed,
-        source_size=n,
-        redraw_count=redraws,
-    )
+def _bootstrap_means(arr: np.ndarray, lanes) -> tuple[np.ndarray, int]:
+    """The plain bootstrap kernel: each lane's mean of n values drawn with
+    replacement, and no redraws."""
+    n = arr.size
+    table = rng.draw_table(lanes, [n] * n)
+    return rng.in_blocks(
+        lambda sub: rng.draw_rows(arr, table[:, sub]).mean(axis=1), lanes.count, rng.row_lanes(n)
+    ), 0
+
+
+def _grouped_bootstrap_diffs(arr: np.ndarray, in_g1: np.ndarray, lanes) -> tuple[np.ndarray, int]:
+    """The grouped bootstrap kernel: each lane's difference of group means
+    from its first attempt that keeps both groups, and the redraws taken.
+
+    Each attempt continues a lost lane's own stream, and only the lanes
+    still lost are stepped, so a replicate depends on its own substream
+    alone.  ``lanes`` is narrowed to those lanes on the way.
+    """
+    diffs = np.empty(lanes.count)
+    replicates = np.arange(lanes.count)  # the replicates still to draw
+    attempts = 0
+    for _ in range(_MAX_REDRAW_ROUNDS + 1):
+        fresh, lost = _grouped_resample_diffs(arr, in_g1, lanes)
+        attempts += lanes.count
+        diffs[replicates[~lost]] = fresh[~lost]
+        if not lost.any():
+            return diffs, attempts - diffs.size
+        lanes.keep(np.flatnonzero(lost))
+        replicates = replicates[lost]
+    raise RuntimeError("grouped bootstrap kept drawing one-group resamples")
 
 
 def _grouped_resample_diffs(arr: np.ndarray, in_g1: np.ndarray, blk) -> tuple[np.ndarray, np.ndarray]:

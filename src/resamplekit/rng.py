@@ -27,7 +27,6 @@ pairwise-distinct streams.
 
 Derived draws:
 
-* ``random()`` -- ``(next_uint64() >> 11) * 2**-53``, uniform on [0, 1).
 * ``below(n)`` -- rejection sampling: draw ``r`` until
   ``r < 2**64 - (2**64 mod n)``, then return ``r mod n``.  No modulo bias;
   every call consumes at least one draw.
@@ -62,22 +61,26 @@ lanes in one lockstep pass: a draw-major table whose row d is
 ``prefix_shuffle_rows(items, table)`` applies the columns of a table of
 ``shuffle_steps(n, k)`` and is ``sample_without_replacement``;
 ``draw_rows(items, table)`` applies a table of n draws of ``below(n)`` and is
-``draw_with_replacement``.  The kernels that permute (both shuffle tests and
-the poll without replacement) pass ``positions(n)`` and gather values from
-the result as they reduce it, the poll only its first k columns.  The plain
-bootstrap draws its values; the grouped bootstrap gathers values and group
-flags through one index, ``lane_rows`` of its table.  Bernoulli trials and
-polls with replacement sum as they draw, so they hold no table.
+``draw_with_replacement``.  The kernel that permutes (both shuffle tests and
+the poll without replacement) is ``shuffled``: it passes ``positions(n)``,
+and values are gathered from the result as it is reduced, the poll only its
+first k columns.  The plain bootstrap draws its values; the grouped
+bootstrap gathers values and group flags through one index, ``lane_rows`` of
+its table.  Bernoulli trials and polls with replacement sum as they draw, so
+they hold no table.
 
 Lanes have a ``count``, ``below(n)`` (one draw per lane, an int64 array) and
 ``keep(lanes)`` (narrow to some lanes, each continuing its own stream).
-Every procedure builds a kernel over lanes and calls ``run_chunks``, which
-runs it on blocks: ``SubstreamBlock``s that step the lanes in numpy uint64
-lockstep.  ``ScalarLanes`` steps one Python-int ``substream(seed, r)`` per
-lane; the tests run a kernel once, unchunked, on ``ScalarLanes(seed, N)`` as
-the oracle for the uint64 lockstep, rejection, ``keep`` and chunking.  The
-plans themselves are checked against ``SeededGenerator``'s own methods in the
-tests, and against ``bench/refgen.py`` outside the program.
+A kernel is a function of (inputs, lanes) that returns ``(values,
+redraws)``: a value per lane and the redraws it took (only the grouped
+bootstrap redraws).  ``run_chunks`` runs it on blocks, ``SubstreamBlock``s
+that step the lanes in numpy uint64 lockstep, and returns the values in
+lane order with the redraws summed.  ``ScalarLanes`` steps one Python-int
+``substream(seed, r)`` per lane; the tests run a kernel once, unchunked, on
+``ScalarLanes(seed, N)`` as the oracle for the uint64 lockstep, rejection,
+``keep`` and chunking.  The plans themselves are checked against
+``SeededGenerator``'s own methods in the tests, and against
+``bench/refgen.py`` outside the program.
 
 Memory is bounded at three levels, for rows of n values.  A block has
 ``block_lanes(n)`` lanes, and a kernel draws its whole table for the block at
@@ -86,8 +89,9 @@ once, so numpy's per-call cost of ``below`` is spread over many lanes; where
 times as many lanes (4096 for int16), so the table takes the bytes of a
 float64 row matrix of CHUNK_FLOOR lanes.  Row state (a shuffle's positions)
 is held for sub-blocks of ``chunk_lanes(n)`` lanes, each released before the
-next is built.  Floats are gathered and reduced in row blocks of
-``row_lanes(n)`` lanes, at most CHUNK_ELEMENTS values, on C-contiguous rows.
+next is built (``shuffled``).  Floats are gathered and reduced in row blocks
+of ``row_lanes(n)`` lanes, at most CHUNK_ELEMENTS values, on C-contiguous
+rows (``in_row_blocks``).  Only ``rng`` decides these boundaries.
 
 Chunking invariant: ``run_chunks`` covers replicates 0..N-1 with blocks of
 at most ``block_lanes(width)`` lanes, and lane r of every block is always
@@ -154,10 +158,6 @@ class SeededGenerator:
         s3 = _rotl64(s3, 45)
         self._s = [s0, s1, s2, s3]
         return out
-
-    def random(self) -> float:
-        """Uniform float on [0, 1) with 53 random bits."""
-        return (self.next_uint64() >> 11) * 2.0**-53
 
     def below(self, n: int) -> int:
         """Uniform integer on [0, n) by rejection sampling (no modulo bias)."""
@@ -262,6 +262,26 @@ def in_blocks(fn, count: int, size: int) -> np.ndarray:
     """``fn(lanes)`` for the consecutive slices ``lanes`` of at most ``size``
     of 0..count-1, concatenated."""
     return np.concatenate([fn(slice(start, start + size)) for start in range(0, count, size)])
+
+
+def in_row_blocks(reduce, rows: np.ndarray) -> np.ndarray:
+    """``reduce`` of the rows of ``rows``, taken on row blocks of at most
+    CHUNK_ELEMENTS values, concatenated."""
+    return in_blocks(lambda lanes: reduce(rows[lanes]), len(rows), row_lanes(rows.shape[1]))
+
+
+def shuffled(pos: np.ndarray, k: int, reduce, lanes) -> tuple[np.ndarray, int]:
+    """The shuffle kernel: ``reduce(rows)`` for every lane, where rows are
+    ``prefix_shuffle_rows(pos, ...)`` after the lanes' min(k, n - 1) steps,
+    and no redraws.
+
+    The draws of all lanes come first, in one draw table; rows are built for
+    sub-blocks of ``chunk_lanes(n)`` lanes, each released before the next is
+    built."""
+    table = draw_table(lanes, shuffle_steps(pos.size, k))
+    return in_blocks(
+        lambda sub: reduce(prefix_shuffle_rows(pos, table[:, sub])), lanes.count, chunk_lanes(pos.size)
+    ), 0
 
 
 def _rotl64(x: int, k: int) -> int:
@@ -382,8 +402,9 @@ class ScalarLanes:
         self.count = len(self._gens)
 
 
-def run_chunks(seed: int, count: int, width: int, kernel) -> np.ndarray:
-    """``kernel(lanes)`` over consecutive blocks of lanes 0..count-1, concatenated.
+def run_chunks(seed: int, count: int, width: int, kernel) -> tuple[np.ndarray, int]:
+    """``kernel(lanes)`` over consecutive blocks of lanes 0..count-1: the
+    values concatenated in lane order, and the redraws summed.
 
     ``width`` is how many values a kernel holds per lane (the row width of
     its matrices); each block has ``block_lanes(width)`` lanes, the last one
@@ -391,12 +412,10 @@ def run_chunks(seed: int, count: int, width: int, kernel) -> np.ndarray:
     the block size bounds memory but never changes a value.
     """
     lanes = block_lanes(width)
-    return np.concatenate(
-        [
-            kernel(SubstreamBlock(seed, min(lanes, count - start), start))
-            for start in range(0, count, lanes)
-        ]
+    values, redraws = zip(
+        *(kernel(SubstreamBlock(seed, min(lanes, count - start), start)) for start in range(0, count, lanes))
     )
+    return np.concatenate(values), sum(redraws)
 
 
 def chunk_lanes(width: int) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rng
 from .data import PopulationVector
-from .resampling import _eq_by_fields, _in_row_blocks, _read_only, _shuffled, percentile_interval
+from .resampling import eq_by_fields, percentile_interval, read_only
 from .spec import EVENTS, check_count
 
 POLL_MODES = ("with-replacement", "without-replacement")
@@ -96,15 +96,17 @@ def simulate_bernoulli(experiment: BernoulliExperiment, seed: int = 0) -> float:
     runs = experiment.runs
     check_count("trials_per_run", n)
     check_count("runs", runs)
-
-    def successes(blk) -> np.ndarray:
-        counts = np.zeros(blk.count, dtype=np.int64)
-        for _ in range(n):
-            counts += blk.below(den) < num
-        return counts
-
-    counts = rng.run_chunks(seed, runs, n, successes)
+    counts, _ = rng.run_chunks(seed, runs, n, functools.partial(_successes, n, num, den))
     return float(np.count_nonzero(experiment.matches(counts)) / runs)
+
+
+def _successes(n: int, num: int, den: int, lanes) -> tuple[np.ndarray, int]:
+    """The Bernoulli kernel: each lane's successes in n trials at num/den,
+    and no redraws."""
+    counts = np.zeros(lanes.count, dtype=np.int64)
+    for _ in range(n):
+        counts += lanes.below(den) < num
+    return counts, 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,9 +124,9 @@ class PollResult:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "array", _read_only(self.array))
+        object.__setattr__(self, "array", read_only(self.array))
 
-    __eq__ = _eq_by_fields
+    __eq__ = eq_by_fields
 
     @functools.cached_property
     def proportions(self) -> tuple[float, ...]:
@@ -165,25 +167,25 @@ def simulate_poll(
         )
     entries = np.asarray(population.entries, dtype=float)
     if mode == "with-replacement":
-
-        def sums(blk) -> np.ndarray:
-            total = np.zeros(blk.count)
-            for _ in range(sample_size):
-                total += entries[blk.below(n)]
-            return total
-
-        props = rng.run_chunks(seed, n_polls, sample_size, sums) / sample_size
+        kernel = functools.partial(_poll_sums, entries, sample_size)
+        sums, _ = rng.run_chunks(seed, n_polls, sample_size, kernel)
+        props = sums / sample_size
     else:
-        pos = rng.positions(n)
+        means = functools.partial(_poll_means, entries, sample_size)
+        kernel = functools.partial(rng.shuffled, rng.positions(n), sample_size, means)
+        props, _ = rng.run_chunks(seed, n_polls, n, kernel)
+    return PollResult(props, sample_size, mode, n_polls, seed)
 
-        def means(rows) -> np.ndarray:
-            return _in_row_blocks(lambda block: entries[block[:, :sample_size]].mean(axis=1), rows)
 
-        props = rng.run_chunks(seed, n_polls, n, lambda blk: _shuffled(pos, blk, sample_size, means))
-    return PollResult(
-        props,
-        sample_size=sample_size,
-        mode=mode,
-        n_polls=n_polls,
-        seed=seed,
-    )
+def _poll_sums(entries: np.ndarray, k: int, lanes) -> tuple[np.ndarray, int]:
+    """The poll kernel with replacement: each lane's sum of k entries drawn
+    with replacement, and no redraws."""
+    total = np.zeros(lanes.count)
+    for _ in range(k):
+        total += entries[lanes.below(entries.size)]
+    return total, 0
+
+
+def _poll_means(entries: np.ndarray, k: int, rows: np.ndarray) -> np.ndarray:
+    """The mean of the entries at the first k positions of each row."""
+    return rng.in_row_blocks(lambda block: entries[block[:, :k]].mean(axis=1), rows)

@@ -33,13 +33,34 @@ def both_engines(scalar_oracle, fn):
     return fn(), scalar_oracle(fn)
 
 
+def replayed_redraws(data: GroupedSample, seed: int, count: int) -> int:
+    """The redraws of a grouped bootstrap, replayed on the generator alone:
+    for each replicate r, the attempts of ``substream(seed, r)
+    .draw_with_replacement(range(n), n)`` until both groups appear, less one."""
+    in_g1 = [g == data.group_names[0] for g in data.groups]
+    redraws = 0
+    for r in range(count):
+        gen = substream(seed, r)
+        while len({in_g1[i] for i in gen.draw_with_replacement(range(data.n), data.n)}) < 2:
+            redraws += 1
+    return redraws
+
+
 def test_patched_chunks_really_split_the_runs(small_chunks):
     assert rng.chunk_lanes(6) == 10
     assert rng.chunk_lanes(9) == 7
     assert rng.chunk_lanes(1000) == 7
-    sizes = []
-    run_chunks(0, N, 6, lambda blk: sizes.append(blk.count) or np.zeros(blk.count))
+    sizes, redraws = [], []
+
+    def kernel(blk):
+        sizes.append(blk.count)
+        redraws.append(len(sizes) ** 2)  # a different count for every block
+        return np.full(blk.count, len(sizes)), redraws[-1]
+
+    values, total = run_chunks(0, N, 6, kernel)
     assert sum(sizes) == N and sizes[-1] == N % 10 and len(sizes) == 26
+    assert total == sum(redraws)
+    assert values.tolist() == [block + 1 for block, size in enumerate(sizes) for _ in range(size)]
 
 
 def test_chunk_size_does_not_change_values(monkeypatch):
@@ -64,7 +85,7 @@ def test_multi_round_redraws_in_later_chunks(small_chunks, scalar_oracle):
     # chunk need several redraw rounds.
     a, b = both_engines(scalar_oracle, lambda: bootstrap(TINY, n_resamples=N, seed=2))
     assert a == b
-    assert a.redraw_count > N // 2
+    assert a.redraw_count == replayed_redraws(TINY, 2, N) > N // 2
 
 
 def test_shuffle_tests_across_chunks(small_chunks, scalar_oracle):
@@ -98,7 +119,7 @@ def test_rejection_path_across_chunks(small_chunks):
     # 2**62 + 1 rejects about a quarter of raw draws, so lanes of every chunk
     # retry, some more than once.
     n = (1 << 62) + 1
-    got = run_chunks(3, 45, 5, lambda blk: np.stack([blk.below(n) for _ in range(5)], axis=1))
+    got, _ = run_chunks(3, 45, 5, lambda blk: (np.stack([blk.below(n) for _ in range(5)], axis=1), 0))
     for lane in range(45):
         gen = substream(3, lane)
         assert [int(v) for v in got[lane]] == [gen.below(n) for _ in range(5)]
@@ -140,11 +161,11 @@ def test_scalar_engine_runs_unchunked(small_chunks, scalar_oracle, monkeypatch):
     # would set one chunked run against another; and every library call must
     # reach it, or they would set the numpy engine against itself.
     sizes = []
-    got = scalar_oracle(
-        lambda: rng.run_chunks(0, N, 6, lambda lanes: sizes.append(lanes.count) or lanes.below(7))
+    got, _ = scalar_oracle(
+        lambda: rng.run_chunks(0, N, 6, lambda lanes: (sizes.append(lanes.count) or lanes.below(7), 0))
     )
     assert sizes == [N]
-    assert np.array_equal(got, run_chunks(0, N, 6, lambda blk: blk.below(7)))
+    assert np.array_equal(got, run_chunks(0, N, 6, lambda blk: (blk.below(7), 0))[0])
 
     class CountedLanes(rng.ScalarLanes):
         def __init__(self, seed, count):
@@ -199,8 +220,8 @@ def test_pinned_arrays_across_block_sub_block_and_row_block_boundaries(tiny_bloc
 
 def test_grouped_bootstrap_redraws_across_row_blocks_of_one_block(tiny_blocks, scalar_oracle):
     # The pinned grouped bootstrap (veg6, seed 2) redraws lanes on both sides
-    # of a row-block boundary inside one block, and counts them as the
-    # scalar oracle does.
+    # of a row-block boundary inside one block, and counts them as a replay
+    # on the generator alone does.
     n, seed, count = VEG6.n, 2, 3000
     in_g1 = [g == VEG6.group_names[0] for g in VEG6.groups]
     lost = [
@@ -212,7 +233,7 @@ def test_grouped_bootstrap_redraws_across_row_blocks_of_one_block(tiny_blocks, s
     assert max(row_blocks_per_block.values()) > 1
     dist = bootstrap(VEG6, n_resamples=count, seed=seed)
     assert dist == scalar_oracle(lambda: bootstrap(VEG6, n_resamples=count, seed=seed))
-    assert dist.redraw_count >= len(lost)
+    assert dist.redraw_count == replayed_redraws(VEG6, seed, count) >= len(lost)
 
 
 @pytest.mark.parametrize("sidedness", ["two-sided", "greater", "less"])

@@ -681,6 +681,21 @@ def test_a_negative_interval_end_may_follow_its_option(capsys, argv):
     assert spaced == run(capsys, *head, f"{option}={value}")
 
 
+@pytest.mark.parametrize("argv, shown", [
+    (("clip", "--p", "0.05", "--estimate", "-2.5e-3"), "estimate=-0.0025"),
+    (("clip", "--p", "0.05", "--estimate", "2", "--null", "-1E0"), "null=-1.0"),
+    (("bootstrap", "--fixture", "veg9", "--n", "50", "--threshold", "-1e2"), "threshold=-100.0"),
+    (("bootstrap", "--fixture", "veg9", "--n", "50", "--threshold", "-5."), "threshold=-5.0"),
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else value)
+def test_a_negative_number_in_any_form_may_follow_its_option(capsys, argv, shown):
+    # argparse takes "-2.5e-3" and "-5." for option names; only "-5" and
+    # "-0.5" pass its own negative-number rule.
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    options = next(line for line in out.splitlines() if "options:" in line)
+    assert f" {shown} " in f"{options} "
+
+
 @pytest.mark.parametrize("argv", [
     ("clip", "--c", "-2.1,5.3"),
     ("bootstrap", "--fixture", "veg6", "--bou", "-1,100"),

@@ -77,7 +77,8 @@ def test_shuffle_test_first_group_follows_sample_without_replacement(small_chunk
     n1 = VEG6.group_count(g1)
     values = list(VEG6.values)
     arr = np.asarray(values)
-    rows = rng.run_chunks(5, N, arr.size, lambda blk: rng.prefix_shuffle_rows(arr, rng.draw_table(blk, rng.shuffle_steps(arr.size, n1))))
+    steps = rng.shuffle_steps(arr.size, n1)
+    rows, _ = rng.run_chunks(5, N, arr.size, lambda blk: (rng.prefix_shuffle_rows(arr, rng.draw_table(blk, steps)), 0))
     diffs = shuffle_test(VEG6, n_resamples=N, seed=5).distribution.values
     for r in range(N):
         first = substream(5, r).sample_without_replacement(values, n1)
@@ -90,7 +91,8 @@ def test_shuffle_test_first_group_follows_sample_without_replacement(small_chunk
 def test_paired_shuffle_follows_shuffle(small_chunks):
     ys = list(PAIRED.ys)
     arr = np.asarray(ys)
-    rows = rng.run_chunks(6, N, arr.size, lambda blk: rng.prefix_shuffle_rows(arr, rng.draw_table(blk, rng.shuffle_steps(arr.size, arr.size))))
+    steps = rng.shuffle_steps(arr.size, arr.size)
+    rows, _ = rng.run_chunks(6, N, arr.size, lambda blk: (rng.prefix_shuffle_rows(arr, rng.draw_table(blk, steps)), 0))
     rs = shuffle_test_paired(PAIRED, n_resamples=N, seed=6).distribution.values
     for r in range(N):
         shuffled = substream(6, r).shuffle(ys)

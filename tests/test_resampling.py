@@ -317,10 +317,10 @@ def test_shuffle_replicates_preserve_value_multiset(scalar_oracle):
     arr = np.asarray(VEG6.values)
 
     def kernel(blk):
-        return rng.prefix_shuffle_rows(arr, rng.draw_table(blk, rng.shuffle_steps(arr.size, 3)))
+        return rng.prefix_shuffle_rows(arr, rng.draw_table(blk, rng.shuffle_steps(arr.size, 3))), 0
 
     for run in (lambda fn: fn(), scalar_oracle):
-        mat = run(lambda: rng.run_chunks(7, 50, arr.size, kernel))
+        mat, _ = run(lambda: rng.run_chunks(7, 50, arr.size, kernel))
         target = sorted(VEG6.values)
         for row in mat:
             assert sorted(row) == target
@@ -391,8 +391,8 @@ def test_paired_needs_three_pairs():
 
 def test_paired_independent_data_large_p():
     gen = substream(17, 0)
-    xs = tuple(gen.random() for _ in range(30))
-    ys = tuple(gen.random() for _ in range(30))
+    xs = tuple((gen.next_uint64() >> 11) * 2.0**-53 for _ in range(30))
+    ys = tuple((gen.next_uint64() >> 11) * 2.0**-53 for _ in range(30))
     report = shuffle_test_paired(PairedSample(xs, ys), n_resamples=1000, seed=0)
     assert report.p_value > 0.01
 

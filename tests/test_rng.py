@@ -92,12 +92,6 @@ def test_substream_index_validation():
         substream(0, -1)
 
 
-def test_random_unit_interval():
-    gen = SeededGenerator(9)
-    values = [gen.random() for _ in range(1000)]
-    assert all(0.0 <= v < 1.0 for v in values)
-
-
 def test_below_bounds_and_validation():
     gen = SeededGenerator(1)
     assert all(0 <= gen.below(7) < 7 for _ in range(200))
