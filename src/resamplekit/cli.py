@@ -52,8 +52,11 @@ from .spec import (
     STAT_CORRELATION,
     STAT_MEAN,
     STAT_MEAN_DIFF,
+    TAIL_DIRECTIONS,
     check_bin_width,
     check_count,
+    check_level,
+    check_scale_bounds,
     exact_shuffle_p,
 )
 from .worlds import (
@@ -258,6 +261,8 @@ def _cmd_bootstrap(args, rep: Report) -> Report:
     check_bin_width(args.bin_width)
     data = _load_input(rep, args.fixture, args.data, _parse_csv, args.value_column, args.group_column)
     bounds = _pair(args.bounds, "--bounds") if args.bounds else None
+    check_level(args.level)
+    check_scale_bounds(bounds)
     from .resampling import bootstrap_report
 
     result = bootstrap_report(
@@ -407,6 +412,7 @@ def _cmd_poll(args, rep: Report) -> Report:
     if not args.fixture:
         population = PopulationVector(population.values)
     mode = "with-replacement" if args.mode == "with" else "without-replacement"
+    check_level(args.level)
     from .simulate import simulate_poll
 
     result = simulate_poll(population, args.sample_size, mode, args.polls, rep.seed)
@@ -516,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("--stat", choices=(STAT_MEAN, *GROUP_STATS))
     add("--threshold", type=finite_number, action="append", default=[],
         help="report the tail probability at this value (repeatable)")
-    add("--tail-direction", choices=("ge", "gt"), default="ge")
+    add("--tail-direction", choices=TAIL_DIRECTIONS, default=TAIL_DIRECTIONS[0])
     add("--bounds", help="measurement scale LOW,HIGH for diagnostics")
     add("--bin-width", type=float, default=DEFAULT_BIN_WIDTH)
 

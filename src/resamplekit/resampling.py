@@ -3,11 +3,11 @@
 Replicate r draws from ``substream(seed, r)``, so a run is fully
 determined by (data, statistic, number of replicates, seed).  The draw plans,
 their lanes forms and the chunking that runs them are specified once, in
-``rng``.  Each procedure here has a kernel, a function that reduces one
-block of lanes to its statistic and its redraws: it draws the block's table,
-holds row state for sub-blocks, and reduces floats in row blocks, row by row
-on C-contiguous rows, so no block size changes a value, not even the float
-summation order.
+``rng``.  Each procedure here passes a reducer to ``rng.shuffled`` or
+``rng.drawn``: a function from one row block of positions, C-contiguous
+rows, to the statistic of each row.  It gathers values at those positions
+and reduces them row by row, so no block size changes a value, not even the
+float summation order.
 
 p-values count ties inclusively: two-sided p = #{|T*| >= |T_obs|} / N,
 one-sided variants count T* >= T_obs (or <=).  The statistic table, these
@@ -32,10 +32,13 @@ from .spec import (
     STAT_MEAN,
     STATISTICS,
     _check_sidedness,
+    _check_tail_direction,
     _describe,
     _resolve,
     check_bin_width,
     check_count,
+    check_level,
+    check_scale_bounds,
     default_bin_width,
 )
 
@@ -147,17 +150,33 @@ class ResampleDistribution:
         return tuple(self.array.tolist())
 
 
+class _ReadsDistribution:
+    """A report's run, read from its one stored copy in ``distribution``."""
+
+    @property
+    def observed(self) -> float:
+        return self.distribution.observed
+
+    @property
+    def statistic(self) -> str:
+        return self.distribution.statistic
+
+    @property
+    def n_resamples(self) -> int:
+        return self.distribution.n_resamples
+
+    @property
+    def seed(self) -> int:
+        return self.distribution.seed
+
+
 @dataclass(frozen=True)
-class TestReport:
-    observed: float
+class TestReport(_ReadsDistribution):
+    distribution: ResampleDistribution
     p_value: float
-    statistic: str
     sidedness: str
-    n_resamples: int
-    seed: int
     histogram: Histogram
     description: str  # which direction the statistic was taken in
-    distribution: ResampleDistribution
 
 
 @dataclass(frozen=True)
@@ -174,7 +193,7 @@ class DiagnosticsReport:
 
 
 @dataclass(frozen=True)
-class BootstrapReport:
+class BootstrapReport(_ReadsDistribution):
     distribution: ResampleDistribution
     interval_level: float
     interval: tuple[float, float]
@@ -184,39 +203,23 @@ class BootstrapReport:
     diagnostics: DiagnosticsReport
     description: str
 
-    @property
-    def observed(self) -> float:
-        return self.distribution.observed
-
-    @property
-    def seed(self) -> int:
-        return self.distribution.seed
-
-    @property
-    def n_resamples(self) -> int:
-        return self.distribution.n_resamples
-
 
 # ---------------------------------------------------------------------------
 # statistic evaluation (shared by observed value and all replicates)
 
 
-def _grouped_diffs(values: np.ndarray, rows: np.ndarray, n1: int) -> np.ndarray:
+def _grouped_diffs(values: np.ndarray, n1: int, rows: np.ndarray) -> np.ndarray:
     """Per row of positions ``rows``: the mean of the values at its first n1
     positions minus the mean of the values at the rest.  Each group is
-    gathered only while it is summed, a row block at a time."""
-
-    def diffs(block):
-        s1 = values[block[:, :n1]].sum(axis=1)
-        s2 = values[block[:, n1:]].sum(axis=1)
-        return s1 / n1 - s2 / (block.shape[1] - n1)
-
-    return rng.in_row_blocks(diffs, rows)
+    gathered only while it is summed."""
+    s1 = values[rows[:, :n1]].sum(axis=1)
+    s2 = values[rows[:, n1:]].sum(axis=1)
+    return s1 / n1 - s2 / (rows.shape[1] - n1)
 
 
-def _correlations(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Pearson r of fixed xs against ys in the order of each row of
-    ``rows``, each row a permutation of the positions 0..n-1.
+def _correlations(xs: np.ndarray, ys: np.ndarray):
+    """The reducer of rows of positions, each a permutation of 0..n-1, to
+    the Pearson r of fixed xs against ys in the order of each row.
 
     The sums are of xs - xs[0] and ys - ys[0] (the shifted-data algorithm),
     so data far from zero do not cancel; integer data stay exact.  The y
@@ -230,12 +233,12 @@ def _correlations(xs: np.ndarray, ys: np.ndarray, rows: np.ndarray) -> np.ndarra
     sx, sy = dx.sum(), dy.sum()
     den = np.sqrt((n * (dx * dx).sum() - sx * sx) * (n * (dy * dy).sum() - sy * sy))
 
-    def correlations(block):
-        products = dy[block]
+    def correlations(rows):
+        products = dy[rows]
         products *= dx
         return (n * products.sum(axis=1) - sx * sy) / den
 
-    return rng.in_row_blocks(correlations, rows)
+    return correlations
 
 
 def _paired_columns(data: PairedSample) -> tuple[np.ndarray, np.ndarray]:
@@ -261,11 +264,10 @@ def observed_statistic(data, statistic: str | None = None) -> float:
         arr = np.asarray(data.values, dtype=float)
         return float(arr.reshape(1, -1).mean(axis=1)[0])
     if statistic == STAT_CORRELATION:
-        xs, ys = _paired_columns(data)
-        return float(_correlations(xs, ys, rng.positions(data.n).reshape(1, -1))[0])
+        return float(_correlations(*_paired_columns(data))(rng.positions(data.n).reshape(1, -1))[0])
     g1, g2 = data.group_names
     ordered = np.asarray(data.group_values(g1) + data.group_values(g2), dtype=float)
-    return float(_grouped_diffs(ordered, rng.positions(data.n).reshape(1, -1), data.group_count(g1))[0])
+    return float(_grouped_diffs(ordered, data.group_count(g1), rng.positions(data.n).reshape(1, -1))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +306,14 @@ def shuffle_test(
     if n_resamples < 1:
         raise ValueError("need at least one replicate")
     check_count("n_resamples", n_resamples)
+    bin_width = default_bin_width(statistic) if bin_width is None else bin_width
+    check_bin_width(bin_width)
     if statistic == STAT_CORRELATION:
-        xs, ys = _paired_columns(data)
-        k, reduce = data.n, functools.partial(_correlations, xs, ys)
+        k, reduce = data.n, _correlations(*_paired_columns(data))
     else:
         arr = np.asarray(data.values, dtype=float)
         k = data.group_count(data.group_names[0])
-        reduce = functools.partial(_grouped_diffs, arr, n1=k)
+        reduce = functools.partial(_grouped_diffs, arr, k)
     kernel = functools.partial(rng.shuffled, rng.positions(data.n), k, reduce)
     replicates, _ = rng.run_chunks(seed, n_resamples, data.n, kernel)
     observed = observed_statistic(data, statistic)
@@ -318,13 +321,8 @@ def shuffle_test(
         replicates, observed, statistic, "without-replacement", n_resamples, seed, data.n
     )
     hits = np.count_nonzero(_at_least_as_extreme(dist.array, observed, sidedness))
-    if bin_width is None:
-        bin_width = default_bin_width(statistic)
     histogram = Histogram.from_values(dist.array, bin_width)
-    return TestReport(
-        observed, hits / n_resamples, statistic, sidedness, n_resamples, seed, histogram,
-        _describe(data, statistic), dist,
-    )
+    return TestReport(dist, hits / n_resamples, sidedness, histogram, _describe(data, statistic))
 
 
 def shuffle_test_paired(
@@ -365,22 +363,12 @@ def bootstrap(
     observed = observed_statistic(data, statistic)
     arr = np.asarray(data.values, dtype=float)
     if statistic == STAT_MEAN:
-        kernel = functools.partial(_bootstrap_means, arr)
+        kernel = functools.partial(rng.drawn, n, lambda rows: arr[rows].mean(axis=1))
     else:
         g1, _ = data.group_names
         kernel = functools.partial(_grouped_bootstrap_diffs, arr, np.asarray([g == g1 for g in data.groups]))
     values, redraws = rng.run_chunks(seed, n_resamples, n, kernel)
     return ResampleDistribution(values, observed, statistic, "with-replacement", n_resamples, seed, n, redraws)
-
-
-def _bootstrap_means(arr: np.ndarray, lanes) -> tuple[np.ndarray, int]:
-    """The plain bootstrap kernel: each lane's mean of n values drawn with
-    replacement, and no redraws."""
-    n = arr.size
-    table = rng.draw_table(lanes, [n] * n)
-    return rng.in_blocks(
-        lambda sub: rng.draw_rows(arr, table[:, sub]).mean(axis=1), lanes.count, rng.row_lanes(n)
-    ), 0
 
 
 def _grouped_bootstrap_diffs(arr: np.ndarray, in_g1: np.ndarray, lanes) -> tuple[np.ndarray, int]:
@@ -391,11 +379,14 @@ def _grouped_bootstrap_diffs(arr: np.ndarray, in_g1: np.ndarray, lanes) -> tuple
     still lost are stepped, so a replicate depends on its own substream
     alone.  ``lanes`` is narrowed to those lanes on the way.
     """
+    n = arr.size
+    reduce = functools.partial(_grouped_resample_diffs, arr, in_g1)
     diffs = np.empty(lanes.count)
     replicates = np.arange(lanes.count)  # the replicates still to draw
     attempts = 0
     for _ in range(_MAX_REDRAW_ROUNDS + 1):
-        fresh, lost = _grouped_resample_diffs(arr, in_g1, lanes)
+        (fresh, c1), _ = rng.drawn(n, reduce, lanes)
+        lost = (c1 == 0) | (c1 == n)
         attempts += lanes.count
         diffs[replicates[~lost]] = fresh[~lost]
         if not lost.any():
@@ -405,31 +396,21 @@ def _grouped_bootstrap_diffs(arr: np.ndarray, in_g1: np.ndarray, lanes) -> tuple
     raise RuntimeError("grouped bootstrap kept drawing one-group resamples")
 
 
-def _grouped_resample_diffs(arr: np.ndarray, in_g1: np.ndarray, blk) -> tuple[np.ndarray, np.ndarray]:
-    """Each lane of blk draws n rows: the mean of their group-1 values minus
-    the mean of the others, and whether the lane drew only one group (its
-    difference is then nan).
+def _grouped_resample_diffs(arr: np.ndarray, in_g1: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per row of drawn positions ``rows``: the mean of the group-1 values
+    at them minus the mean of the others (nan when the row holds only one
+    group), stacked over the count of group-1 positions.
 
-    Values and flags are both gathered through one intp index of the drawn
-    rows, ``lane_rows`` of the table.
-    """
-    n = arr.size
-    table = rng.draw_table(blk, [n] * n)
-    counts = np.empty(blk.count, dtype=np.int64)
-
-    def diffs(lanes):
-        idx = rng.lane_rows(table[:, lanes])
-        picked = arr[idx]
-        mask1 = in_g1[idx]
-        c1 = counts[lanes] = mask1.sum(axis=1)
-        total = picked.sum(axis=1)
-        picked *= mask1
-        s1 = picked.sum(axis=1)
-        s2 = total - s1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return s1 / c1 - s2 / (n - c1)
-
-    return rng.in_blocks(diffs, blk.count, rng.row_lanes(n)), (counts == 0) | (counts == n)
+    Values and flags are both gathered through the same rows."""
+    picked = arr[rows]
+    mask1 = in_g1[rows]
+    c1 = mask1.sum(axis=1)
+    total = picked.sum(axis=1)
+    picked *= mask1
+    s1 = picked.sum(axis=1)
+    s2 = total - s1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.stack([s1 / c1 - s2 / (rows.shape[1] - c1), c1])
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +434,7 @@ def _sorted_percentile(s: np.ndarray, q: float) -> float:
 
 def percentile_interval(dist, level: float = 0.95) -> tuple[float, float]:
     """Equal-tailed interval: the (1-level)/2 and 1-(1-level)/2 percentiles."""
-    if not 0 < level < 1:
-        raise ValueError(f"interval level must be in (0, 1), got {level}")
+    check_level(level)
     v = _values_array(dist)
     if v.size < 2:
         raise ValueError("need at least two values for an interval")
@@ -465,12 +445,9 @@ def percentile_interval(dist, level: float = 0.95) -> tuple[float, float]:
 
 def tail_probability(dist, threshold: float, direction: str = "ge") -> float:
     """Fraction of values >= threshold ("ge", default) or > threshold ("gt")."""
+    _check_tail_direction(direction)
     v = _values_array(dist)
-    if direction == "ge":
-        return float(np.count_nonzero(v >= threshold) / v.size)
-    if direction == "gt":
-        return float(np.count_nonzero(v > threshold) / v.size)
-    raise ValueError(f"direction must be 'ge' or 'gt', got {direction!r}")
+    return float(np.count_nonzero(v >= threshold if direction == "ge" else v > threshold) / v.size)
 
 
 def _median(v: np.ndarray) -> float:
@@ -514,9 +491,8 @@ def diagnostics(
     oob = None
     bounds_flagged = False
     if scale_bounds is not None:
+        check_scale_bounds(scale_bounds)
         lo, hi = float(scale_bounds[0]), float(scale_bounds[1])
-        if not lo < hi:
-            raise ValueError(f"scale bounds must satisfy low < high, got {scale_bounds}")
         reflected = 2.0 * dist.observed - v
         oob = float(np.count_nonzero((reflected < lo) | (reflected > hi)) / v.size)
         bounds_flagged = oob > 0
@@ -562,7 +538,12 @@ def bootstrap_report(
     scale_bounds: tuple[float, float] | None = None,
     bin_width: float = DEFAULT_BIN_WIDTH,
 ) -> BootstrapReport:
-    """Bootstrap plus percentile interval, tail probabilities and diagnostics."""
+    """Bootstrap plus percentile interval, tail probabilities and diagnostics;
+    every option is checked before the first replicate is drawn."""
+    check_level(level)
+    _check_tail_direction(tail_direction)
+    check_scale_bounds(scale_bounds)
+    check_bin_width(bin_width)
     dist = bootstrap(data, statistic, n_resamples, seed)
     values = dist.array
     return BootstrapReport(

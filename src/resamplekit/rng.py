@@ -54,20 +54,18 @@ scheduling.  The draw plans of the procedures, for replicate r:
   terms): t draws of ``below(den)``, a success when the draw is below num.
 
 The lanes forms of the two sampling plans sit beside the ``SeededGenerator``
-methods they must match, and take items as those methods do.  Each is split
-into draw and apply.  ``draw_table(lanes, ns)`` makes every draw of a set of
-lanes in one lockstep pass: a draw-major table whose row d is
-``lanes.below(ns[d])``, in ``position_dtype`` (int16, int32 past 2^15 rows).
-``prefix_shuffle_rows(items, table)`` applies the columns of a table of
-``shuffle_steps(n, k)`` and is ``sample_without_replacement``;
-``draw_rows(items, table)`` applies a table of n draws of ``below(n)`` and is
-``draw_with_replacement``.  The kernel that permutes (both shuffle tests and
-the poll without replacement) is ``shuffled``: it passes ``positions(n)``,
-and values are gathered from the result as it is reduced, the poll only its
-first k columns.  The plain bootstrap draws its values; the grouped
-bootstrap gathers values and group flags through one index, ``lane_rows`` of
-its table.  Bernoulli trials and polls with replacement sum as they draw, so
-they hold no table.
+methods they must match.  Each is split into draw and apply.
+``draw_table(lanes, ns)`` makes every draw of a set of lanes in one lockstep
+pass: a draw-major table whose row d is ``lanes.below(ns[d])``, in
+``position_dtype`` (int16, int32 past 2^15 rows).  ``prefix_shuffle_rows(items,
+table)`` applies a table of ``shuffle_steps(n, k)`` and is
+``sample_without_replacement``; ``lane_rows(table)`` applies a table of n
+draws of ``below(n)`` and is ``draw_with_replacement`` of the positions.
+Each plan has one kernel that hands a procedure's reducer rows of positions:
+``shuffled`` (both shuffle tests, and the poll without replacement, which
+reads the first k columns) and ``drawn`` (both bootstraps).  The reducer
+gathers values at the positions as it reduces them.  Bernoulli trials and
+polls with replacement sum as they draw, so they hold no table.
 
 Lanes have a ``count``, ``below(n)`` (one draw per lane, an int64 array) and
 ``keep(lanes)`` (narrow to some lanes, each continuing its own stream).
@@ -89,9 +87,9 @@ once, so numpy's per-call cost of ``below`` is spread over many lanes; where
 times as many lanes (4096 for int16), so the table takes the bytes of a
 float64 row matrix of CHUNK_FLOOR lanes.  Row state (a shuffle's positions)
 is held for sub-blocks of ``chunk_lanes(n)`` lanes, each released before the
-next is built (``shuffled``).  Floats are gathered and reduced in row blocks
-of ``row_lanes(n)`` lanes, at most CHUNK_ELEMENTS values, on C-contiguous
-rows (``in_row_blocks``).  Only ``rng`` decides these boundaries.
+next is built.  Floats are gathered and reduced in row blocks of
+``row_lanes(n)`` lanes, at most CHUNK_ELEMENTS values, on C-contiguous rows.
+Only ``shuffled`` and ``drawn`` split a block.
 
 Chunking invariant: ``run_chunks`` covers replicates 0..N-1 with blocks of
 at most ``block_lanes(width)`` lanes, and lane r of every block is always
@@ -121,7 +119,7 @@ _MAX_BELOW = 1 << 63
 # the block rather than by replicates x row width.
 CHUNK_ELEMENTS = 1 << 18
 CHUNK_FLOOR = 1 << 10
-# Draws per tile of draw_rows' transpose.
+# Draws per tile of lane_rows' transpose.
 _TILE = 128
 
 
@@ -240,17 +238,11 @@ def prefix_shuffle_rows(items: np.ndarray, table: np.ndarray) -> np.ndarray:
     return mat
 
 
-def draw_rows(items: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """``draw_with_replacement`` on lanes: row j holds the picks
-    ``items[table[:, j]]`` of column j of ``table``, in draw order, as
-    C-contiguous rows."""
-    return items[lane_rows(table)]
-
-
 def lane_rows(table: np.ndarray) -> np.ndarray:
-    """The columns of ``table`` as C-contiguous rows of intp, so row j is
-    ``draw_rows(np.arange(n), table)``.  The transpose goes _TILE draws at a
-    time, which keeps its strided reads in cache."""
+    """``draw_with_replacement`` of the positions on lanes: row j holds the
+    picks ``table[:, j]`` in draw order, as C-contiguous rows of intp.  The
+    transpose goes _TILE draws at a time, which keeps its strided reads in
+    cache."""
     k, count = table.shape
     rows = np.empty((count, k), dtype=np.intp)
     for d in range(0, k, _TILE):
@@ -260,28 +252,33 @@ def lane_rows(table: np.ndarray) -> np.ndarray:
 
 def in_blocks(fn, count: int, size: int) -> np.ndarray:
     """``fn(lanes)`` for the consecutive slices ``lanes`` of at most ``size``
-    of 0..count-1, concatenated."""
-    return np.concatenate([fn(slice(start, start + size)) for start in range(0, count, size)])
-
-
-def in_row_blocks(reduce, rows: np.ndarray) -> np.ndarray:
-    """``reduce`` of the rows of ``rows``, taken on row blocks of at most
-    CHUNK_ELEMENTS values, concatenated."""
-    return in_blocks(lambda lanes: reduce(rows[lanes]), len(rows), row_lanes(rows.shape[1]))
+    of 0..count-1, concatenated along the last axis."""
+    return np.concatenate([fn(slice(start, start + size)) for start in range(0, count, size)], axis=-1)
 
 
 def shuffled(pos: np.ndarray, k: int, reduce, lanes) -> tuple[np.ndarray, int]:
-    """The shuffle kernel: ``reduce(rows)`` for every lane, where rows are
-    ``prefix_shuffle_rows(pos, ...)`` after the lanes' min(k, n - 1) steps,
-    and no redraws.
+    """The kernel that permutes: ``reduce(rows)`` for every lane, where rows
+    are ``prefix_shuffle_rows(pos, ...)`` after the lanes' min(k, n - 1)
+    steps, and no redraws.  After one draw table for all lanes, rows are
+    built for sub-blocks of ``chunk_lanes(n)`` lanes, each released before
+    the next is built, and reduced a row block at a time."""
+    n = pos.size
+    table = draw_table(lanes, shuffle_steps(n, k))
 
-    The draws of all lanes come first, in one draw table; rows are built for
-    sub-blocks of ``chunk_lanes(n)`` lanes, each released before the next is
-    built."""
-    table = draw_table(lanes, shuffle_steps(pos.size, k))
-    return in_blocks(
-        lambda sub: reduce(prefix_shuffle_rows(pos, table[:, sub])), lanes.count, chunk_lanes(pos.size)
-    ), 0
+    def sub_block(sub):
+        rows = prefix_shuffle_rows(pos, table[:, sub])
+        return in_blocks(lambda block: reduce(rows[block]), len(rows), row_lanes(n))
+
+    return in_blocks(sub_block, lanes.count, chunk_lanes(n)), 0
+
+
+def drawn(n: int, reduce, lanes) -> tuple[np.ndarray, int]:
+    """The kernel that draws with replacement: ``reduce(rows)`` for every
+    lane, where rows are ``lane_rows`` of the lanes' n draws of ``below(n)``,
+    and no redraws.  After one draw table for all lanes, rows are built and
+    reduced a row block at a time."""
+    table = draw_table(lanes, [n] * n)
+    return in_blocks(lambda block: reduce(lane_rows(table[:, block])), lanes.count, row_lanes(n)), 0
 
 
 def _rotl64(x: int, k: int) -> int:

@@ -171,8 +171,9 @@ def simulate_poll(
         sums, _ = rng.run_chunks(seed, n_polls, sample_size, kernel)
         props = sums / sample_size
     else:
-        means = functools.partial(_poll_means, entries, sample_size)
-        kernel = functools.partial(rng.shuffled, rng.positions(n), sample_size, means)
+        kernel = functools.partial(
+            rng.shuffled, rng.positions(n), sample_size, lambda rows: entries[rows[:, :sample_size]].mean(axis=1)
+        )
         props, _ = rng.run_chunks(seed, n_polls, n, kernel)
     return PollResult(props, sample_size, mode, n_polls, seed)
 
@@ -185,7 +186,3 @@ def _poll_sums(entries: np.ndarray, k: int, lanes) -> tuple[np.ndarray, int]:
         total += entries[lanes.below(entries.size)]
     return total, 0
 
-
-def _poll_means(entries: np.ndarray, k: int, rows: np.ndarray) -> np.ndarray:
-    """The mean of the entries at the first k positions of each row."""
-    return rng.in_row_blocks(lambda block: entries[block[:, :k]].mean(axis=1), rows)

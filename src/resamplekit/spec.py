@@ -46,6 +46,7 @@ _DESCRIPTIONS = {
 }
 
 SIDEDNESS = ("two-sided", "greater", "less")
+TAIL_DIRECTIONS = ("ge", "gt")
 # The events a Bernoulli experiment scores on its success count.
 EVENTS = ("exactly", "at-least", "at-most")
 
@@ -94,6 +95,23 @@ def _describe(data, statistic: str) -> str:
 def _check_sidedness(sidedness: str) -> None:
     if sidedness not in SIDEDNESS:
         raise ValueError(f"sidedness must be one of {SIDEDNESS}, got {sidedness!r}")
+
+
+def _check_tail_direction(direction: str) -> None:
+    if direction not in TAIL_DIRECTIONS:
+        raise ValueError(f"direction must be {' or '.join(map(repr, TAIL_DIRECTIONS))}, got {direction!r}")
+
+
+def check_level(level: float) -> None:
+    """Raise ValueError unless the interval level lies in (0, 1)."""
+    if not 0 < level < 1:
+        raise ValueError(f"interval level must be in (0, 1), got {level}")
+
+
+def check_scale_bounds(bounds: tuple[float, float] | None) -> None:
+    """Raise ValueError unless the scale bounds are None or low < high."""
+    if bounds is not None and not float(bounds[0]) < float(bounds[1]):
+        raise ValueError(f"scale bounds must satisfy low < high, got {bounds}")
 
 
 def check_count(option: str, count: int) -> None:

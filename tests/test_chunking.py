@@ -236,6 +236,46 @@ def test_grouped_bootstrap_redraws_across_row_blocks_of_one_block(tiny_blocks, s
     assert dist.redraw_count == replayed_redraws(VEG6, seed, count) >= len(lost)
 
 
+@pytest.mark.parametrize(
+    "kernel, grouped",
+    [("shuffled", False), ("drawn", False), ("drawn", True)],
+    ids=["shuffled", "drawn", "drawn-grouped"],
+)
+def test_shuffled_and_drawn_hand_reduce_row_blocks_in_lane_order(tiny_blocks, kernel, grouped):
+    # 23 lanes of 9-row data: sub-blocks of 5 lanes and row blocks of 2, the
+    # last of each partial.  The reducer returns the picks of each row as
+    # one code (its base-100 digits), and grouped also a second row, the
+    # count of picks below 4, so every value names its lane's draws.
+    n, k, seed, count = 9, 4, 11, 23
+    width = k if kernel == "shuffled" else n
+    seen = []
+
+    def reduce(rows):
+        seen.append((rows.flags.c_contiguous, len(rows)))
+        codes = rows[:, :width].astype(np.int64) @ 100 ** np.arange(width, dtype=np.int64)
+        return np.stack([codes, (rows < 4).sum(axis=1)]) if grouped else codes
+
+    def run(lanes):
+        if kernel == "shuffled":
+            return rng.shuffled(rng.positions(n), k, reduce, lanes)
+        return rng.drawn(n, reduce, lanes)
+
+    values, redraws = run(SubstreamBlock(seed, count))
+    assert redraws == 0
+    assert all(contiguous and 1 <= rows <= rng.row_lanes(n) for contiguous, rows in seen)
+    assert len(seen) > count // rng.row_lanes(n)
+    assert values.shape == ((2, count) if grouped else (count,))
+    for r, value in enumerate(values.T):
+        gen = substream(seed, r)
+        if kernel == "shuffled":
+            picks = gen.sample_without_replacement(range(n), k)
+        else:
+            picks = gen.draw_with_replacement(range(n), n)
+        want = sum(p * 100**i for i, p in enumerate(picks))
+        assert value.tolist() == ([want, sum(p < 4 for p in picks)] if grouped else want)
+    assert np.array_equal(values, run(rng.ScalarLanes(seed, count))[0])
+
+
 @pytest.mark.parametrize("sidedness", ["two-sided", "greater", "less"])
 def test_grouped_shuffle_p_values_across_boundaries(tiny_blocks, scalar_oracle, sidedness):
     a = shuffle_test(VEG6, n_resamples=3000, seed=3, sidedness=sidedness)

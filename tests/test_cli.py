@@ -740,11 +740,34 @@ NUMPY_FREE_ARGVS = [
 ]
 
 
+def _numpy_free_run(argv) -> subprocess.CompletedProcess:
+    """``main(argv)`` in a child process whose last stdout line says whether
+    it imported numpy."""
+    child = "import sys; from resamplekit.cli import main; code = main(); print('numpy' in sys.modules); sys.exit(code)"
+    return subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, text=True, env=_cli_env())
+
+
 @pytest.mark.parametrize("argv", NUMPY_FREE_ARGVS, ids=" ".join)
 def test_subcommands_that_draw_nothing_never_import_numpy(argv):
-    child = "import sys; from resamplekit.cli import main; code = main(); print('numpy' in sys.modules); sys.exit(code)"
-    proc = subprocess.run(
-        [sys.executable, "-c", child, *argv], capture_output=True, text=True, env=_cli_env(),
-    )
+    proc = _numpy_free_run(argv)
     assert proc.returncode in (0, 1), proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+# Report options whose refusal needs no replicate: each argv asks for 10^6 or
+# more, so a refusal after the draws would keep the user waiting for seconds.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("bootstrap", "--fixture", "veg9", "--n", "10000000", "--level", "1.5"),
+         "interval level must be in (0, 1), got 1.5"),
+        (("bootstrap", "--fixture", "veg9", "--n", "10000000", "--bounds", "5,1"),
+         "scale bounds must satisfy low < high, got (5.0, 1.0)"),
+        (("poll", "--fixture", "poll500", "--sample-size", "200", "--polls", "1000000", "--level", "1.5"),
+         "interval level must be in (0, 1), got 1.5"),
+    ],
+    ids=["bootstrap-level", "bootstrap-bounds", "poll-level"],
+)
+def test_report_options_are_refused_before_numpy_is_imported(argv, message):
+    proc = _numpy_free_run(argv)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (1, f"error: {message}\n", "False\n")

@@ -1,6 +1,7 @@
 """The package's public names: one table, each name's module imported the
 first time the name is read, and no numpy for the spec alone."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -51,6 +52,22 @@ def test_unknown_names_raise_attribute_error():
 
 def test_dir_lists_the_public_names():
     assert set(PUBLIC) <= set(dir(resamplekit))
+
+
+@pytest.mark.parametrize("module", ["resampling", "simulate"])
+def test_procedures_leave_every_lane_boundary_to_rng(module):
+    # A procedure runs blocks and hands a reducer to one of the two kernels;
+    # block, sub-block and row-block sizes are rng's alone.
+    tree = ast.parse((Path(resamplekit.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
+    used = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "rng"
+    }
+    used |= {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "rng" for alias in node.names
+    }
+    assert used and used <= {"run_chunks", "shuffled", "drawn", "positions"}
 
 
 @pytest.mark.parametrize("statement", ["import resamplekit", "import resamplekit.spec"])

@@ -1,5 +1,6 @@
 """Shuffle tests, bootstrap, intervals, tails, diagnostics, enumeration."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -332,6 +333,19 @@ def test_shuffle_test_scalar_equals_vectorized(scalar_oracle):
     assert a == b
 
 
+def test_test_report_reads_its_run_from_its_distribution():
+    report = shuffle_test(VEG6, n_resamples=200, seed=1)
+    dist = report.distribution
+    assert [f.name for f in dataclasses.fields(report)] == [
+        "distribution", "p_value", "sidedness", "histogram", "description"
+    ]
+    assert (report.observed, report.statistic, report.n_resamples, report.seed) == (
+        dist.observed, "mean-diff", 200, 1
+    )
+    with pytest.raises(AttributeError):
+        report.observed = 0.0
+
+
 def test_shuffle_test_carries_distribution():
     report = shuffle_test(VEG6, n_resamples=200, seed=1)
     dist = report.distribution
@@ -541,6 +555,30 @@ def test_shuffle_test_refuses_replicate_counts_above_the_limit(monkeypatch):
     _refused_before_drawing(monkeypatch, lambda: shuffle_test(VEG6, n_resamples=2**64), "n_resamples")
     paired = PairedSample(xs=(1.0, 2.0, 3.0), ys=(2.0, 1.0, 3.0))
     _refused_before_drawing(monkeypatch, lambda: shuffle_test_paired(paired, n_resamples=2**64), "n_resamples")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: bootstrap_report(VEG9, n_resamples=10**7, level=1.5), "interval level must be in (0, 1), got 1.5"),
+        (lambda: bootstrap_report(VEG9, n_resamples=10**7, bin_width=0.0),
+         "bin width must be a finite number > 0, got 0.0"),
+        (lambda: bootstrap_report(VEG9, n_resamples=10**7, scale_bounds=(5, 1)),
+         "scale bounds must satisfy low < high, got (5, 1)"),
+        (lambda: bootstrap_report(VEG9, tail_direction="bogus"), "direction must be 'ge' or 'gt', got 'bogus'"),
+        (lambda: shuffle_test(VEG6, n_resamples=10**7, bin_width=0.0),
+         "bin width must be a finite number > 0, got 0.0"),
+    ],
+    ids=["level", "bin-width", "scale-bounds", "tail-direction", "shuffle-bin-width"],
+)
+def test_report_options_are_refused_before_any_replicate_is_drawn(monkeypatch, call, message):
+    def no_draws(*args):
+        raise AssertionError("drew replicates")
+
+    monkeypatch.setattr(rng, "run_chunks", no_draws)
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_replicate_limit_itself_is_accepted():
