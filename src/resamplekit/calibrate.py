@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .dists import normal_cdf, normal_quantile, t_cdf, t_quantile
+from .spec import check_finite
 
 FAMILIES = ("normal", "t")
 
@@ -102,13 +103,6 @@ def _family_quantile(p: float, family: str, df: int | None) -> float:
     raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
 
 
-def _check_finite(**values) -> None:
-    """Raise ValueError naming the first of ``values`` that is given but not finite."""
-    for name, value in values.items():
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be a finite number, got {value}")
-
-
 def calibrate_from_interval(
     low: float,
     high: float,
@@ -123,7 +117,7 @@ def calibrate_from_interval(
     ``estimate`` is optional and only used to warn when the interval is
     visibly asymmetric around it.
     """
-    _check_finite(estimate=estimate)
+    check_finite(estimate=estimate)
     if not low < high:
         raise ValueError(f"need low < high, got ({low}, {high})")
     if not 0 < level < 1:
@@ -171,7 +165,7 @@ def calibrate_from_p(
     ``null_value`` is the baseline the p-value was computed against
     (0 for differences, 1 for ratios).
     """
-    _check_finite(estimate=estimate, null_value=null_value)
+    check_finite(estimate=estimate, null_value=null_value)
     if not 0 < p < 1:
         raise ValueError(f"p-value must be in (0, 1), got {p}")
     if 1 - p / 2 == 1:

@@ -95,10 +95,6 @@ class GroupedSample:
     def group_count(self, name: str) -> int:
         return len(self.group_values(name))
 
-    def group_mean(self, name: str) -> float:
-        vals = self.group_values(name)
-        return sum(vals) / len(vals)
-
     @classmethod
     def from_rows(cls, rows, label: str | None = None) -> "GroupedSample":
         rows = list(rows)

@@ -37,6 +37,7 @@ from .spec import (
     _resolve,
     check_bin_width,
     check_count,
+    check_finite,
     check_level,
     check_scale_bounds,
     default_bin_width,
@@ -340,9 +341,6 @@ def shuffle_test_paired(
 # bootstrap
 
 
-_MAX_REDRAW_ROUNDS = 10_000
-
-
 def bootstrap(
     data: Sample | GroupedSample,
     statistic: str | None = None,
@@ -363,37 +361,13 @@ def bootstrap(
     observed = observed_statistic(data, statistic)
     arr = np.asarray(data.values, dtype=float)
     if statistic == STAT_MEAN:
-        kernel = functools.partial(rng.drawn, n, lambda rows: arr[rows].mean(axis=1))
+        kernel = functools.partial(rng.drawn, n, lambda rows: arr[rows].mean(axis=1), False)
     else:
         g1, _ = data.group_names
-        kernel = functools.partial(_grouped_bootstrap_diffs, arr, np.asarray([g == g1 for g in data.groups]))
+        reduce = functools.partial(_grouped_resample_diffs, arr, np.asarray([g == g1 for g in data.groups]))
+        kernel = functools.partial(rng.drawn, n, reduce, True)
     values, redraws = rng.run_chunks(seed, n_resamples, n, kernel)
     return ResampleDistribution(values, observed, statistic, "with-replacement", n_resamples, seed, n, redraws)
-
-
-def _grouped_bootstrap_diffs(arr: np.ndarray, in_g1: np.ndarray, lanes) -> tuple[np.ndarray, int]:
-    """The grouped bootstrap kernel: each lane's difference of group means
-    from its first attempt that keeps both groups, and the redraws taken.
-
-    Each attempt continues a lost lane's own stream, and only the lanes
-    still lost are stepped, so a replicate depends on its own substream
-    alone.  ``lanes`` is narrowed to those lanes on the way.
-    """
-    n = arr.size
-    reduce = functools.partial(_grouped_resample_diffs, arr, in_g1)
-    diffs = np.empty(lanes.count)
-    replicates = np.arange(lanes.count)  # the replicates still to draw
-    attempts = 0
-    for _ in range(_MAX_REDRAW_ROUNDS + 1):
-        (fresh, c1), _ = rng.drawn(n, reduce, lanes)
-        lost = (c1 == 0) | (c1 == n)
-        attempts += lanes.count
-        diffs[replicates[~lost]] = fresh[~lost]
-        if not lost.any():
-            return diffs, attempts - diffs.size
-        lanes.keep(np.flatnonzero(lost))
-        replicates = replicates[lost]
-    raise RuntimeError("grouped bootstrap kept drawing one-group resamples")
 
 
 def _grouped_resample_diffs(arr: np.ndarray, in_g1: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -446,6 +420,7 @@ def percentile_interval(dist, level: float = 0.95) -> tuple[float, float]:
 def tail_probability(dist, threshold: float, direction: str = "ge") -> float:
     """Fraction of values >= threshold ("ge", default) or > threshold ("gt")."""
     _check_tail_direction(direction)
+    check_finite(threshold=threshold)
     v = _values_array(dist)
     return float(np.count_nonzero(v >= threshold if direction == "ge" else v > threshold) / v.size)
 
@@ -544,6 +519,9 @@ def bootstrap_report(
     _check_tail_direction(tail_direction)
     check_scale_bounds(scale_bounds)
     check_bin_width(bin_width)
+    thresholds = tuple(thresholds)
+    for t in thresholds:
+        check_finite(threshold=t)
     dist = bootstrap(data, statistic, n_resamples, seed)
     values = dist.array
     return BootstrapReport(

@@ -53,27 +53,28 @@ scheduling.  The draw plans of the procedures, for replicate r:
 * Bernoulli run of t trials at success probability num/den (lowest
   terms): t draws of ``below(den)``, a success when the draw is below num.
 
-The lanes forms of the two sampling plans sit beside the ``SeededGenerator``
-methods they must match.  Each is split into draw and apply.
-``draw_table(lanes, ns)`` makes every draw of a set of lanes in one lockstep
-pass: a draw-major table whose row d is ``lanes.below(ns[d])``, in
-``position_dtype`` (int16, int32 past 2^15 rows).  ``prefix_shuffle_rows(items,
-table)`` applies a table of ``shuffle_steps(n, k)`` and is
-``sample_without_replacement``; ``lane_rows(table)`` applies a table of n
-draws of ``below(n)`` and is ``draw_with_replacement`` of the positions.
-Each plan has one kernel that hands a procedure's reducer rows of positions:
+The lanes forms of the plans sit here, and only here, beside the
+``SeededGenerator`` methods they must match.  ``draw_table(lanes, ns)`` makes
+every draw of a set of lanes in one lockstep pass: a draw-major table whose
+row d is ``lanes.below(ns[d])``, in ``position_dtype`` (int16, int32 past
+2^15 rows).  ``prefix_shuffle_rows(items, table)`` applies a table of
+``shuffle_steps(n, k)`` and is ``sample_without_replacement``;
+``lane_rows(table)`` applies a table of n draws of ``below(n)`` and is
+``draw_with_replacement`` of the positions.  Three kernels run every plan.
 ``shuffled`` (both shuffle tests, and the poll without replacement, which
-reads the first k columns) and ``drawn`` (both bootstraps).  The reducer
-gathers values at the positions as it reduces them.  Bernoulli trials and
-polls with replacement sum as they draw, so they hold no table.
+reads the first k columns) and ``drawn`` (both bootstraps; grouped, it also
+applies the redraw rule) hand a procedure's reducer rows of positions, which
+it gathers values at as it reduces them.  ``summed`` (Bernoulli trials and
+polls with replacement) sums a pick of each draw as it draws, with no table.
 
 Lanes have a ``count``, ``below(n)`` (one draw per lane, an int64 array) and
 ``keep(lanes)`` (narrow to some lanes, each continuing its own stream).
 A kernel is a function of (inputs, lanes) that returns ``(values,
 redraws)``: a value per lane and the redraws it took (only the grouped
-bootstrap redraws).  ``run_chunks`` runs it on blocks, ``SubstreamBlock``s
-that step the lanes in numpy uint64 lockstep, and returns the values in
-lane order with the redraws summed.  ``ScalarLanes`` steps one Python-int
+bootstrap redraws).  ``run_chunks`` refuses a run above ``spec.MAX_WORK``
+lane-values, then runs the kernel on blocks, ``SubstreamBlock``s that step
+the lanes in numpy uint64 lockstep, writes their values in lane order into
+one output array and sums the redraws.  ``ScalarLanes`` steps one Python-int
 ``substream(seed, r)`` per lane; the tests run a kernel once, unchunked, on
 ``ScalarLanes(seed, N)`` as the oracle for the uint64 lockstep, rejection,
 ``keep`` and chunking.  The plans themselves are checked against
@@ -89,7 +90,7 @@ float64 row matrix of CHUNK_FLOOR lanes.  Row state (a shuffle's positions)
 is held for sub-blocks of ``chunk_lanes(n)`` lanes, each released before the
 next is built.  Floats are gathered and reduced in row blocks of
 ``row_lanes(n)`` lanes, at most CHUNK_ELEMENTS values, on C-contiguous rows.
-Only ``shuffled`` and ``drawn`` split a block.
+Only the kernels split a block.
 
 Chunking invariant: ``run_chunks`` covers replicates 0..N-1 with blocks of
 at most ``block_lanes(width)`` lanes, and lane r of every block is always
@@ -103,6 +104,8 @@ substreams.
 from __future__ import annotations
 
 import numpy as np
+
+from .spec import check_work
 
 _MASK64 = (1 << 64) - 1
 _SPAN = 1 << 64
@@ -121,6 +124,8 @@ CHUNK_ELEMENTS = 1 << 18
 CHUNK_FLOOR = 1 << 10
 # Draws per tile of lane_rows' transpose.
 _TILE = 128
+# Redraw rounds of a grouped ``drawn`` before it gives up.
+_MAX_REDRAW_ROUNDS = 10_000
 
 
 def mix64(x: int) -> int:
@@ -272,13 +277,41 @@ def shuffled(pos: np.ndarray, k: int, reduce, lanes) -> tuple[np.ndarray, int]:
     return in_blocks(sub_block, lanes.count, chunk_lanes(n)), 0
 
 
-def drawn(n: int, reduce, lanes) -> tuple[np.ndarray, int]:
+def drawn(n: int, reduce, grouped: bool, lanes) -> tuple[np.ndarray, int]:
     """The kernel that draws with replacement: ``reduce(rows)`` for every
-    lane, where rows are ``lane_rows`` of the lanes' n draws of ``below(n)``,
-    and no redraws.  After one draw table for all lanes, rows are built and
-    reduced a row block at a time."""
-    table = draw_table(lanes, [n] * n)
-    return in_blocks(lambda block: reduce(lane_rows(table[:, block])), lanes.count, row_lanes(n)), 0
+    lane, where rows are ``lane_rows`` of the lanes' n draws of ``below(n)``.
+    After one draw table for all lanes, rows are built and reduced a row
+    block at a time.  ``grouped``, ``reduce`` stacks each row's value over
+    its first-group count, and only the lanes whose count is 0 or n draw
+    again (``keep``), each attempt a redraw; otherwise there are none."""
+
+    def attempt():
+        table = draw_table(lanes, [n] * n)
+        return in_blocks(lambda block: reduce(lane_rows(table[:, block])), lanes.count, row_lanes(n))
+
+    if not grouped:
+        return attempt(), 0
+    values, c1 = attempt()
+    todo = np.arange(lanes.count)  # where the lanes still drawing write
+    redraws = 0
+    for _ in range(_MAX_REDRAW_ROUNDS + 1):
+        lost = (c1 == 0) | (c1 == n)
+        if not lost.any():
+            return values, redraws
+        lanes.keep(np.flatnonzero(lost))
+        todo = todo[lost]
+        redraws += lanes.count
+        values[todo], c1 = attempt()
+    raise RuntimeError("grouped bootstrap kept drawing one-group resamples")
+
+
+def summed(n: int, k: int, pick, lanes) -> tuple[np.ndarray, int]:
+    """The kernel that sums as it draws: each lane's float64 sum of
+    ``pick(d)`` over its k draws d of ``below(n)``, and no redraws."""
+    totals = np.zeros(lanes.count)
+    for _ in range(k):
+        totals += pick(lanes.below(n))
+    return totals, 0
 
 
 def _rotl64(x: int, k: int) -> int:
@@ -401,18 +434,25 @@ class ScalarLanes:
 
 def run_chunks(seed: int, count: int, width: int, kernel) -> tuple[np.ndarray, int]:
     """``kernel(lanes)`` over consecutive blocks of lanes 0..count-1: the
-    values concatenated in lane order, and the redraws summed.
+    values written in lane order into one array, and the redraws summed.
 
     ``width`` is how many values a kernel holds per lane (the row width of
-    its matrices); each block has ``block_lanes(width)`` lanes, the last one
-    fewer.  Lane r of the result always comes from ``substream(seed, r)``, so
-    the block size bounds memory but never changes a value.
+    its matrices); count x width is the run's work, checked before the first
+    block.  Each block has ``block_lanes(width)`` lanes, the last one fewer,
+    and the output takes the first block's dtype and trailing shape.  Lane r
+    always comes from ``substream(seed, r)``, so the block size bounds
+    memory but never changes a value.
     """
-    lanes = block_lanes(width)
-    values, redraws = zip(
-        *(kernel(SubstreamBlock(seed, min(lanes, count - start), start)) for start in range(0, count, lanes))
-    )
-    return np.concatenate(values), sum(redraws)
+    check_work(count, width)
+    size = block_lanes(width)
+    redraws = 0
+    for start in range(0, count, size):
+        values, more = kernel(SubstreamBlock(seed, min(size, count - start), start))
+        if not start:
+            out = np.empty((count, *values.shape[1:]), dtype=values.dtype)
+        out[start : start + len(values)] = values
+        redraws += more
+    return out, redraws
 
 
 def chunk_lanes(width: int) -> int:

@@ -96,17 +96,8 @@ def simulate_bernoulli(experiment: BernoulliExperiment, seed: int = 0) -> float:
     runs = experiment.runs
     check_count("trials_per_run", n)
     check_count("runs", runs)
-    counts, _ = rng.run_chunks(seed, runs, n, functools.partial(_successes, n, num, den))
+    counts, _ = rng.run_chunks(seed, runs, n, functools.partial(rng.summed, den, n, lambda d: d < num))
     return float(np.count_nonzero(experiment.matches(counts)) / runs)
-
-
-def _successes(n: int, num: int, den: int, lanes) -> tuple[np.ndarray, int]:
-    """The Bernoulli kernel: each lane's successes in n trials at num/den,
-    and no redraws."""
-    counts = np.zeros(lanes.count, dtype=np.int64)
-    for _ in range(n):
-        counts += lanes.below(den) < num
-    return counts, 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +158,7 @@ def simulate_poll(
         )
     entries = np.asarray(population.entries, dtype=float)
     if mode == "with-replacement":
-        kernel = functools.partial(_poll_sums, entries, sample_size)
+        kernel = functools.partial(rng.summed, n, sample_size, entries.__getitem__)
         sums, _ = rng.run_chunks(seed, n_polls, sample_size, kernel)
         props = sums / sample_size
     else:
@@ -176,13 +167,3 @@ def simulate_poll(
         )
         props, _ = rng.run_chunks(seed, n_polls, n, kernel)
     return PollResult(props, sample_size, mode, n_polls, seed)
-
-
-def _poll_sums(entries: np.ndarray, k: int, lanes) -> tuple[np.ndarray, int]:
-    """The poll kernel with replacement: each lane's sum of k entries drawn
-    with replacement, and no redraws."""
-    total = np.zeros(lanes.count)
-    for _ in range(k):
-        total += entries[lanes.below(entries.size)]
-    return total, 0
-

@@ -59,6 +59,11 @@ ENUMERATION_LIMIT = 10**6
 # command line or a library call may ask for: each one is drawn, so a count
 # far past this would run for hours and grow its results without bound.
 MAX_REPLICATES = 10**8
+# The most lane-values one run may draw or hold: its count of replicates,
+# runs or polls times the values each lane takes (its row width).  At 9-35 ns
+# per lane-value, from a Bernoulli trial to a paired shuffle step, the largest
+# legal run takes minutes, where the counts capped one by one allowed years.
+MAX_WORK = 10**10
 
 
 def _resolve(caller: str, data, statistic: str | None, *kinds) -> str:
@@ -108,9 +113,19 @@ def check_level(level: float) -> None:
         raise ValueError(f"interval level must be in (0, 1), got {level}")
 
 
+def check_finite(**values) -> None:
+    """Raise ValueError naming the first of ``values`` that is given but not finite."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value}")
+
+
 def check_scale_bounds(bounds: tuple[float, float] | None) -> None:
-    """Raise ValueError unless the scale bounds are None or low < high."""
-    if bounds is not None and not float(bounds[0]) < float(bounds[1]):
+    """Raise ValueError unless the scale bounds are None, or finite with low < high."""
+    if bounds is None:
+        return
+    check_finite(**{"low scale bound": bounds[0], "high scale bound": bounds[1]})
+    if not float(bounds[0]) < float(bounds[1]):
         raise ValueError(f"scale bounds must satisfy low < high, got {bounds}")
 
 
@@ -119,6 +134,16 @@ def check_count(option: str, count: int) -> None:
     MAX_REPLICATES."""
     if count > MAX_REPLICATES:
         raise ValueError(f"{option} must be at most {MAX_REPLICATES}, got {count}")
+
+
+def check_work(count: int, width: int) -> None:
+    """Raise ValueError unless a run of ``count`` lanes of ``width`` values
+    each, count x width lane-values, is at most MAX_WORK."""
+    if count * width > MAX_WORK:
+        raise ValueError(
+            f"a run of {count} replicates x {width} values each is {count * width} lane-values, "
+            f"above the cap of {MAX_WORK}"
+        )
 
 
 def check_bin_width(bin_width: float) -> None:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import test_golden
-from resamplekit import rng
+from resamplekit import rng, spec
 from resamplekit.data import GroupedSample, PairedSample, PopulationVector, Sample, get_fixture
 from resamplekit.resampling import bootstrap, shuffle_test, shuffle_test_paired
 from resamplekit.rng import SubstreamBlock, run_chunks, substream
@@ -236,43 +236,60 @@ def test_grouped_bootstrap_redraws_across_row_blocks_of_one_block(tiny_blocks, s
     assert dist.redraw_count == replayed_redraws(VEG6, seed, count) >= len(lost)
 
 
-@pytest.mark.parametrize(
-    "kernel, grouped",
-    [("shuffled", False), ("drawn", False), ("drawn", True)],
-    ids=["shuffled", "drawn", "drawn-grouped"],
-)
-def test_shuffled_and_drawn_hand_reduce_row_blocks_in_lane_order(tiny_blocks, kernel, grouped):
+# One row, position 0, is the first group: a third of the 9-row attempts
+# lose a group, so lanes of every row block redraw.
+ONE_IN_NINE = GroupedSample.from_rows([(i, "a" if i < 1 else "b") for i in range(9)])
+
+
+@pytest.mark.parametrize("kernel", ["shuffled", "drawn", "drawn-grouped", "summed", "drawn-redraws"])
+def test_shuffled_and_drawn_hand_reduce_row_blocks_in_lane_order(tiny_blocks, kernel):
     # 23 lanes of 9-row data: sub-blocks of 5 lanes and row blocks of 2, the
     # last of each partial.  The reducer returns the picks of each row as
-    # one code (its base-100 digits), and grouped also a second row, the
-    # count of picks below 4, so every value names its lane's draws.
+    # one code (its base-100 digits), so every value names its lane's draws.
+    # drawn-grouped also stacks a second row, the count of picks below 4;
+    # drawn-redraws stacks the count of picks of ONE_IN_NINE's first group
+    # and redraws the lanes that lost a group.  summed adds each draw's
+    # digit of the code as it draws.
     n, k, seed, count = 9, 4, 11, 23
-    width = k if kernel == "shuffled" else n
+    width = n if kernel.startswith("drawn") else k
     seen = []
 
     def reduce(rows):
         seen.append((rows.flags.c_contiguous, len(rows)))
         codes = rows[:, :width].astype(np.int64) @ 100 ** np.arange(width, dtype=np.int64)
-        return np.stack([codes, (rows < 4).sum(axis=1)]) if grouped else codes
+        if kernel == "drawn-grouped":
+            return np.stack([codes, (rows < 4).sum(axis=1)])
+        return np.stack([codes, (rows < 1).sum(axis=1)]) if kernel == "drawn-redraws" else codes
 
     def run(lanes):
         if kernel == "shuffled":
             return rng.shuffled(rng.positions(n), k, reduce, lanes)
-        return rng.drawn(n, reduce, lanes)
+        if kernel == "summed":
+            digits = iter(100 ** np.arange(k, dtype=np.int64))
+            return rng.summed(n, k, lambda d: d * next(digits), lanes)
+        return rng.drawn(n, reduce, kernel == "drawn-redraws", lanes)
 
     values, redraws = run(SubstreamBlock(seed, count))
-    assert redraws == 0
-    assert all(contiguous and 1 <= rows <= rng.row_lanes(n) for contiguous, rows in seen)
-    assert len(seen) > count // rng.row_lanes(n)
-    assert values.shape == ((2, count) if grouped else (count,))
+    if kernel == "drawn-redraws":
+        assert redraws == replayed_redraws(ONE_IN_NINE, seed, count) > 0
+    else:
+        assert redraws == 0
+    if kernel != "summed":
+        assert all(contiguous and 1 <= rows <= rng.row_lanes(n) for contiguous, rows in seen)
+        assert len(seen) > count // rng.row_lanes(n)
+    assert values.shape == ((2, count) if kernel == "drawn-grouped" else (count,))
     for r, value in enumerate(values.T):
         gen = substream(seed, r)
         if kernel == "shuffled":
             picks = gen.sample_without_replacement(range(n), k)
+        elif kernel == "summed":
+            picks = gen.draw_with_replacement(range(n), k)
         else:
             picks = gen.draw_with_replacement(range(n), n)
+            while kernel == "drawn-redraws" and sum(p < 1 for p in picks) in (0, n):
+                picks = gen.draw_with_replacement(range(n), n)
         want = sum(p * 100**i for i, p in enumerate(picks))
-        assert value.tolist() == ([want, sum(p < 4 for p in picks)] if grouped else want)
+        assert value.tolist() == ([want, sum(p < 4 for p in picks)] if kernel == "drawn-grouped" else want)
     assert np.array_equal(values, run(rng.ScalarLanes(seed, count))[0])
 
 
@@ -331,3 +348,51 @@ def test_a_wide_chunk_holds_row_positions_or_one_value_matrix(call, limit_mb):
         tracemalloc.stop()
     assert peak < limit_mb * 10**6
 
+
+
+@pytest.mark.parametrize(
+    "call, work",
+    [
+        (lambda: simulate_bernoulli(BernoulliExperiment(10**4, "1/2", "at-least", 1, 10**6 + 1)),
+         "1000001 replicates x 10000 values each is 10000010000"),
+        (lambda: simulate_poll(POLL500, 101, "with-replacement", 10**8), "100000000 replicates x 101 values"),
+        (lambda: bootstrap(Sample([float(i) for i in range(101)]), n_resamples=10**8),
+         "100000000 replicates x 101 values"),
+    ],
+    ids=["bernoulli", "poll-with", "bootstrap"],
+)
+def test_a_run_just_over_the_work_cap_builds_no_block(monkeypatch, call, work):
+    def no_block(*args):
+        raise AssertionError("a block was built for a run over the work cap")
+
+    monkeypatch.setattr(rng, "SubstreamBlock", no_block)
+    with pytest.raises(ValueError, match=f"^a run of {work} .* above the cap of {spec.MAX_WORK}$"):
+        call()
+
+
+def test_the_work_cap_itself_is_accepted():
+    spec.check_work(spec.MAX_WORK, 1)
+    spec.check_work(10**8, 100)
+    with pytest.raises(ValueError):
+        spec.check_work(spec.MAX_WORK + 1, 1)
+
+
+@pytest.mark.parametrize(
+    "call, values_bytes",
+    [
+        (lambda: simulate_bernoulli(BernoulliExperiment(8, "1/3", "at-least", 3, 10**6)), 8 * 10**6),
+        (lambda: bootstrap(VEG9, n_resamples=4 * 10**6), 32 * 10**6),
+    ],
+    ids=["bernoulli", "bootstrap"],
+)
+def test_a_run_holds_its_values_once(call, values_bytes):
+    # run_chunks writes each block into one output array, so the peak stays
+    # near the values' own bytes; keeping every block and concatenating them
+    # held the values twice (2.0x and 2.2x).
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * values_bytes

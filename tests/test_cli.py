@@ -15,7 +15,7 @@ import pytest
 import resamplekit
 from resamplekit.cli import build_parser, main
 from resamplekit.resampling import observed_statistic
-from resamplekit.spec import MAX_REPLICATES
+from resamplekit.spec import MAX_REPLICATES, MAX_WORK
 
 SUBCOMMANDS = ("shuffle-test", "bootstrap", "clip", "bayes", "montecarlo", "poll", "fixtures")
 
@@ -512,6 +512,22 @@ def test_counts_above_the_replicate_limit_are_refused_before_drawing(capsys, mon
     result = run(capsys, *argv)
     assert _one_error_line(*result)
     assert result[2] == f"error: {option} must be at most {MAX_REPLICATES}, got {HUGE}\n"
+
+
+@pytest.mark.parametrize("argv, work", [
+    (("montecarlo", "--trials", "100000000", "--count", "4", "--runs", "100000000"), "100000000 replicates x 100000000"),
+    (("poll", "--fixture", "poll500", "--sample-size", "100000000", "--polls", "100000000", "--mode", "with"),
+     "100000000 replicates x 100000000"),
+], ids=["montecarlo", "poll-with"])
+def test_runs_above_the_work_cap_exit_with_one_error_line(argv, work):
+    # Each count is within MAX_REPLICATES, but their product would take
+    # years; a child process that has not refused within 10 s fails here.
+    proc = subprocess.run(
+        [sys.executable, "-m", "resamplekit.cli", *argv], capture_output=True, text=True, env=_cli_env(), timeout=10
+    )
+    assert _one_error_line(proc.returncode, proc.stdout, proc.stderr), proc.stderr
+    assert f"{work} values each is 10000000000000000 lane-values" in proc.stderr
+    assert f"above the cap of {MAX_WORK}" in proc.stderr
 
 
 def test_byte_order_mark_is_skipped_and_the_digest_covers_it(capsys, tmp_path):

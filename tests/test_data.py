@@ -1,6 +1,7 @@
 """Containers, CSV round trips, and the built-in datasets."""
 
 import math
+import statistics
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -43,7 +44,6 @@ def test_grouped_sample_group_order_is_first_appearance():
     assert g.group_names == ("b", "a")
     assert g.group_values("b") == (1.0, 3.0)
     assert g.group_count("a") == 1
-    assert g.group_mean("b") == 2.0
 
 
 def test_grouped_sample_needs_exactly_two_groups():
@@ -89,8 +89,8 @@ def test_load_csv_grouped(tmp_path):
     omni = [Fraction(v) for v in data.group_values("Omnivore")]
     assert sum(veg) / len(veg) == Fraction(196, 3)
     assert sum(omni) / len(omni) == Fraction(44)
-    assert data.group_mean("Vegetarian") == pytest.approx(65.33, abs=0.01)
-    assert data.group_mean("Omnivore") == 44.0
+    assert statistics.fmean(data.group_values("Vegetarian")) == pytest.approx(65.33, abs=0.01)
+    assert statistics.fmean(data.group_values("Omnivore")) == 44.0
 
 
 def test_load_csv_single_column(tmp_path):

@@ -56,8 +56,9 @@ def test_dir_lists_the_public_names():
 
 @pytest.mark.parametrize("module", ["resampling", "simulate"])
 def test_procedures_leave_every_lane_boundary_to_rng(module):
-    # A procedure runs blocks and hands a reducer to one of the two kernels;
-    # block, sub-block and row-block sizes are rng's alone.
+    # A procedure runs blocks and hands a reducer or a pick to one of the
+    # three kernels; lanes, and block, sub-block and row-block sizes, are
+    # rng's alone.
     tree = ast.parse((Path(resamplekit.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
     used = {
         node.attr for node in ast.walk(tree)
@@ -67,7 +68,17 @@ def test_procedures_leave_every_lane_boundary_to_rng(module):
         alias.name for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.module == "rng" for alias in node.names
     }
-    assert used and used <= {"run_chunks", "shuffled", "drawn", "positions"}
+    assert used and used <= {"run_chunks", "shuffled", "drawn", "summed", "positions"}
+    lane_params = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)) and "lanes" in {a.arg for a in node.args.args}
+    ]
+    lane_calls = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "lanes"
+        and node.attr in ("below", "keep", "count")
+    ]
+    assert lane_params == lane_calls == []
 
 
 @pytest.mark.parametrize("statement", ["import resamplekit", "import resamplekit.spec"])

@@ -568,8 +568,17 @@ def test_shuffle_test_refuses_replicate_counts_above_the_limit(monkeypatch):
         (lambda: bootstrap_report(VEG9, tail_direction="bogus"), "direction must be 'ge' or 'gt', got 'bogus'"),
         (lambda: shuffle_test(VEG6, n_resamples=10**7, bin_width=0.0),
          "bin width must be a finite number > 0, got 0.0"),
+        (lambda: bootstrap_report(VEG9, n_resamples=10**7, thresholds=[50, math.nan]),
+         "threshold must be a finite number, got nan"),
+        (lambda: bootstrap_report(VEG9, n_resamples=10**7, thresholds=iter([math.inf])),
+         "threshold must be a finite number, got inf"),
+        (lambda: bootstrap_report(VEG9, n_resamples=10**7, scale_bounds=(0, math.inf)),
+         "high scale bound must be a finite number, got inf"),
+        (lambda: bootstrap_report(VEG9, n_resamples=10**7, scale_bounds=(math.nan, 1)),
+         "low scale bound must be a finite number, got nan"),
     ],
-    ids=["level", "bin-width", "scale-bounds", "tail-direction", "shuffle-bin-width"],
+    ids=["level", "bin-width", "scale-bounds", "tail-direction", "shuffle-bin-width", "nan-threshold",
+         "inf-threshold", "inf-scale-bound", "nan-scale-bound"],
 )
 def test_report_options_are_refused_before_any_replicate_is_drawn(monkeypatch, call, message):
     def no_draws(*args):
@@ -629,8 +638,11 @@ def test_percentile_interval_within_range(values, level):
 
 def test_tail_probability_edges():
     dist = bootstrap(VEG9, seed=0)
-    assert tail_probability(dist, -math.inf) == 1.0
+    assert tail_probability(dist, min(dist.values)) == 1.0
     assert tail_probability(dist, max(dist.values) + 1) == 0.0
+    for threshold in (-math.inf, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^threshold must be a finite number, got {threshold}$"):
+            tail_probability(dist, threshold)
     assert tail_probability([1.0, 2.0, 2.0, 3.0], 2.0) == 0.75  # >= includes ties
     assert tail_probability([1.0, 2.0, 2.0, 3.0], 2.0, "gt") == 0.25
     with pytest.raises(ValueError):
