@@ -56,7 +56,9 @@ from .spec import (
     check_bin_width,
     check_count,
     check_level,
+    check_magnitude,
     check_scale_bounds,
+    check_work,
     exact_shuffle_p,
 )
 from .worlds import (
@@ -225,6 +227,7 @@ def _cmd_shuffle_test(args, rep: Report) -> Report:
 
     if args.bin_width is not None:
         check_bin_width(args.bin_width)
+    check_magnitude(data)
     from .resampling import observed_statistic, shuffle_test
 
     if args.exact:
@@ -263,6 +266,7 @@ def _cmd_bootstrap(args, rep: Report) -> Report:
     bounds = _pair(args.bounds, "--bounds") if args.bounds else None
     check_level(args.level)
     check_scale_bounds(bounds)
+    check_magnitude(data)
     from .resampling import bootstrap_report
 
     result = bootstrap_report(
@@ -388,6 +392,7 @@ def _cmd_bayes(args, rep: Report) -> Report:
 def _cmd_montecarlo(args, rep: Report) -> Report:
     check_count("--trials", args.trials)
     prob = parse_probability(args.prob)
+    check_work(args.runs, args.trials)
     from .simulate import BernoulliExperiment, simulate_bernoulli
 
     experiment = BernoulliExperiment(args.trials, prob, args.event, args.count, args.runs)
@@ -408,6 +413,7 @@ def _cmd_montecarlo(args, rep: Report) -> Report:
 def _cmd_poll(args, rep: Report) -> Report:
     if args.mode == "with":
         check_count("--sample-size", args.sample_size)
+        check_work(args.polls, args.sample_size)
     population = _load_input(rep, args.fixture, args.data, _parse_csv, args.value_column)
     if not args.fixture:
         population = PopulationVector(population.values)

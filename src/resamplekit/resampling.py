@@ -4,10 +4,11 @@ Replicate r draws from ``substream(seed, r)``, so a run is fully
 determined by (data, statistic, number of replicates, seed).  The draw plans,
 their lanes forms and the chunking that runs them are specified once, in
 ``rng``.  Each procedure here passes a reducer to ``rng.shuffled`` or
-``rng.drawn``: a function from one row block of positions, C-contiguous
-rows, to the statistic of each row.  It gathers values at those positions
-and reduces them row by row, so no block size changes a value, not even the
-float summation order.
+``rng.drawn``: a function from one position-major block, a row per position
+or draw and a column per lane, to the statistic of each lane.  It reads
+values at those positions through ``rng.lane_sums`` or ``rng.gather_rows``,
+which sum each lane on its own in numpy's order for a C-contiguous row, so no
+block size changes a value, not even the float summation order.
 
 p-values count ties inclusively: two-sided p = #{|T*| >= |T_obs|} / N,
 one-sided variants count T* >= T_obs (or <=).  The statistic table, these
@@ -209,18 +210,17 @@ class BootstrapReport(_ReadsDistribution):
 # statistic evaluation (shared by observed value and all replicates)
 
 
-def _grouped_diffs(values: np.ndarray, n1: int, rows: np.ndarray) -> np.ndarray:
-    """Per row of positions ``rows``: the mean of the values at its first n1
-    positions minus the mean of the values at the rest.  Each group is
-    gathered only while it is summed."""
-    s1 = values[rows[:, :n1]].sum(axis=1)
-    s2 = values[rows[:, n1:]].sum(axis=1)
-    return s1 / n1 - s2 / (rows.shape[1] - n1)
+def _grouped_diffs(values: np.ndarray, n1: int, block: np.ndarray) -> np.ndarray:
+    """Per lane of a position-major block: the mean of the values at its
+    first n1 positions minus the mean of the values at the rest."""
+    s1 = rng.lane_sums(values, block[:n1])
+    s2 = rng.lane_sums(values, block[n1:])
+    return s1 / n1 - s2 / (len(block) - n1)
 
 
 def _correlations(xs: np.ndarray, ys: np.ndarray):
-    """The reducer of rows of positions, each a permutation of 0..n-1, to
-    the Pearson r of fixed xs against ys in the order of each row.
+    """The reducer of a position-major block, each lane a permutation of
+    0..n-1, to the Pearson r of fixed xs against ys in the order of each lane.
 
     The sums are of xs - xs[0] and ys - ys[0] (the shifted-data algorithm),
     so data far from zero do not cancel; integer data stay exact.  The y
@@ -234,8 +234,8 @@ def _correlations(xs: np.ndarray, ys: np.ndarray):
     sx, sy = dx.sum(), dy.sum()
     den = np.sqrt((n * (dx * dx).sum() - sx * sx) * (n * (dy * dy).sum() - sy * sy))
 
-    def correlations(rows):
-        products = dy[rows]
+    def correlations(block):
+        products = rng.gather_rows(dy, block)
         products *= dx
         return (n * products.sum(axis=1) - sx * sy) / den
 
@@ -265,10 +265,10 @@ def observed_statistic(data, statistic: str | None = None) -> float:
         arr = np.asarray(data.values, dtype=float)
         return float(arr.reshape(1, -1).mean(axis=1)[0])
     if statistic == STAT_CORRELATION:
-        return float(_correlations(*_paired_columns(data))(rng.positions(data.n).reshape(1, -1))[0])
+        return float(_correlations(*_paired_columns(data))(rng.positions(data.n).reshape(-1, 1))[0])
     g1, g2 = data.group_names
     ordered = np.asarray(data.group_values(g1) + data.group_values(g2), dtype=float)
-    return float(_grouped_diffs(ordered, data.group_count(g1), rng.positions(data.n).reshape(1, -1))[0])
+    return float(_grouped_diffs(ordered, data.group_count(g1), rng.positions(data.n).reshape(-1, 1))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -361,30 +361,32 @@ def bootstrap(
     observed = observed_statistic(data, statistic)
     arr = np.asarray(data.values, dtype=float)
     if statistic == STAT_MEAN:
-        kernel = functools.partial(rng.drawn, n, lambda rows: arr[rows].mean(axis=1), False)
+        kernel = functools.partial(rng.drawn, n, lambda block: rng.lane_sums(arr, block) / n, False)
     else:
         g1, _ = data.group_names
-        reduce = functools.partial(_grouped_resample_diffs, arr, np.asarray([g == g1 for g in data.groups]))
+        in_g1 = np.asarray([g == g1 for g in data.groups])
+        reduce = functools.partial(_grouped_resample_diffs, arr, arr * in_g1, in_g1)
         kernel = functools.partial(rng.drawn, n, reduce, True)
     values, redraws = rng.run_chunks(seed, n_resamples, n, kernel)
     return ResampleDistribution(values, observed, statistic, "with-replacement", n_resamples, seed, n, redraws)
 
 
-def _grouped_resample_diffs(arr: np.ndarray, in_g1: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Per row of drawn positions ``rows``: the mean of the group-1 values
-    at them minus the mean of the others (nan when the row holds only one
+def _grouped_resample_diffs(
+    arr: np.ndarray, arr1: np.ndarray, in_g1: np.ndarray, block: np.ndarray
+) -> np.ndarray:
+    """Per lane of a block of drawn positions: the mean of the group-1 values
+    at them minus the mean of the others (nan when the lane holds only one
     group), stacked over the count of group-1 positions.
 
-    Values and flags are both gathered through the same rows."""
-    picked = arr[rows]
-    mask1 = in_g1[rows]
-    c1 = mask1.sum(axis=1)
-    total = picked.sum(axis=1)
-    picked *= mask1
-    s1 = picked.sum(axis=1)
+    ``arr1`` is ``arr * in_g1``, the values with the second group's zeroed,
+    so the group-1 sum is a sum over the same positions as the total."""
+    idx = block.astype(np.intp)
+    c1 = np.count_nonzero(in_g1[idx], axis=0)
+    total = rng.lane_sums(arr, idx)
+    s1 = rng.lane_sums(arr1, idx)
     s2 = total - s1
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.stack([s1 / c1 - s2 / (rows.shape[1] - c1), c1])
+        return np.stack([s1 / c1 - s2 / (len(block) - c1), c1])
 
 
 # ---------------------------------------------------------------------------

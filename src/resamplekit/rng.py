@@ -57,15 +57,25 @@ The lanes forms of the plans sit here, and only here, beside the
 ``SeededGenerator`` methods they must match.  ``draw_table(lanes, ns)`` makes
 every draw of a set of lanes in one lockstep pass: a draw-major table whose
 row d is ``lanes.below(ns[d])``, in ``position_dtype`` (int16, int32 past
-2^15 rows).  ``prefix_shuffle_rows(items, table)`` applies a table of
-``shuffle_steps(n, k)`` and is ``sample_without_replacement``;
-``lane_rows(table)`` applies a table of n draws of ``below(n)`` and is
-``draw_with_replacement`` of the positions.  Three kernels run every plan.
-``shuffled`` (both shuffle tests, and the poll without replacement, which
-reads the first k columns) and ``drawn`` (both bootstraps; grouped, it also
-applies the redraw rule) hand a procedure's reducer rows of positions, which
-it gathers values at as it reduces them.  ``summed`` (Bernoulli trials and
+2^15 rows).  Column j of a table of n draws of ``below(n)`` is lane j's
+``draw_with_replacement`` of the positions, as it stands.
+``shuffle_block(items, table)`` applies a table of ``shuffle_steps(n, k)``
+and is ``sample_without_replacement``; its block is position-major too: row
+i holds slot i of every lane.  Three kernels run every plan.  ``shuffled``
+(both shuffle tests, and the poll without replacement, which reads the first
+k rows) and ``drawn`` (both bootstraps; grouped, it also applies the redraw
+rule) hand a procedure's reducer such blocks, one row per position or draw
+and one column per lane, and the reducer reads values at those positions
+through ``lane_sums`` or ``gather_rows``.  ``summed`` (Bernoulli trials and
 polls with replacement) sums a pick of each draw as it draws, with no table.
+
+``lane_sums(values, block)`` is, for every lane, the sum of ``values`` at
+the lane's positions exactly as numpy sums them as one C-contiguous float
+row: left to right from +0.0 for fewer than 8 values, numpy's pairwise sum
+from 8 on.  So under 8 positions it adds one position row of every lane at a
+time, from +0.0 (starting from the first value instead would sum a lane of
+-0.0s to -0.0); from 8 on it gathers lane-major rows (``gather_rows``) and
+takes numpy's row sum.  These sums decide a replicate's last bits.
 
 Lanes have a ``count``, ``below(n)`` (one draw per lane, an int64 array) and
 ``keep(lanes)`` (narrow to some lanes, each continuing its own stream).
@@ -88,14 +98,14 @@ once, so numpy's per-call cost of ``below`` is spread over many lanes; where
 times as many lanes (4096 for int16), so the table takes the bytes of a
 float64 row matrix of CHUNK_FLOOR lanes.  Row state (a shuffle's positions)
 is held for sub-blocks of ``chunk_lanes(n)`` lanes, each released before the
-next is built.  Floats are gathered and reduced in row blocks of
-``row_lanes(n)`` lanes, at most CHUNK_ELEMENTS values, on C-contiguous rows.
+next is built.  Reducers get row blocks of ``row_lanes(n)`` lanes, at most
+CHUNK_ELEMENTS values, so the float rows of ``gather_rows`` stay that small.
 Only the kernels split a block.
 
 Chunking invariant: ``run_chunks`` covers replicates 0..N-1 with blocks of
 at most ``block_lanes(width)`` lanes, and lane r of every block is always
-``substream(seed, r)``.  Each lane's draws, its table column, its row and
-each pairwise sum over that row depend on that lane alone, so block,
+``substream(seed, r)``.  Each lane's draws, its table and block columns and
+each sum over its positions depend on that lane alone, so block,
 sub-block and row-block boundaries bound memory but never change a value:
 any sizes give the same results as one block of N lanes and as N scalar
 substreams.
@@ -122,8 +132,10 @@ _MAX_BELOW = 1 << 63
 # the block rather than by replicates x row width.
 CHUNK_ELEMENTS = 1 << 18
 CHUNK_FLOOR = 1 << 10
-# Draws per tile of lane_rows' transpose.
+# Positions per tile of gather_rows' transpose.
 _TILE = 128
+# numpy sums rows of fewer values than this left to right (see lane_sums).
+_PAIRWISE_MIN = 8
 # Redraw rounds of a grouped ``drawn`` before it gives up.
 _MAX_REDRAW_ROUNDS = 10_000
 
@@ -225,34 +237,55 @@ def draw_table(lanes, ns) -> np.ndarray:
     return table
 
 
-def prefix_shuffle_rows(items: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """``sample_without_replacement`` on lanes: row j is a copy of items after
-    the forward Fisher-Yates steps of column j of ``table`` (step i swaps
-    positions i and i + table[i, j]), a ``draw_table`` of ``shuffle_steps``."""
-    n = items.size
+def shuffle_block(items: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``sample_without_replacement`` on lanes, position-major: column j is
+    items after the forward Fisher-Yates steps of column j of ``table`` (step
+    i swaps positions i and i + table[i, j]), a ``draw_table`` of
+    ``shuffle_steps``, and row i is slot i of every lane.  Step i reads and
+    writes row i whole and gathers and scatters only the cells at i + t."""
     count = table.shape[1]
-    mat = np.tile(items, (count, 1))
-    flat = mat.reshape(-1)
-    a = np.arange(0, count * n, n)
-    for step in table:
-        b = step + a
-        left = flat[a]
-        flat[a] = flat[b]
-        flat[b] = left
-        a += 1
-    return mat
+    block = np.repeat(items[:, None], count, axis=1)
+    flat = block.reshape(-1)
+    cells = np.arange(count)  # the flat indices of row i
+    for i, step in enumerate(table):
+        far = np.multiply(step, count, dtype=np.intp)
+        far += cells
+        picked = flat[far]
+        flat[far] = block[i]  # cells of rows past i, or row i's own when t = 0
+        block[i] = picked
+        cells += count
+    return block
 
 
-def lane_rows(table: np.ndarray) -> np.ndarray:
-    """``draw_with_replacement`` of the positions on lanes: row j holds the
-    picks ``table[:, j]`` in draw order, as C-contiguous rows of intp.  The
-    transpose goes _TILE draws at a time, which keeps its strided reads in
-    cache."""
-    k, count = table.shape
-    rows = np.empty((count, k), dtype=np.intp)
+def gather_rows(values: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``values`` at a position-major block's positions as C-contiguous
+    lane-major rows: row j holds ``values[block[:, j]]``.  Indices are intp,
+    which numpy gathers about three times as fast as int16.  Up to _TILE
+    positions, the indices are transposed and the rows gathered at once;
+    past it, the gathered values are transposed _TILE positions at a time,
+    which bounds the indices held to a tile."""
+    k, count = block.shape
+    if k <= _TILE:
+        return values[block.T.astype(np.intp, order="C")]
+    rows = np.empty((count, k), dtype=values.dtype)
     for d in range(0, k, _TILE):
-        rows[:, d : d + _TILE] = table[d : d + _TILE].T
+        rows[:, d : d + _TILE] = values[block[d : d + _TILE].astype(np.intp, copy=False)].T
     return rows
+
+
+def lane_sums(values: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """For every lane (column) of a position-major block, the sum of
+    ``values`` at its positions, bit for bit numpy's row sum of
+    ``gather_rows(values, block)``.  numpy sums a row of fewer than 8 values
+    left to right from +0.0 (its pairwise sum unrolls from 8 on), so such
+    blocks are added one position row at a time from +0.0, with no numpy call
+    per lane; wider blocks take the row sum itself."""
+    if len(block) >= _PAIRWISE_MIN:
+        return gather_rows(values, block).sum(axis=1)
+    totals = np.zeros(block.shape[1])
+    for row in block.astype(np.intp, copy=False):
+        totals += values[row]
+    return totals
 
 
 def in_blocks(fn, count: int, size: int) -> np.ndarray:
@@ -262,32 +295,32 @@ def in_blocks(fn, count: int, size: int) -> np.ndarray:
 
 
 def shuffled(pos: np.ndarray, k: int, reduce, lanes) -> tuple[np.ndarray, int]:
-    """The kernel that permutes: ``reduce(rows)`` for every lane, where rows
-    are ``prefix_shuffle_rows(pos, ...)`` after the lanes' min(k, n - 1)
-    steps, and no redraws.  After one draw table for all lanes, rows are
+    """The kernel that permutes: ``reduce(block)`` for every lane, where the
+    block is ``shuffle_block(pos, ...)`` after the lanes' min(k, n - 1)
+    steps, and no redraws.  After one draw table for all lanes, blocks are
     built for sub-blocks of ``chunk_lanes(n)`` lanes, each released before
-    the next is built, and reduced a row block at a time."""
+    the next is built, and reduced a row block of lanes at a time."""
     n = pos.size
     table = draw_table(lanes, shuffle_steps(n, k))
 
     def sub_block(sub):
-        rows = prefix_shuffle_rows(pos, table[:, sub])
-        return in_blocks(lambda block: reduce(rows[block]), len(rows), row_lanes(n))
+        block = shuffle_block(pos, table[:, sub])
+        return in_blocks(lambda cols: reduce(block[:, cols]), block.shape[1], row_lanes(n))
 
     return in_blocks(sub_block, lanes.count, chunk_lanes(n)), 0
 
 
 def drawn(n: int, reduce, grouped: bool, lanes) -> tuple[np.ndarray, int]:
-    """The kernel that draws with replacement: ``reduce(rows)`` for every
-    lane, where rows are ``lane_rows`` of the lanes' n draws of ``below(n)``.
-    After one draw table for all lanes, rows are built and reduced a row
-    block at a time.  ``grouped``, ``reduce`` stacks each row's value over
-    its first-group count, and only the lanes whose count is 0 or n draw
-    again (``keep``), each attempt a redraw; otherwise there are none."""
+    """The kernel that draws with replacement: ``reduce(block)`` for every
+    lane, where the block is the lanes' draw table of n draws of
+    ``below(n)``, handed over a row block of lanes at a time.  ``grouped``,
+    ``reduce`` stacks each lane's value over its first-group count, and only
+    the lanes whose count is 0 or n draw again (``keep``), each attempt a
+    redraw; otherwise there are none."""
 
     def attempt():
         table = draw_table(lanes, [n] * n)
-        return in_blocks(lambda block: reduce(lane_rows(table[:, block])), lanes.count, row_lanes(n))
+        return in_blocks(lambda cols: reduce(table[:, cols]), lanes.count, row_lanes(n))
 
     if not grouped:
         return attempt(), 0

@@ -163,7 +163,8 @@ def simulate_poll(
         props = sums / sample_size
     else:
         kernel = functools.partial(
-            rng.shuffled, rng.positions(n), sample_size, lambda rows: entries[rows[:, :sample_size]].mean(axis=1)
+            rng.shuffled, rng.positions(n), sample_size,
+            lambda block: rng.lane_sums(entries, block[:sample_size]) / sample_size,
         )
         props, _ = rng.run_chunks(seed, n_polls, n, kernel)
     return PollResult(props, sample_size, mode, n_polls, seed)

@@ -14,12 +14,25 @@ subset sums of the two halves of the rows, of subsets no larger than the
 smaller group, by bisection.  Its cap, ``ENUMERATION_LIMIT``, counts those
 half-subset sums, not the splits: at most 2^h + 2^(n-h) for h = n // 2, so
 10^6 reaches 37 rows.
+
+One-sample and two-group data must have sums that a float can hold
+(``check_magnitude``): n x max|v| x SUM_MARGIN must not pass the largest
+double, about 1.8e308.  A lane's sum of its n values is then at most n·max|v|,
+and every difference the procedures and summaries take of such sums and of
+means stays finite: a second group's sum as total - s1 (2·n·max|v|), a mean
+difference, the histogram's range and the diagnostics' reflection
+2·observed - v (at most 6·max|v|).  So 1e308, 1.5e308 and 1.7e308 are
+refused by name before any draw, where their mean would read inf.  Paired
+data need no rule: ``_paired_columns`` scales each column first.  Once group
+sums are exact and means correctly rounded (ROADMAP item 1), a mean is finite
+for any finite data and this rule can relax to the differences alone.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import sys
 from fractions import Fraction
 
 from .data import GroupedSample, PairedSample, Sample
@@ -59,6 +72,8 @@ ENUMERATION_LIMIT = 10**6
 # command line or a library call may ask for: each one is drawn, so a count
 # far past this would run for hours and grow its results without bound.
 MAX_REPLICATES = 10**8
+# How far below the largest double n x max|v| must stay (see check_magnitude).
+SUM_MARGIN = 8
 # The most lane-values one run may draw or hold: its count of replicates,
 # runs or polls times the values each lane takes (its row width).  At 9-35 ns
 # per lane-value, from a Bernoulli trial to a paired shuffle step, the largest
@@ -81,6 +96,7 @@ def _resolve(caller: str, data, statistic: str | None, *kinds) -> str:
         raise ValueError(
             f"statistic {statistic!r} does not apply to {_KIND_NAMES[kind]} data; use one of {stats}"
         )
+    check_magnitude(data)
     if statistic == STAT_PROPORTION_DIFF and not set(data.values) <= {0.0, 1.0}:
         raise ValueError("proportion-diff needs 0/1 values")
     if statistic == STAT_CORRELATION:
@@ -143,6 +159,21 @@ def check_work(count: int, width: int) -> None:
         raise ValueError(
             f"a run of {count} replicates x {width} values each is {count * width} lane-values, "
             f"above the cap of {MAX_WORK}"
+        )
+
+
+def check_magnitude(data) -> None:
+    """Raise ValueError for one-sample or two-group data whose sums could
+    overflow: n x max|v| x SUM_MARGIN past the largest double (the rule in
+    the module docstring).  Paired data pass."""
+    if isinstance(data, PairedSample):
+        return
+    largest = max(map(abs, data.values))
+    limit = sys.float_info.max / (SUM_MARGIN * data.n)
+    if largest > limit:
+        raise ValueError(
+            f"values as large as {largest:g} could overflow a sum of {data.n} rows; "
+            f"the largest magnitude accepted for {data.n} rows is {limit:.6g}"
         )
 
 

@@ -244,22 +244,23 @@ ONE_IN_NINE = GroupedSample.from_rows([(i, "a" if i < 1 else "b") for i in range
 @pytest.mark.parametrize("kernel", ["shuffled", "drawn", "drawn-grouped", "summed", "drawn-redraws"])
 def test_shuffled_and_drawn_hand_reduce_row_blocks_in_lane_order(tiny_blocks, kernel):
     # 23 lanes of 9-row data: sub-blocks of 5 lanes and row blocks of 2, the
-    # last of each partial.  The reducer returns the picks of each row as
-    # one code (its base-100 digits), so every value names its lane's draws.
-    # drawn-grouped also stacks a second row, the count of picks below 4;
-    # drawn-redraws stacks the count of picks of ONE_IN_NINE's first group
-    # and redraws the lanes that lost a group.  summed adds each draw's
-    # digit of the code as it draws.
+    # last of each partial.  A reducer gets a position-major block, a row per
+    # position or draw and a column per lane, and returns the picks of each
+    # lane as one code (its base-100 digits), so every value names its
+    # lane's draws.  drawn-grouped also stacks a second row, the count of
+    # picks below 4; drawn-redraws stacks the count of picks of ONE_IN_NINE's
+    # first group and redraws the lanes that lost a group.  summed adds each
+    # draw's digit of the code as it draws.
     n, k, seed, count = 9, 4, 11, 23
     width = n if kernel.startswith("drawn") else k
     seen = []
 
-    def reduce(rows):
-        seen.append((rows.flags.c_contiguous, len(rows)))
-        codes = rows[:, :width].astype(np.int64) @ 100 ** np.arange(width, dtype=np.int64)
+    def reduce(block):
+        seen.append(block.shape)
+        codes = 100 ** np.arange(width, dtype=np.int64) @ block[:width].astype(np.int64)
         if kernel == "drawn-grouped":
-            return np.stack([codes, (rows < 4).sum(axis=1)])
-        return np.stack([codes, (rows < 1).sum(axis=1)]) if kernel == "drawn-redraws" else codes
+            return np.stack([codes, (block < 4).sum(axis=0)])
+        return np.stack([codes, (block < 1).sum(axis=0)]) if kernel == "drawn-redraws" else codes
 
     def run(lanes):
         if kernel == "shuffled":
@@ -275,7 +276,7 @@ def test_shuffled_and_drawn_hand_reduce_row_blocks_in_lane_order(tiny_blocks, ke
     else:
         assert redraws == 0
     if kernel != "summed":
-        assert all(contiguous and 1 <= rows <= rng.row_lanes(n) for contiguous, rows in seen)
+        assert all(positions == n and 1 <= lanes <= rng.row_lanes(n) for positions, lanes in seen)
         assert len(seen) > count // rng.row_lanes(n)
     assert values.shape == ((2, count) if kernel == "drawn-grouped" else (count,))
     for r, value in enumerate(values.T):

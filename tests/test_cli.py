@@ -521,11 +521,11 @@ def test_counts_above_the_replicate_limit_are_refused_before_drawing(capsys, mon
 ], ids=["montecarlo", "poll-with"])
 def test_runs_above_the_work_cap_exit_with_one_error_line(argv, work):
     # Each count is within MAX_REPLICATES, but their product would take
-    # years; a child process that has not refused within 10 s fails here.
-    proc = subprocess.run(
-        [sys.executable, "-m", "resamplekit.cli", *argv], capture_output=True, text=True, env=_cli_env(), timeout=10
-    )
-    assert _one_error_line(proc.returncode, proc.stdout, proc.stderr), proc.stderr
+    # years; both counts are in the argv, so the run is refused before numpy
+    # is imported, and a child process that has not refused within 10 s
+    # fails here.
+    proc = _numpy_free_run(argv, timeout=10)
+    assert _one_error_line(proc.returncode, "", proc.stderr) and proc.stdout == "False\n", proc.stderr
     assert f"{work} values each is 10000000000000000 lane-values" in proc.stderr
     assert f"above the cap of {MAX_WORK}" in proc.stderr
 
@@ -756,11 +756,13 @@ NUMPY_FREE_ARGVS = [
 ]
 
 
-def _numpy_free_run(argv) -> subprocess.CompletedProcess:
+def _numpy_free_run(argv, timeout=None) -> subprocess.CompletedProcess:
     """``main(argv)`` in a child process whose last stdout line says whether
     it imported numpy."""
     child = "import sys; from resamplekit.cli import main; code = main(); print('numpy' in sys.modules); sys.exit(code)"
-    return subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, text=True, env=_cli_env())
+    return subprocess.run(
+        [sys.executable, "-c", child, *argv], capture_output=True, text=True, env=_cli_env(), timeout=timeout
+    )
 
 
 @pytest.mark.parametrize("argv", NUMPY_FREE_ARGVS, ids=" ".join)
@@ -787,3 +789,39 @@ def test_subcommands_that_draw_nothing_never_import_numpy(argv):
 def test_report_options_are_refused_before_numpy_is_imported(argv, message):
     proc = _numpy_free_run(argv)
     assert (proc.returncode, proc.stderr, proc.stdout) == (1, f"error: {message}\n", "False\n")
+
+
+# Data whose float sums would overflow: the mean of these three values reads
+# inf, and the mean differences of the two groups overflowed into a
+# histogram of inf and an OverflowError traceback.
+HUGE_SAMPLE = "value\n1e308\n1.5e308\n1.7e308\n"
+HUGE_GROUPS = "value,group\n1e308,a\n-1e308,a\n1.7e308,b\n-1.7e308,b\n"
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        (HUGE_SAMPLE, ("bootstrap",)),
+        (HUGE_GROUPS, ("bootstrap", "--group-column", "group")),
+        (HUGE_GROUPS, ("shuffle-test", "--group-column", "group")),
+    ],
+    ids=["bootstrap", "grouped-bootstrap", "shuffle-test"],
+)
+def test_data_whose_sums_could_overflow_are_refused_before_numpy_is_imported(tmp_path, text, argv):
+    path = tmp_path / "huge.csv"
+    path.write_text(text)
+    proc = _numpy_free_run([*argv, "--data", str(path)])
+    assert _one_error_line(proc.returncode, "", proc.stderr) and proc.stdout == "False\n", proc.stderr
+    assert "could overflow a sum of" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["monte-carlo", "exact"])
+def test_subnormal_data_beside_zero_runs_cleanly_on_both_shuffle_paths(capsys, tmp_path, exact):
+    path = tmp_path / "subnormal.csv"
+    path.write_text("value,group\n1e-320,a\n0,a\n0,b\n1e-320,b\n0,b\n")
+    argv = ["shuffle-test", "--data", str(path), "--group-column", "group"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv, *(["--exact"] if exact else ["--n", "200"]))
+    assert (code, err) == (0, "")
+    assert "observed mean-diff" in out and ": 1.665e-321" in out

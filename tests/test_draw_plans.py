@@ -78,7 +78,9 @@ def test_shuffle_test_first_group_follows_sample_without_replacement(small_chunk
     values = list(VEG6.values)
     arr = np.asarray(values)
     steps = rng.shuffle_steps(arr.size, n1)
-    rows, _ = rng.run_chunks(5, N, arr.size, lambda blk: (rng.prefix_shuffle_rows(arr, rng.draw_table(blk, steps)), 0))
+    # shuffle_block is position-major, a column per lane: its transpose has
+    # a row per lane, as run_chunks writes them.
+    rows, _ = rng.run_chunks(5, N, arr.size, lambda blk: (rng.shuffle_block(arr, rng.draw_table(blk, steps)).T, 0))
     diffs = shuffle_test(VEG6, n_resamples=N, seed=5).distribution.values
     for r in range(N):
         first = substream(5, r).sample_without_replacement(values, n1)
@@ -92,7 +94,7 @@ def test_paired_shuffle_follows_shuffle(small_chunks):
     ys = list(PAIRED.ys)
     arr = np.asarray(ys)
     steps = rng.shuffle_steps(arr.size, arr.size)
-    rows, _ = rng.run_chunks(6, N, arr.size, lambda blk: (rng.prefix_shuffle_rows(arr, rng.draw_table(blk, steps)), 0))
+    rows, _ = rng.run_chunks(6, N, arr.size, lambda blk: (rng.shuffle_block(arr, rng.draw_table(blk, steps)).T, 0))
     rs = shuffle_test_paired(PAIRED, n_resamples=N, seed=6).distribution.values
     for r in range(N):
         shuffled = substream(6, r).shuffle(ys)

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import random
+import sys
 import warnings
 from collections import Counter
 from decimal import Decimal, localcontext
@@ -318,7 +319,7 @@ def test_shuffle_replicates_preserve_value_multiset(scalar_oracle):
     arr = np.asarray(VEG6.values)
 
     def kernel(blk):
-        return rng.prefix_shuffle_rows(arr, rng.draw_table(blk, rng.shuffle_steps(arr.size, 3))), 0
+        return rng.shuffle_block(arr, rng.draw_table(blk, rng.shuffle_steps(arr.size, 3))).T, 0
 
     for run in (lambda fn: fn(), scalar_oracle):
         mat, _ = run(lambda: rng.run_chunks(7, 50, arr.size, kernel))
@@ -892,3 +893,28 @@ def test_shuffle_test_of_pairs_is_the_paired_shuffle_test(scalar_oracle):
         assert merged.distribution.array.tobytes() == paired.distribution.array.tobytes()
         assert merged.histogram.bin_width == spec.CORRELATION_BIN_WIDTH
         assert merged.description == "pearson correlation of y against fixed x"
+
+
+def test_data_whose_sums_could_overflow_are_refused_before_any_draw(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("replicates drawn for data whose sums could overflow")
+
+    huge = Sample([1e308, 1.5e308, 1.7e308])
+    grouped = GroupedSample([1e308, -1e308, 1.7e308, -1.7e308], ["a", "a", "b", "b"])
+    with monkeypatch.context() as patched:
+        patched.setattr(rng, "run_chunks", no_draws)
+        for call in (
+            lambda: bootstrap(huge), lambda: bootstrap(grouped), lambda: shuffle_test(grouped),
+            lambda: exact_shuffle_p(grouped), lambda: observed_statistic(huge),
+        ):
+            with pytest.raises(ValueError, match="could overflow a sum of"):
+                call()
+    # At the largest magnitude accepted, replicates, interval and histogram
+    # stay finite; the diagnostics' moments are not covered by the rule.
+    limit = sys.float_info.max / (spec.SUM_MARGIN * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for data in (Sample([limit, limit, limit / 2]), GroupedSample([limit, -limit, limit], ["a", "b", "b"])):
+            values = bootstrap(data, n_resamples=200).array
+            assert np.isfinite(values).all() and all(map(math.isfinite, percentile_interval(values)))
+            assert Histogram.from_values(values, limit / 100).total == 200

@@ -11,6 +11,8 @@ from resamplekit.rng import (
     ScalarLanes,
     SeededGenerator,
     SubstreamBlock,
+    gather_rows,
+    lane_sums,
     mix64,
     positions,
     substream,
@@ -214,3 +216,36 @@ def test_positions_take_the_narrowest_signed_type():
     assert positions(1 << 15).dtype == np.int16
     wide = positions((1 << 15) + 1)
     assert wide.dtype == np.int32 and wide[-1] == 1 << 15
+
+
+# Values whose sums depend on the order of the adds and on the +0.0 start:
+# signed zeros, subnormals, 1e16 beside 1 and 0.1 (absorbed or not), and
+# infinities and 1.7e308 (overflow and nan).
+SUM_POOL = np.array(
+    [0.0, -0.0, 1e-320, -1e-320, 2.0**-1074, 1e16, -1e16, 1.0, 0.1,
+     np.inf, -np.inf, 1.7e308, -1.7e308]
+)
+
+
+@pytest.mark.parametrize("width", [*range(1, 21), 127, 128, 129, 2000])
+def test_lane_sums_are_numpys_row_sums_bit_for_bit(width):
+    # A block is position-major, and the kernels hand over column slices of
+    # wider blocks; each lane's sum must equal numpy's sum of the same row
+    # gathered as C-contiguous float rows, down to the sign of a zero.
+    rand = np.random.default_rng(width)
+    values = SUM_POOL[rand.permutation(SUM_POOL.size)]
+    for pool in (values, values[:2], values[:5]):  # all-zero rows too
+        wide = rand.integers(0, pool.size, (width, 300)).astype(positions(width).dtype)
+        block = wide[:, 7:250]
+        rows = pool[np.ascontiguousarray(block.T, dtype=np.intp)]
+        got = gather_rows(pool, block)
+        assert got.flags.c_contiguous and got.tobytes() == rows.tobytes()
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = rows.sum(axis=1)
+            assert lane_sums(pool, block).tobytes() == want.tobytes()
+
+
+def test_short_lane_sums_start_from_positive_zero():
+    block = np.zeros((3, 4), dtype=np.int16)
+    sums = lane_sums(np.array([-0.0]), block)
+    assert not np.signbit(sums).any() and not np.signbit(np.full((4, 3), -0.0).sum(axis=1)).any()
