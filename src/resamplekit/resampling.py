@@ -6,9 +6,9 @@ their lanes forms and the chunking that runs them are specified once, in
 ``rng``.  Each procedure here passes a reducer to ``rng.shuffled`` or
 ``rng.drawn``: a function from one position-major block, a row per position
 or draw and a column per lane, to the statistic of each lane.  It reads
-values at those positions through ``rng.lane_sums`` or ``rng.gather_rows``,
-which sum each lane on its own in numpy's order for a C-contiguous row, so no
-block size changes a value, not even the float summation order.
+values at those positions through ``rng.lane_sums``, which sums each lane on
+its own in numpy's order for a C-contiguous row, so no block size changes a
+value, not even the float summation order.
 
 p-values count ties inclusively: two-sided p = #{|T*| >= |T_obs|} / N,
 one-sided variants count T* >= T_obs (or <=).  The statistic table, these
@@ -235,9 +235,7 @@ def _correlations(xs: np.ndarray, ys: np.ndarray):
     den = np.sqrt((n * (dx * dx).sum() - sx * sx) * (n * (dy * dy).sum() - sy * sy))
 
     def correlations(block):
-        products = rng.gather_rows(dy, block)
-        products *= dx
-        return (n * products.sum(axis=1) - sx * sy) / den
+        return (n * rng.lane_sums(dy, block, dx) - sx * sy) / den
 
     return correlations
 
@@ -364,26 +362,22 @@ def bootstrap(
         kernel = functools.partial(rng.drawn, n, lambda block: rng.lane_sums(arr, block) / n, False)
     else:
         g1, _ = data.group_names
-        in_g1 = np.asarray([g == g1 for g in data.groups])
-        reduce = functools.partial(_grouped_resample_diffs, arr, arr * in_g1, in_g1)
+        in_g1 = np.asarray([g == g1 for g in data.groups], dtype=float)
+        reduce = functools.partial(_grouped_resample_diffs, np.stack([arr, arr * in_g1, in_g1]))
         kernel = functools.partial(rng.drawn, n, reduce, True)
     values, redraws = rng.run_chunks(seed, n_resamples, n, kernel)
     return ResampleDistribution(values, observed, statistic, "with-replacement", n_resamples, seed, n, redraws)
 
 
-def _grouped_resample_diffs(
-    arr: np.ndarray, arr1: np.ndarray, in_g1: np.ndarray, block: np.ndarray
-) -> np.ndarray:
+def _grouped_resample_diffs(table: np.ndarray, block: np.ndarray) -> np.ndarray:
     """Per lane of a block of drawn positions: the mean of the group-1 values
     at them minus the mean of the others (nan when the lane holds only one
     group), stacked over the count of group-1 positions.
 
-    ``arr1`` is ``arr * in_g1``, the values with the second group's zeroed,
-    so the group-1 sum is a sum over the same positions as the total."""
-    idx = block.astype(np.intp)
-    c1 = np.count_nonzero(in_g1[idx], axis=0)
-    total = rng.lane_sums(arr, idx)
-    s1 = rng.lane_sums(arr1, idx)
+    ``table`` stacks the values, the values with the second group's zeroed
+    and the group-1 flags as 0.0 or 1.0, so one ``lane_sums`` gives the
+    total, the group-1 sum and the (exact) group-1 count."""
+    total, s1, c1 = rng.lane_sums(table, block)
     s2 = total - s1
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.stack([s1 / c1 - s2 / (len(block) - c1), c1])

@@ -66,16 +66,19 @@ i holds slot i of every lane.  Three kernels run every plan.  ``shuffled``
 k rows) and ``drawn`` (both bootstraps; grouped, it also applies the redraw
 rule) hand a procedure's reducer such blocks, one row per position or draw
 and one column per lane, and the reducer reads values at those positions
-through ``lane_sums`` or ``gather_rows``.  ``summed`` (Bernoulli trials and
-polls with replacement) sums a pick of each draw as it draws, with no table.
+through ``lane_sums``.  ``summed`` (Bernoulli trials and polls with
+replacement) sums a pick of each draw as it draws, with no table.
 
 ``lane_sums(values, block)`` is, for every lane, the sum of ``values`` at
 the lane's positions exactly as numpy sums them as one C-contiguous float
 row: left to right from +0.0 for fewer than 8 values, numpy's pairwise sum
 from 8 on.  So under 8 positions it adds one position row of every lane at a
 time, from +0.0 (starting from the first value instead would sum a lane of
--0.0s to -0.0); from 8 on it gathers lane-major rows (``gather_rows``) and
-takes numpy's row sum.  These sums decide a replicate's last bits.
+-0.0s to -0.0); from 8 on it gathers C-contiguous lane-major float rows,
+a tile of lanes at a time, and takes numpy's row sum.  Values of shape (m, n)
+are m value rows summed through the same indices, and ``weights`` scale the
+values position row by position row (the terms of a correlation).  These
+sums decide a replicate's last bits.
 
 Lanes have a ``count``, ``below(n)`` (one draw per lane, an int64 array) and
 ``keep(lanes)`` (narrow to some lanes, each continuing its own stream).
@@ -99,7 +102,8 @@ times as many lanes (4096 for int16), so the table takes the bytes of a
 float64 row matrix of CHUNK_FLOOR lanes.  Row state (a shuffle's positions)
 is held for sub-blocks of ``chunk_lanes(n)`` lanes, each released before the
 next is built.  Reducers get row blocks of ``row_lanes(n)`` lanes, at most
-CHUNK_ELEMENTS values, so the float rows of ``gather_rows`` stay that small.
+CHUNK_ELEMENTS values, and ``lane_sums`` gathers them a lane tile of about
+_TILE_ELEMENTS values at a time.
 Only the kernels split a block.
 
 Chunking invariant: ``run_chunks`` covers replicates 0..N-1 with blocks of
@@ -132,8 +136,10 @@ _MAX_BELOW = 1 << 63
 # the block rather than by replicates x row width.
 CHUNK_ELEMENTS = 1 << 18
 CHUNK_FLOOR = 1 << 10
-# Positions per tile of gather_rows' transpose.
-_TILE = 128
+# Positions per lane tile of lane_sums' gather.  Half of it left glibc's heap
+# fragmented after a 2000-row paired shuffle, and a following 10^4-voter poll
+# then peaked 19 MB higher in RSS (58.7 -> 77.5 MB, numpy 2.4, Linux x86-64).
+_TILE_ELEMENTS = 1 << 16
 # numpy sums rows of fewer values than this left to right (see lane_sums).
 _PAIRWISE_MIN = 8
 # Redraw rounds of a grouped ``drawn`` before it gives up.
@@ -257,35 +263,39 @@ def shuffle_block(items: np.ndarray, table: np.ndarray) -> np.ndarray:
     return block
 
 
-def gather_rows(values: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """``values`` at a position-major block's positions as C-contiguous
-    lane-major rows: row j holds ``values[block[:, j]]``.  Indices are intp,
-    which numpy gathers about three times as fast as int16.  Up to _TILE
-    positions, the indices are transposed and the rows gathered at once;
-    past it, the gathered values are transposed _TILE positions at a time,
-    which bounds the indices held to a tile."""
-    k, count = block.shape
-    if k <= _TILE:
-        return values[block.T.astype(np.intp, order="C")]
-    rows = np.empty((count, k), dtype=values.dtype)
-    for d in range(0, k, _TILE):
-        rows[:, d : d + _TILE] = values[block[d : d + _TILE].astype(np.intp, copy=False)].T
-    return rows
-
-
-def lane_sums(values: np.ndarray, block: np.ndarray) -> np.ndarray:
+def lane_sums(values: np.ndarray, block: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     """For every lane (column) of a position-major block, the sum of
-    ``values`` at its positions, bit for bit numpy's row sum of
-    ``gather_rows(values, block)``.  numpy sums a row of fewer than 8 values
-    left to right from +0.0 (its pairwise sum unrolls from 8 on), so such
-    blocks are added one position row at a time from +0.0, with no numpy call
-    per lane; wider blocks take the row sum itself."""
-    if len(block) >= _PAIRWISE_MIN:
-        return gather_rows(values, block).sum(axis=1)
-    totals = np.zeros(block.shape[1])
-    for row in block.astype(np.intp, copy=False):
-        totals += values[row]
-    return totals
+    ``values`` at its positions, each times ``weights[i]`` at position row i
+    when weights are given, bit for bit numpy's row sum of those terms
+    gathered as one C-contiguous float row per lane.  ``values`` of shape
+    (m, n) give m rows of sums through the same indices.
+
+    numpy sums a row of fewer than 8 values left to right from +0.0 (its
+    pairwise sum unrolls from 8 on), so such blocks are added one position
+    row at a time from +0.0, with no numpy call per lane.  Wider blocks, as
+    a compact copy (a row block is a column slice of a wider table), are
+    gathered and row-summed in lane tiles of about _TILE_ELEMENTS positions,
+    whose intp indices (numpy gathers them about three times as fast as
+    int16) and float rows stay in cache."""
+    table = values.reshape(-1, values.shape[-1])
+    k, count = block.shape
+    sums = np.zeros((len(table), count))
+    if k < _PAIRWISE_MIN:
+        for i, row in enumerate(block.astype(np.intp, copy=False)):
+            for out, v in zip(sums, table):
+                out += v[row] if weights is None else v[row] * weights[i]
+        return sums.reshape(values.shape[:-1] + (count,))
+    block = np.ascontiguousarray(block)  # tiles read a few columns of every row
+    step = max(1, _TILE_ELEMENTS // k)
+    for start in range(0, count, step):
+        tile = slice(start, start + step)
+        rows = block[:, tile].T.astype(np.intp, order="C")
+        for out, v in zip(sums, table):
+            terms = v[rows]
+            if weights is not None:
+                terms *= weights
+            np.sum(terms, axis=1, out=out[tile])
+    return sums.reshape(values.shape[:-1] + (count,))
 
 
 def in_blocks(fn, count: int, size: int) -> np.ndarray:

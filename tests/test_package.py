@@ -58,7 +58,7 @@ def test_dir_lists_the_public_names():
 def test_procedures_leave_every_lane_boundary_to_rng(module):
     # A procedure runs blocks and hands a reducer or a pick to one of the
     # three kernels, and its reducers read a block's values through rng's
-    # sums and gathers; lanes, and block, sub-block and row-block sizes, are
+    # lane sums; lanes, and block, sub-block and row-block sizes, are
     # rng's alone.
     tree = ast.parse((Path(resamplekit.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
     used = {
@@ -69,7 +69,7 @@ def test_procedures_leave_every_lane_boundary_to_rng(module):
         alias.name for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.module == "rng" for alias in node.names
     }
-    assert used and used <= {"run_chunks", "shuffled", "drawn", "summed", "positions", "lane_sums", "gather_rows"}
+    assert used and used <= {"run_chunks", "shuffled", "drawn", "summed", "positions", "lane_sums"}
     lane_params = [
         node.lineno for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.Lambda)) and "lanes" in {a.arg for a in node.args.args}

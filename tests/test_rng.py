@@ -11,7 +11,6 @@ from resamplekit.rng import (
     ScalarLanes,
     SeededGenerator,
     SubstreamBlock,
-    gather_rows,
     lane_sums,
     mix64,
     positions,
@@ -231,18 +230,24 @@ SUM_POOL = np.array(
 def test_lane_sums_are_numpys_row_sums_bit_for_bit(width):
     # A block is position-major, and the kernels hand over column slices of
     # wider blocks; each lane's sum must equal numpy's sum of the same row
-    # gathered as C-contiguous float rows, down to the sign of a zero.
+    # gathered as C-contiguous float rows, down to the sign of a zero, also
+    # for each row of a stacked values table and for weighted terms.
     rand = np.random.default_rng(width)
     values = SUM_POOL[rand.permutation(SUM_POOL.size)]
     for pool in (values, values[:2], values[:5]):  # all-zero rows too
         wide = rand.integers(0, pool.size, (width, 300)).astype(positions(width).dtype)
         block = wide[:, 7:250]
-        rows = pool[np.ascontiguousarray(block.T, dtype=np.intp)]
-        got = gather_rows(pool, block)
-        assert got.flags.c_contiguous and got.tobytes() == rows.tobytes()
-        with np.errstate(invalid="ignore", over="ignore"):
-            want = rows.sum(axis=1)
-            assert lane_sums(pool, block).tobytes() == want.tobytes()
+        rows = np.ascontiguousarray(block.T, dtype=np.intp)
+        table = np.stack([pool, pool[::-1], -pool])
+        weights = rand.choice([1.0, -1.0, 0.5, 3.0, 1e-300, 1e300], width)
+        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+            want = [v[rows].sum(axis=1) for v in table]
+            assert lane_sums(pool, block).tobytes() == want[0].tobytes()
+            stacked = lane_sums(table, block)
+            weighted = lane_sums(pool, block, weights)
+            assert weighted.tobytes() == (pool[rows] * weights).sum(axis=1).tobytes()
+        assert stacked.shape == (3, block.shape[1])
+        assert [row.tobytes() for row in stacked] == [w.tobytes() for w in want]
 
 
 def test_short_lane_sums_start_from_positive_zero():
