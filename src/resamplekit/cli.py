@@ -411,8 +411,8 @@ def _cmd_montecarlo(args, rep: Report) -> Report:
 
 
 def _cmd_poll(args, rep: Report) -> Report:
+    check_count("--sample-size", args.sample_size)
     if args.mode == "with":
-        check_count("--sample-size", args.sample_size)
         check_work(args.polls, args.sample_size)
     population = _load_input(rep, args.fixture, args.data, _parse_csv, args.value_column)
     if not args.fixture:

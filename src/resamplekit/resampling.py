@@ -302,8 +302,6 @@ def shuffle_test(
     """
     statistic = _resolve("shuffle_test", data, statistic, GroupedSample, PairedSample)
     _check_sidedness(sidedness)
-    if n_resamples < 1:
-        raise ValueError("need at least one replicate")
     check_count("n_resamples", n_resamples)
     bin_width = default_bin_width(statistic) if bin_width is None else bin_width
     check_bin_width(bin_width)
@@ -352,8 +350,6 @@ def bootstrap(
     ``redraw_count``.
     """
     statistic = _resolve("bootstrap", data, statistic, Sample, GroupedSample)
-    if n_resamples < 1:
-        raise ValueError("need at least one replicate")
     check_count("n_resamples", n_resamples)
     n = data.n
     observed = observed_statistic(data, statistic)
@@ -429,16 +425,19 @@ def _median(v: np.ndarray) -> float:
     return float(s[k] if s.size % 2 else (s[k - 1] + s[k]) / 2)
 
 
-def _central_moments(v: np.ndarray, mu: float) -> tuple[float, float]:
-    """The second and third moments of v about mu, in one pass over v - mu.
+def _central_moments(v: np.ndarray, e: int) -> tuple[float, float, float]:
+    """The mean of v and the second and third moments of v about it, in one
+    pass over v - mean, all taken on v scaled by 2^-e, which is exact.
 
     A helper, so that its two temporaries of v's size are gone before
     ``diagnostics`` builds the next one."""
-    d = v - mu
+    d = np.ldexp(v, -e)
+    mu = float(d.mean())
+    d -= mu
     d2 = d * d
     m2 = float(d2.mean())
     d2 *= d
-    return m2, float(d2.mean())
+    return mu, m2, float(d2.mean())
 
 
 def diagnostics(
@@ -452,10 +451,15 @@ def diagnostics(
     and whether the source sample is small.
     """
     v = dist.array
-    mu = float(v.mean())
+    # e is 0 while |v| lies within 2^±256, so ordinary moments are unscaled;
+    # beyond, v is scaled to that edge, where the cubes of v - mean and the
+    # sums of N of them neither overflow nor underflow.
+    exponent = math.frexp(max(-float(v.min()), float(v.max())))[1]
+    e = exponent - min(256, max(-256, exponent))
+    mu, m2, m3 = _central_moments(v, e)
+    mu = math.ldexp(mu, e)
     med = _median(v)
-    m2, m3 = _central_moments(v, mu)
-    sd = math.sqrt(m2)
+    sd = math.ldexp(math.sqrt(m2), e)
     skew = m3 / m2**1.5 if m2 > 0 else 0.0
     gap = abs(mu - med) / sd if sd > 0 else 0.0
     skew_flagged = abs(skew) > SKEWNESS_FLAG_THRESHOLD

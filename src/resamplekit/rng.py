@@ -94,23 +94,25 @@ one output array and sums the redraws.  ``ScalarLanes`` steps one Python-int
 ``SeededGenerator``'s own methods in the tests, and against
 ``bench/refgen.py`` outside the program.
 
-Memory is bounded at three levels, for rows of n values.  A block has
+Memory is bounded at three levels, for rows of n values, and each is split
+by one function.  ``run_chunks`` splits the run into blocks of
 ``block_lanes(n)`` lanes, and a kernel draws its whole table for the block at
 once, so numpy's per-call cost of ``below`` is spread over many lanes; where
 ``chunk_lanes(n)`` sits at CHUNK_FLOOR that is 8 // the table's itemsize
 times as many lanes (4096 for int16), so the table takes the bytes of a
-float64 row matrix of CHUNK_FLOOR lanes.  Row state (a shuffle's positions)
-is held for sub-blocks of ``chunk_lanes(n)`` lanes, each released before the
-next is built.  Reducers get row blocks of ``row_lanes(n)`` lanes, at most
-CHUNK_ELEMENTS values, and ``lane_sums`` gathers them a lane tile of about
-_TILE_ELEMENTS values at a time.
-Only the kernels split a block.
+float64 row matrix of CHUNK_FLOOR lanes.  ``shuffled`` splits a block into
+sub-blocks of ``chunk_lanes(n)`` lanes of row state (a shuffle's positions),
+each built, reduced and released before the next is built.  Reducers get a
+whole block (``drawn``) or sub-block (``shuffled``), and ``lane_sums``, the
+only code that reads one, copies it compact a slab of about CHUNK_ELEMENTS
+positions at a time and gathers each slab a lane tile of about
+_TILE_ELEMENTS positions at a time.
 
 Chunking invariant: ``run_chunks`` covers replicates 0..N-1 with blocks of
 at most ``block_lanes(width)`` lanes, and lane r of every block is always
 ``substream(seed, r)``.  Each lane's draws, its table and block columns and
 each sum over its positions depend on that lane alone, so block,
-sub-block and row-block boundaries bound memory but never change a value:
+sub-block, slab and tile boundaries bound memory but never change a value:
 any sizes give the same results as one block of N lanes and as N scalar
 substreams.
 """
@@ -130,10 +132,10 @@ _MIX_C2 = 0x94D049BB133111EB
 # below() accepts 1 <= n < 2**63 so results always fit a signed 64-bit int.
 _MAX_BELOW = 1 << 63
 
-# Sizes of run_chunks' blocks and of a kernel's sub-blocks and row blocks
-# (see block_lanes, chunk_lanes, row_lanes): about CHUNK_ELEMENTS values per
-# sub-block, so a kernel's matrices stay in cache and memory stays bounded by
-# the block rather than by replicates x row width.
+# Sizes of run_chunks' blocks, of a shuffle's sub-blocks (see block_lanes,
+# chunk_lanes) and of lane_sums' slabs: about CHUNK_ELEMENTS values per
+# sub-block or slab, so a kernel's matrices stay in cache and memory stays
+# bounded by the block rather than by replicates x row width.
 CHUNK_ELEMENTS = 1 << 18
 CHUNK_FLOOR = 1 << 10
 # Positions per lane tile of lane_sums' gather.  Half of it left glibc's heap
@@ -272,11 +274,11 @@ def lane_sums(values: np.ndarray, block: np.ndarray, weights: np.ndarray | None 
 
     numpy sums a row of fewer than 8 values left to right from +0.0 (its
     pairwise sum unrolls from 8 on), so such blocks are added one position
-    row at a time from +0.0, with no numpy call per lane.  Wider blocks, as
-    a compact copy (a row block is a column slice of a wider table), are
-    gathered and row-summed in lane tiles of about _TILE_ELEMENTS positions,
-    whose intp indices (numpy gathers them about three times as fast as
-    int16) and float rows stay in cache."""
+    row at a time from +0.0, with no numpy call per lane.  Wider blocks are
+    copied compact a slab of about CHUNK_ELEMENTS positions at a time, and
+    each slab is gathered and row-summed in lane tiles of about
+    _TILE_ELEMENTS positions, whose intp indices (numpy gathers them about
+    three times as fast as int16) and float rows stay in cache."""
     table = values.reshape(-1, values.shape[-1])
     k, count = block.shape
     sums = np.zeros((len(table), count))
@@ -285,52 +287,43 @@ def lane_sums(values: np.ndarray, block: np.ndarray, weights: np.ndarray | None 
             for out, v in zip(sums, table):
                 out += v[row] if weights is None else v[row] * weights[i]
         return sums.reshape(values.shape[:-1] + (count,))
-    block = np.ascontiguousarray(block)  # tiles read a few columns of every row
+    slab = max(1, CHUNK_ELEMENTS // k)
     step = max(1, _TILE_ELEMENTS // k)
-    for start in range(0, count, step):
-        tile = slice(start, start + step)
-        rows = block[:, tile].T.astype(np.intp, order="C")
-        for out, v in zip(sums, table):
-            terms = v[rows]
-            if weights is not None:
-                terms *= weights
-            np.sum(terms, axis=1, out=out[tile])
+    for start in range(0, count, slab):
+        # Tiles read a few columns of every row, so they read a compact slab.
+        part = np.ascontiguousarray(block[:, start : start + slab])
+        for at in range(0, part.shape[1], step):
+            rows = part[:, at : at + step].T.astype(np.intp, order="C")
+            lanes = slice(start + at, start + at + len(rows))
+            for out, v in zip(sums, table):
+                terms = v[rows]
+                if weights is not None:
+                    terms *= weights
+                np.sum(terms, axis=1, out=out[lanes])
     return sums.reshape(values.shape[:-1] + (count,))
-
-
-def in_blocks(fn, count: int, size: int) -> np.ndarray:
-    """``fn(lanes)`` for the consecutive slices ``lanes`` of at most ``size``
-    of 0..count-1, concatenated along the last axis."""
-    return np.concatenate([fn(slice(start, start + size)) for start in range(0, count, size)], axis=-1)
 
 
 def shuffled(pos: np.ndarray, k: int, reduce, lanes) -> tuple[np.ndarray, int]:
     """The kernel that permutes: ``reduce(block)`` for every lane, where the
     block is ``shuffle_block(pos, ...)`` after the lanes' min(k, n - 1)
     steps, and no redraws.  After one draw table for all lanes, blocks are
-    built for sub-blocks of ``chunk_lanes(n)`` lanes, each released before
-    the next is built, and reduced a row block of lanes at a time."""
-    n = pos.size
-    table = draw_table(lanes, shuffle_steps(n, k))
-
-    def sub_block(sub):
-        block = shuffle_block(pos, table[:, sub])
-        return in_blocks(lambda cols: reduce(block[:, cols]), block.shape[1], row_lanes(n))
-
-    return in_blocks(sub_block, lanes.count, chunk_lanes(n)), 0
+    built and reduced for sub-blocks of ``chunk_lanes(n)`` lanes, each
+    released before the next is built."""
+    table = draw_table(lanes, shuffle_steps(pos.size, k))
+    size = chunk_lanes(pos.size)
+    starts = range(0, lanes.count, size)
+    return np.concatenate([reduce(shuffle_block(pos, table[:, s : s + size])) for s in starts], axis=-1), 0
 
 
 def drawn(n: int, reduce, grouped: bool, lanes) -> tuple[np.ndarray, int]:
     """The kernel that draws with replacement: ``reduce(block)`` for every
     lane, where the block is the lanes' draw table of n draws of
-    ``below(n)``, handed over a row block of lanes at a time.  ``grouped``,
-    ``reduce`` stacks each lane's value over its first-group count, and only
-    the lanes whose count is 0 or n draw again (``keep``), each attempt a
-    redraw; otherwise there are none."""
+    ``below(n)``.  ``grouped``, ``reduce`` stacks each lane's value over its
+    first-group count, and only the lanes whose count is 0 or n draw again
+    (``keep``), each attempt a redraw; otherwise there are none."""
 
     def attempt():
-        table = draw_table(lanes, [n] * n)
-        return in_blocks(lambda cols: reduce(table[:, cols]), lanes.count, row_lanes(n))
+        return reduce(draw_table(lanes, [n] * n))
 
     if not grouped:
         return attempt(), 0
@@ -514,12 +507,6 @@ def block_lanes(width: int) -> int:
     if lanes == CHUNK_FLOOR:
         lanes *= 8 // np.dtype(position_dtype(width)).itemsize
     return lanes
-
-
-def row_lanes(width: int) -> int:
-    """Lanes per row block: at most CHUNK_ELEMENTS values of ``width``-value
-    rows, at least one row."""
-    return max(1, CHUNK_ELEMENTS // max(width, 1))
 
 
 _U5, _U7, _U9, _U57 = (np.uint64(k) for k in (5, 7, 9, 57))

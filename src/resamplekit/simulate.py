@@ -45,8 +45,8 @@ class BernoulliExperiment:
     runs: int
 
     def __post_init__(self):
-        if self.trials_per_run < 1:
-            raise ValueError("need at least one trial per run")
+        check_count("trials_per_run", self.trials_per_run)
+        check_count("runs", self.runs)
         object.__setattr__(
             self, "success_probability", Fraction(self.success_probability)
         )
@@ -65,8 +65,6 @@ class BernoulliExperiment:
                 f"event count must be in [0, {self.trials_per_run}], "
                 f"got {self.event_count}"
             )
-        if self.runs < 1:
-            raise ValueError("need at least one run")
 
     def matches(self, successes):
         """Whether a success count satisfies the event; elementwise on arrays."""
@@ -94,8 +92,6 @@ def simulate_bernoulli(experiment: BernoulliExperiment, seed: int = 0) -> float:
     den = experiment.success_probability.denominator
     n = experiment.trials_per_run
     runs = experiment.runs
-    check_count("trials_per_run", n)
-    check_count("runs", runs)
     counts, _ = rng.run_chunks(seed, runs, n, functools.partial(rng.summed, den, n, lambda d: d < num))
     return float(np.count_nonzero(experiment.matches(counts)) / runs)
 
@@ -145,10 +141,6 @@ def simulate_poll(
     """Poll the population N times and record each poll's sample proportion."""
     if mode not in POLL_MODES:
         raise ValueError(f"mode must be one of {POLL_MODES}, got {mode!r}")
-    if sample_size < 1:
-        raise ValueError("sample size must be >= 1")
-    if n_polls < 1:
-        raise ValueError("need at least one poll")
     check_count("sample_size", sample_size)
     check_count("n_polls", n_polls)
     n = population.n

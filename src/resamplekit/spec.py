@@ -146,8 +146,10 @@ def check_scale_bounds(bounds: tuple[float, float] | None) -> None:
 
 
 def check_count(option: str, count: int) -> None:
-    """Raise ValueError naming ``option`` when ``count`` is above
+    """Raise ValueError naming ``option`` unless 1 <= ``count`` <=
     MAX_REPLICATES."""
+    if count < 1:
+        raise ValueError(f"{option} must be at least 1, got {count}")
     if count > MAX_REPLICATES:
         raise ValueError(f"{option} must be at most {MAX_REPLICATES}, got {count}")
 

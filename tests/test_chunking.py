@@ -191,11 +191,14 @@ def test_scalar_engine_runs_unchunked(small_chunks, scalar_oracle, monkeypatch):
 
 @pytest.fixture
 def tiny_blocks(monkeypatch):
-    """Chunk constants small enough that block, sub-block and row-block
+    """Chunk constants small enough that block, sub-block, slab and tile
     boundaries all fall inside each pinned run below: 6- to 10-row data gets
-    blocks of 20 lanes, sub-blocks of 5 and row blocks of 2 to 4."""
+    blocks of 20 lanes and sub-blocks of 5, and ``lane_sums`` reads 9- and
+    10-position blocks in slabs of 2 lanes and tiles of 1, and 25-position
+    ones a lane at a time."""
     monkeypatch.setattr(rng, "CHUNK_ELEMENTS", 24)
     monkeypatch.setattr(rng, "CHUNK_FLOOR", 5)
+    monkeypatch.setattr(rng, "_TILE_ELEMENTS", 16)
 
 
 def test_wide_blocks_draw_four_times_the_floor_lanes():
@@ -205,9 +208,44 @@ def test_wide_blocks_draw_four_times_the_floor_lanes():
     assert rng.block_lanes(255) == rng.chunk_lanes(255) == rng.CHUNK_ELEMENTS // 255
 
 
-def test_tiny_blocks_put_every_boundary_inside_a_block(tiny_blocks):
-    for width, rows in ((6, 4), (9, 2), (10, 2), (500, 1)):
-        assert (rng.block_lanes(width), rng.chunk_lanes(width), rng.row_lanes(width)) == (20, 5, rows)
+def lane_sums_reads(monkeypatch, block):
+    """The lane counts of the slabs that ``rng.lane_sums`` copies compact
+    and of the tiles it gathers, as it sums ``block``."""
+    slabs, tiles = [], []
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def ascontiguousarray(self, part):
+            slabs.append(part.shape[1])
+            return np.ascontiguousarray(part)
+
+        def sum(self, terms, axis, out):
+            tiles.append(len(terms))
+            return np.sum(terms, axis=axis, out=out)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(rng, "np", Numpy())
+        sums = rng.lane_sums(np.arange(block.max() + 1.0), block)
+    assert sums.tolist() == block.sum(axis=0).tolist()
+    return slabs, tiles
+
+
+def test_tiny_blocks_put_every_boundary_inside_a_block(tiny_blocks, monkeypatch):
+    for width in (6, 9, 10, 500):
+        assert (rng.block_lanes(width), rng.chunk_lanes(width)) == (20, 5)
+    # A sub-block of 5 lanes, or a 23-lane block, of 8, 9, 10 and 25 positions.
+    codes = np.arange(25 * 23, dtype=np.int16).reshape(25, 23) % 25
+    for k, lanes, slabs, tiles in (
+        (8, 5, [3, 2], [2, 1, 2]),
+        (9, 5, [2, 2, 1], [1] * 5),
+        (10, 23, [2] * 11 + [1], [1] * 23),
+        (25, 5, [1] * 5, [1] * 5),
+    ):
+        assert lane_sums_reads(monkeypatch, codes[:k, :lanes]) == (slabs, tiles)
+    # Under 8 positions a block is added one position row at a time, unsplit.
+    assert lane_sums_reads(monkeypatch, codes[:7]) == ([], [])
 
 
 @pytest.mark.parametrize("name", list(test_golden.ARRAYS))
@@ -218,46 +256,55 @@ def test_pinned_arrays_across_block_sub_block_and_row_block_boundaries(tiny_bloc
     assert test_golden.sha256(arr.astype("<f8").tobytes()) == pin
 
 
-def test_grouped_bootstrap_redraws_across_row_blocks_of_one_block(tiny_blocks, scalar_oracle):
-    # The pinned grouped bootstrap (veg6, seed 2) redraws lanes on both sides
-    # of a row-block boundary inside one block, and counts them as a replay
-    # on the generator alone does.
-    n, seed, count = VEG6.n, 2, 3000
-    in_g1 = [g == VEG6.group_names[0] for g in VEG6.groups]
-    lost = [
+# One row, position 0, is the first group: a third of the 9-row attempts
+# lose a group, so lanes of every slab and tile redraw.
+ONE_IN_NINE = GroupedSample.from_rows([(i, "a" if i < 1 else "b") for i in range(9)])
+
+
+def lost_lanes(data: GroupedSample, seed: int, count: int) -> list[int]:
+    """The replicates whose first attempt of the grouped bootstrap lacks a
+    group, replayed on the generator alone."""
+    in_g1 = [g == data.group_names[0] for g in data.groups]
+    n = data.n
+    return [
         r for r in range(count)
         if len({in_g1[i] for i in substream(seed, r).draw_with_replacement(range(n), n)}) < 2
     ]
-    block, row_block = rng.block_lanes(n), rng.row_lanes(n)
-    row_blocks_per_block = Counter(r // block for r in {r - r % row_block for r in lost})
-    assert max(row_blocks_per_block.values()) > 1
-    dist = bootstrap(VEG6, n_resamples=count, seed=seed)
-    assert dist == scalar_oracle(lambda: bootstrap(VEG6, n_resamples=count, seed=seed))
-    assert dist.redraw_count == replayed_redraws(VEG6, seed, count) >= len(lost)
 
 
-# One row, position 0, is the first group: a third of the 9-row attempts
-# lose a group, so lanes of every row block redraw.
-ONE_IN_NINE = GroupedSample.from_rows([(i, "a" if i < 1 else "b") for i in range(9)])
+def test_grouped_bootstrap_redraws_across_lane_tiles_of_one_block(tiny_blocks, scalar_oracle):
+    # The pinned grouped bootstrap (veg6, seed 2) redraws several lanes of
+    # one block, which lane_sums adds up one position row at a time; 9-row
+    # data redraws more lanes of one block than a slab holds, so lane_sums
+    # reads their redraw tables in several slabs and tiles.  Both count their
+    # redraws as a replay on the generator alone does.
+    slab = rng.CHUNK_ELEMENTS // ONE_IN_NINE.n
+    for data, seed, count, more_than in ((VEG6, 2, 3000, 1), (ONE_IN_NINE, 2, 300, slab)):
+        lost = lost_lanes(data, seed, count)
+        assert max(Counter(r // rng.block_lanes(data.n) for r in lost).values()) > more_than
+        dist = bootstrap(data, n_resamples=count, seed=seed)
+        assert dist == scalar_oracle(lambda: bootstrap(data, n_resamples=count, seed=seed))
+        assert dist.redraw_count == replayed_redraws(data, seed, count) >= len(lost)
 
 
 @pytest.mark.parametrize("kernel", ["shuffled", "drawn", "drawn-grouped", "summed", "drawn-redraws"])
 def test_shuffled_and_drawn_hand_reduce_row_blocks_in_lane_order(tiny_blocks, kernel):
-    # 23 lanes of 9-row data: sub-blocks of 5 lanes and row blocks of 2, the
-    # last of each partial.  A reducer gets a position-major block, a row per
+    # 23 lanes of 9-row data: sub-blocks of 5 lanes, the last partial, and
+    # lane_sums' slabs of 2 lanes and tiles of 1.  A reducer gets a whole
+    # position-major block (drawn) or sub-block (shuffled), a row per
     # position or draw and a column per lane, and returns the picks of each
-    # lane as one code (its base-100 digits), so every value names its
-    # lane's draws.  drawn-grouped also stacks a second row, the count of
-    # picks below 4; drawn-redraws stacks the count of picks of ONE_IN_NINE's
-    # first group and redraws the lanes that lost a group.  summed adds each
-    # draw's digit of the code as it draws.
+    # lane as one code (its decimal digits), summed through lane_sums, so
+    # every value names its lane's draws.  drawn-grouped also stacks a
+    # second row, the count of picks below 4; drawn-redraws stacks the count
+    # of picks of ONE_IN_NINE's first group and redraws the lanes that lost
+    # a group.  summed adds each draw's digit of the code as it draws.
     n, k, seed, count = 9, 4, 11, 23
     width = n if kernel.startswith("drawn") else k
     seen = []
 
     def reduce(block):
         seen.append(block.shape)
-        codes = 100 ** np.arange(width, dtype=np.int64) @ block[:width].astype(np.int64)
+        codes = rng.lane_sums(np.arange(n, dtype=float), block[:width], 10.0 ** np.arange(width))
         if kernel == "drawn-grouped":
             return np.stack([codes, (block < 4).sum(axis=0)])
         return np.stack([codes, (block < 1).sum(axis=0)]) if kernel == "drawn-redraws" else codes
@@ -266,18 +313,16 @@ def test_shuffled_and_drawn_hand_reduce_row_blocks_in_lane_order(tiny_blocks, ke
         if kernel == "shuffled":
             return rng.shuffled(rng.positions(n), k, reduce, lanes)
         if kernel == "summed":
-            digits = iter(100 ** np.arange(k, dtype=np.int64))
+            digits = iter(10 ** np.arange(k, dtype=np.int64))
             return rng.summed(n, k, lambda d: d * next(digits), lanes)
         return rng.drawn(n, reduce, kernel == "drawn-redraws", lanes)
 
     values, redraws = run(SubstreamBlock(seed, count))
+    attempts = [0] * count  # each lane's attempts, replayed below
     if kernel == "drawn-redraws":
         assert redraws == replayed_redraws(ONE_IN_NINE, seed, count) > 0
     else:
         assert redraws == 0
-    if kernel != "summed":
-        assert all(positions == n and 1 <= lanes <= rng.row_lanes(n) for positions, lanes in seen)
-        assert len(seen) > count // rng.row_lanes(n)
     assert values.shape == ((2, count) if kernel == "drawn-grouped" else (count,))
     for r, value in enumerate(values.T):
         gen = substream(seed, r)
@@ -287,10 +332,18 @@ def test_shuffled_and_drawn_hand_reduce_row_blocks_in_lane_order(tiny_blocks, ke
             picks = gen.draw_with_replacement(range(n), k)
         else:
             picks = gen.draw_with_replacement(range(n), n)
+            attempts[r] = 1
             while kernel == "drawn-redraws" and sum(p < 1 for p in picks) in (0, n):
                 picks = gen.draw_with_replacement(range(n), n)
-        want = sum(p * 100**i for i, p in enumerate(picks))
+                attempts[r] += 1
+        want = sum(p * 10**i for i, p in enumerate(picks))
         assert value.tolist() == ([want, sum(p < 4 for p in picks)] if kernel == "drawn-grouped" else want)
+    if kernel == "shuffled":
+        assert seen == [(n, 5)] * 4 + [(n, 3)]
+    elif kernel != "summed":
+        # One whole block, then the lanes still drawing, round by round.
+        rounds = [sum(a > i for a in attempts) for i in range(max(attempts))]
+        assert seen == [(n, lanes) for lanes in rounds]
     assert np.array_equal(values, run(rng.ScalarLanes(seed, count))[0])
 
 
@@ -340,7 +393,7 @@ def test_a_wide_chunk_holds_row_positions_or_one_value_matrix(call, limit_mb):
     # rows and 82 MB for the voters at 1024 lanes.  A block's int16 draw
     # table takes those 16 MB for 2000 rows at 4096 lanes; the permuting
     # kernels hold int16 positions for 1024 lanes at a time (4 and 20 MB)
-    # and every kernel gathers values only in row blocks as it reduces them.
+    # and lane_sums gathers values only a slab and a lane tile at a time.
     tracemalloc.start()
     try:
         call()

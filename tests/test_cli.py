@@ -791,6 +791,42 @@ def test_report_options_are_refused_before_numpy_is_imported(argv, message):
     assert (proc.returncode, proc.stderr, proc.stdout) == (1, f"error: {message}\n", "False\n")
 
 
+# Counts below 1: each named by its option, as counts above the limit are,
+# and refused before numpy is imported.
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("bootstrap", "--fixture", "veg9", "--n", "0"), "--n"),
+        (("shuffle-test", "--fixture", "veg6", "--n", "-3"), "--n"),
+        (("montecarlo", "--trials", "8", "--count", "4", "--runs", "0"), "--runs"),
+        (("montecarlo", "--trials", "0", "--count", "0"), "--trials"),
+        (("poll", "--fixture", "poll500", "--sample-size", "0"), "--sample-size"),
+        (("poll", "--fixture", "poll500", "--sample-size", "0", "--mode", "with"), "--sample-size"),
+        (("poll", "--fixture", "poll500", "--sample-size", "5", "--polls", "0"), "--polls"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, tuple) else value,
+)
+def test_counts_below_one_are_refused_by_name_before_numpy_is_imported(argv, option):
+    proc = _numpy_free_run(argv)
+    got = argv[argv.index(option) + 1]
+    assert (proc.returncode, proc.stderr, proc.stdout) == (1, f"error: {option} must be at least 1, got {got}\n", "False\n")
+
+
+def test_bootstrap_of_values_near_1e200_reports_a_finite_skewness(capsys, tmp_path):
+    # The squared and cubed spreads of these replicates overflowed, and the
+    # report read "skewness nan"; it must match the same data at a scale of 1.
+    skewness = []
+    for scale, bin_width in (("e200", "1e197"), ("", "1e-3")):
+        path = tmp_path / f"values{scale}.csv"
+        path.write_text(f"value\n1{scale}\n1.5{scale}\n1.7{scale}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "bootstrap", "--data", str(path), "--bin-width", bin_width)
+        assert (code, err) == (0, "")
+        skewness.append(out.split("skewness ")[1].split(",")[0])
+    assert skewness[0] == skewness[1] != "nan"
+
+
 # Data whose float sums would overflow: the mean of these three values reads
 # inf, and the mean differences of the two groups overflowed into a
 # histogram of inf and an OverflowError traceback.

@@ -591,6 +591,16 @@ def test_report_options_are_refused_before_any_replicate_is_drawn(monkeypatch, c
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "call, got",
+    [(lambda: bootstrap(VEG9, n_resamples=0), 0), (lambda: shuffle_test(VEG6, n_resamples=-1), -1)],
+    ids=["bootstrap", "shuffle-test"],
+)
+def test_replicate_counts_below_one_are_refused_by_name(call, got):
+    with pytest.raises(ValueError, match=rf"^n_resamples must be at least 1, got {got}$"):
+        call()
+
+
 def test_replicate_limit_itself_is_accepted():
     spec.check_count("n_resamples", spec.MAX_REPLICATES)
 
@@ -910,7 +920,7 @@ def test_data_whose_sums_could_overflow_are_refused_before_any_draw(monkeypatch)
             with pytest.raises(ValueError, match="could overflow a sum of"):
                 call()
     # At the largest magnitude accepted, replicates, interval and histogram
-    # stay finite; the diagnostics' moments are not covered by the rule.
+    # stay finite (the diagnostics are checked below).
     limit = sys.float_info.max / (spec.SUM_MARGIN * 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -918,3 +928,40 @@ def test_data_whose_sums_could_overflow_are_refused_before_any_draw(monkeypatch)
             values = bootstrap(data, n_resamples=200).array
             assert np.isfinite(values).all() and all(map(math.isfinite, percentile_interval(values)))
             assert Histogram.from_values(values, limit / 100).total == 200
+
+
+@pytest.mark.parametrize(
+    "values, bin_width",
+    [
+        ((1e200, 1.5e200, 1.7e200), 1e197),
+        ((7.4e306, 7.45e306, 7.49e306), 1e305),
+        ((1e-120, 1.5e-120, 1.7e-120), 1e-123),
+        ((1e-200, 1.5e-200, 1.7e-200), 1e-203),
+    ],
+    ids=["1e200", "7.4e306", "1e-120", "1e-200"],
+)
+def test_diagnostics_of_values_far_from_one_are_scale_free(values, bin_width):
+    # Squared and cubed spreads about the mean overflowed at 1e200 (skewness
+    # nan), and the sum of 200 replicates near 7.4e306 overflowed the mean;
+    # at 1e-120 m2**1.5 underflowed to a ZeroDivisionError, and at 1e-200
+    # m2 itself, to a skewness of 0.  The same data at a scale of 1 give the
+    # same diagnostics.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = bootstrap_report(Sample(values), n_resamples=200, bin_width=bin_width).diagnostics
+    small = [v / values[0] for v in values]
+    want = bootstrap_report(Sample(small), n_resamples=200, bin_width=bin_width / values[0]).diagnostics
+    assert math.isfinite(got.skewness) and math.isfinite(got.mean_median_gap)
+    assert got.skewness == pytest.approx(want.skewness, rel=1e-9)
+    assert got.mean_median_gap == pytest.approx(want.mean_median_gap, rel=1e-9)
+
+
+@pytest.mark.parametrize("top", [2.0**255, 2.0**-256])
+def test_diagnostics_leave_values_within_two_to_the_256_unscaled(top):
+    # Ordinary replicates are not scaled, so their moments keep every bit.
+    values = np.array([1.0, 2.0, 4.0, 4.5, 2**20]) * top / 2**20
+    dist = bootstrap(Sample([1.0, 2.0, 3.0]), n_resamples=5)
+    d = values - values.mean()
+    m2, m3 = (d * d).mean(), (d * d * d).mean()
+    got = diagnostics(dataclasses.replace(dist, array=values))
+    assert got.skewness == m3 / m2**1.5

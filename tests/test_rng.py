@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from resamplekit import rng
 from resamplekit.rng import (
     ScalarLanes,
     SeededGenerator,
@@ -248,6 +249,20 @@ def test_lane_sums_are_numpys_row_sums_bit_for_bit(width):
             assert weighted.tobytes() == (pool[rows] * weights).sum(axis=1).tobytes()
         assert stacked.shape == (3, block.shape[1])
         assert [row.tobytes() for row in stacked] == [w.tobytes() for w in want]
+
+
+@pytest.mark.parametrize("width", [8, 9, 20, 129])
+def test_lane_sums_are_row_sums_across_slabs_and_tiles(monkeypatch, width):
+    # Slabs of 1000 // width lanes and tiles of 300 // width split the 243
+    # lanes, never a lane, so every sum is still numpy's row sum.
+    monkeypatch.setattr(rng, "CHUNK_ELEMENTS", 1000)
+    monkeypatch.setattr(rng, "_TILE_ELEMENTS", 300)
+    rand = np.random.default_rng(width)
+    values = rand.permutation(SUM_POOL)
+    block = rand.integers(0, values.size, (width, 300)).astype(positions(width).dtype)[:, 7:250]
+    rows = np.ascontiguousarray(block.T, dtype=np.intp)
+    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+        assert lane_sums(values, block).tobytes() == values[rows].sum(axis=1).tobytes()
 
 
 def test_short_lane_sums_start_from_positive_zero():

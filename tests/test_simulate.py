@@ -177,10 +177,26 @@ def test_poll_refuses_counts_above_the_limit(monkeypatch):
 
 
 def test_bernoulli_refuses_counts_above_the_limit(monkeypatch):
-    runs = BernoulliExperiment(8, F(1, 2), "exactly", 4, 2**64)
-    _refused_before_drawing(monkeypatch, lambda: simulate_bernoulli(runs), "runs")
-    trials = BernoulliExperiment(2**64, F(1, 2), "exactly", 4, 10)
-    _refused_before_drawing(monkeypatch, lambda: simulate_bernoulli(trials), "trials_per_run")
+    # The experiment refuses its counts as it is made, before any draw.
+    runs = (8, F(1, 2), "exactly", 4, 2**64)
+    _refused_before_drawing(monkeypatch, lambda: simulate_bernoulli(BernoulliExperiment(*runs)), "runs")
+    trials = (2**64, F(1, 2), "exactly", 4, 10)
+    _refused_before_drawing(monkeypatch, lambda: simulate_bernoulli(BernoulliExperiment(*trials)), "trials_per_run")
+
+
+@pytest.mark.parametrize(
+    "call, argument",
+    [
+        (lambda: simulate_poll(POLL500, 0, "without-replacement", 10), "sample_size"),
+        (lambda: simulate_poll(POLL500, 20, "with-replacement", 0), "n_polls"),
+        (lambda: BernoulliExperiment(0, F(1, 2), "exactly", 0, 10), "trials_per_run"),
+        (lambda: BernoulliExperiment(3, F(1, 2), "exactly", 1, 0), "runs"),
+    ],
+    ids=["sample_size", "n_polls", "trials_per_run", "runs"],
+)
+def test_counts_below_one_are_refused_by_name(call, argument):
+    with pytest.raises(ValueError, match=rf"^{argument} must be at least 1, got 0$"):
+        call()
 
 
 def test_poll_validation():
