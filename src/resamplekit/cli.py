@@ -55,6 +55,7 @@ from .spec import (
     TAIL_DIRECTIONS,
     check_bin_width,
     check_count,
+    check_draws,
     check_level,
     check_magnitude,
     check_scale_bounds,
@@ -228,6 +229,9 @@ def _cmd_shuffle_test(args, rep: Report) -> Report:
     if args.bin_width is not None:
         check_bin_width(args.bin_width)
     check_magnitude(data)
+    if not args.exact:
+        first = data.n if args.stat == STAT_CORRELATION else data.group_count(data.group_names[0])
+        check_draws(min(first, data.n - 1))
     from .resampling import observed_statistic, shuffle_test
 
     if args.exact:
@@ -267,6 +271,7 @@ def _cmd_bootstrap(args, rep: Report) -> Report:
     check_level(args.level)
     check_scale_bounds(bounds)
     check_magnitude(data)
+    check_draws(data.n)
     from .resampling import bootstrap_report
 
     result = bootstrap_report(
@@ -418,6 +423,8 @@ def _cmd_poll(args, rep: Report) -> Report:
     if not args.fixture:
         population = PopulationVector(population.values)
     mode = "with-replacement" if args.mode == "with" else "without-replacement"
+    if args.mode != "with":
+        check_draws(min(args.sample_size, population.n - 1))
     check_level(args.level)
     from .simulate import simulate_poll
 

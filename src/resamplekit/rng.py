@@ -69,16 +69,16 @@ and one column per lane, and the reducer reads values at those positions
 through ``lane_sums``.  ``summed`` (Bernoulli trials and polls with
 replacement) sums a pick of each draw as it draws, with no table.
 
-``lane_sums(values, block)`` is, for every lane, the sum of ``values`` at
-the lane's positions exactly as numpy sums them as one C-contiguous float
-row: left to right from +0.0 for fewer than 8 values, numpy's pairwise sum
-from 8 on.  So under 8 positions it adds one position row of every lane at a
-time, from +0.0 (starting from the first value instead would sum a lane of
--0.0s to -0.0); from 8 on it gathers C-contiguous lane-major float rows,
-a tile of lanes at a time, and takes numpy's row sum.  Values of shape (m, n)
-are m value rows summed through the same indices, and ``weights`` scale the
-values position row by position row (the terms of a correlation).  These
-sums decide a replicate's last bits.
+``lane_sums(values, block)`` is, for every lane, +0.0 plus the pairwise sum
+of ``values`` at the lane's positions over the k position rows of the block
+(numpy's ``pairwise_sum``, so also numpy's sum of those values as one float
+row): under 8 rows left to right from +0.0; up to 128 in eight running sums,
+sum j of rows j, j + 8, ... up to the last multiple of 8, added as ((0 + 1)
++ (2 + 3)) + ((4 + 5) + (6 + 7)), then the last k % 8 rows one by one; past
+128 the sum of the first (k // 2) // 8 * 8 rows plus the sum of the rest,
+each by this rule.  Values of shape (m, n) are m value rows summed through
+the same indices, and ``weights`` scale the values position row by position
+row (the terms of a correlation).  These sums decide a replicate's last bits.
 
 Lanes have a ``count``, ``below(n)`` (one draw per lane, an int64 array) and
 ``keep(lanes)`` (narrow to some lanes, each continuing its own stream).
@@ -94,25 +94,24 @@ one output array and sums the redraws.  ``ScalarLanes`` steps one Python-int
 ``SeededGenerator``'s own methods in the tests, and against
 ``bench/refgen.py`` outside the program.
 
-Memory is bounded at three levels, for rows of n values, and each is split
-by one function.  ``run_chunks`` splits the run into blocks of
+Memory is bounded at two levels, for rows of n values, and each is split by
+one function.  ``run_chunks`` splits the run into blocks of
 ``block_lanes(n)`` lanes, and a kernel draws its whole table for the block at
-once, so numpy's per-call cost of ``below`` is spread over many lanes; where
-``chunk_lanes(n)`` sits at CHUNK_FLOOR that is 8 // the table's itemsize
-times as many lanes (4096 for int16), so the table takes the bytes of a
-float64 row matrix of CHUNK_FLOOR lanes.  ``shuffled`` splits a block into
+once, so numpy's per-call cost of ``below`` is spread over many lanes; past
+CHUNK_ELEMENTS // CHUNK_FLOOR rows that is 8 // the table's itemsize times
+CHUNK_FLOOR lanes (4096 for int16), so a table takes the bytes of a float64
+row matrix of CHUNK_FLOOR lanes.  ``shuffled`` splits a block into
 sub-blocks of ``chunk_lanes(n)`` lanes of row state (a shuffle's positions),
 each built, reduced and released before the next is built.  Reducers get a
-whole block (``drawn``) or sub-block (``shuffled``), and ``lane_sums``, the
-only code that reads one, copies it compact a slab of about CHUNK_ELEMENTS
-positions at a time and gathers each slab a lane tile of about
-_TILE_ELEMENTS positions at a time.
+whole block (``drawn``) or sub-block (``shuffled``), and ``lane_sums`` reads
+it 8 position rows of every lane at a time.  ``spec.MAX_DRAWS`` caps the
+rows of a table, so a table takes at most 256 MiB.
 
 Chunking invariant: ``run_chunks`` covers replicates 0..N-1 with blocks of
 at most ``block_lanes(width)`` lanes, and lane r of every block is always
 ``substream(seed, r)``.  Each lane's draws, its table and block columns and
-each sum over its positions depend on that lane alone, so block,
-sub-block, slab and tile boundaries bound memory but never change a value:
+each sum over its positions depend on that lane alone, so block and
+sub-block boundaries bound memory but never change a value:
 any sizes give the same results as one block of N lanes and as N scalar
 substreams.
 """
@@ -121,7 +120,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spec import check_work
+from .spec import check_draws, check_work
 
 _MASK64 = (1 << 64) - 1
 _SPAN = 1 << 64
@@ -132,18 +131,18 @@ _MIX_C2 = 0x94D049BB133111EB
 # below() accepts 1 <= n < 2**63 so results always fit a signed 64-bit int.
 _MAX_BELOW = 1 << 63
 
-# Sizes of run_chunks' blocks, of a shuffle's sub-blocks (see block_lanes,
-# chunk_lanes) and of lane_sums' slabs: about CHUNK_ELEMENTS values per
-# sub-block or slab, so a kernel's matrices stay in cache and memory stays
-# bounded by the block rather than by replicates x row width.
+# Sizes of run_chunks' blocks and of a shuffle's sub-blocks (see block_lanes,
+# chunk_lanes): about CHUNK_ELEMENTS values per sub-block, so a kernel's
+# matrices stay in cache and memory stays bounded by the block rather than by
+# replicates x row width.
 CHUNK_ELEMENTS = 1 << 18
 CHUNK_FLOOR = 1 << 10
-# Positions per lane tile of lane_sums' gather.  Half of it left glibc's heap
-# fragmented after a 2000-row paired shuffle, and a following 10^4-voter poll
-# then peaked 19 MB higher in RSS (58.7 -> 77.5 MB, numpy 2.4, Linux x86-64).
-_TILE_ELEMENTS = 1 << 16
-# numpy sums rows of fewer values than this left to right (see lane_sums).
-_PAIRWISE_MIN = 8
+# The most positions in a shuffle's sub-block: a 10^4-row poll's takes 419
+# lanes, and wide-rows peak RSS reads 57 MB, where glibc mapped each 20.5 MB
+# sub-block of CHUNK_FLOOR lanes fresh (76 MB; numpy 2.4, glibc 2.36).
+SUB_BLOCK_ELEMENTS = 1 << 22
+# The spec's pairwise sum (lane_sums) adds at most this many rows in running sums.
+_PAIRWISE_BLOCK = 128
 # Redraw rounds of a grouped ``drawn`` before it gives up.
 _MAX_REDRAW_ROUNDS = 10_000
 
@@ -238,7 +237,9 @@ def shuffle_steps(n: int, k: int) -> range:
 
 def draw_table(lanes, ns) -> np.ndarray:
     """The draw-major table of lanes: row d holds ``lanes.below(ns[d])``, one
-    draw per lane, in ``position_dtype(max(ns))``."""
+    draw per lane, in ``position_dtype(max(ns))``.  Tables of more than
+    ``spec.MAX_DRAWS`` rows are refused."""
+    check_draws(len(ns))
     table = np.empty((len(ns), lanes.count), dtype=position_dtype(max(ns, default=1)))
     for row, n in zip(table, ns):
         row[:] = lanes.below(n)
@@ -266,41 +267,42 @@ def shuffle_block(items: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 def lane_sums(values: np.ndarray, block: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """For every lane (column) of a position-major block, the sum of
-    ``values`` at its positions, each times ``weights[i]`` at position row i
-    when weights are given, bit for bit numpy's row sum of those terms
-    gathered as one C-contiguous float row per lane.  ``values`` of shape
-    (m, n) give m rows of sums through the same indices.
-
-    numpy sums a row of fewer than 8 values left to right from +0.0 (its
-    pairwise sum unrolls from 8 on), so such blocks are added one position
-    row at a time from +0.0, with no numpy call per lane.  Wider blocks are
-    copied compact a slab of about CHUNK_ELEMENTS positions at a time, and
-    each slab is gathered and row-summed in lane tiles of about
-    _TILE_ELEMENTS positions, whose intp indices (numpy gathers them about
-    three times as fast as int16) and float rows stay in cache."""
+    """For every lane (column) of a position-major block, +0.0 plus the
+    pairwise sum (module docstring) of ``values`` at its positions, times
+    ``weights[i]`` at position row i if given; values of shape (m, n) give m
+    rows.  Its numpy calls do not depend on the lane count."""
     table = values.reshape(-1, values.shape[-1])
-    k, count = block.shape
-    sums = np.zeros((len(table), count))
-    if k < _PAIRWISE_MIN:
-        for i, row in enumerate(block.astype(np.intp, copy=False)):
-            for out, v in zip(sums, table):
-                out += v[row] if weights is None else v[row] * weights[i]
-        return sums.reshape(values.shape[:-1] + (count,))
-    slab = max(1, CHUNK_ELEMENTS // k)
-    step = max(1, _TILE_ELEMENTS // k)
-    for start in range(0, count, slab):
-        # Tiles read a few columns of every row, so they read a compact slab.
-        part = np.ascontiguousarray(block[:, start : start + slab])
-        for at in range(0, part.shape[1], step):
-            rows = part[:, at : at + step].T.astype(np.intp, order="C")
-            lanes = slice(start + at, start + at + len(rows))
-            for out, v in zip(sums, table):
-                terms = v[rows]
-                if weights is not None:
-                    terms *= weights
-                np.sum(terms, axis=1, out=out[lanes])
-    return sums.reshape(values.shape[:-1] + (count,))
+    sums = _pairwise(table, block, weights, 0, len(block))
+    sums += 0.0  # a lane of -0.0s sums to +0.0
+    return sums.reshape(values.shape[:-1] + (block.shape[1],))
+
+
+def _pairwise(table: np.ndarray, block: np.ndarray, weights, lo: int, hi: int) -> np.ndarray:
+    """The pairwise sum over position rows lo..hi-1, per value row and lane."""
+    k = hi - lo
+    if k > _PAIRWISE_BLOCK:
+        mid = lo + k // 2 // 8 * 8
+        return _pairwise(table, block, weights, lo, mid) + _pairwise(table, block, weights, mid, hi)
+    if k < 8:
+        end, total = lo, np.zeros((len(table), block.shape[1]))
+    else:
+        end = hi - k % 8
+        acc = _terms(table, block, weights, slice(lo, lo + 8))  # acc[:, j]: running sum j
+        for i in range(lo + 8, end, 8):
+            acc += _terms(table, block, weights, slice(i, i + 8))
+        r0, r1, r2, r3, r4, r5, r6, r7 = acc.transpose(1, 0, 2)
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for i in range(end, hi):
+        total += _terms(table, block, weights, i)
+    return total
+
+
+def _terms(table: np.ndarray, block: np.ndarray, weights, rows) -> np.ndarray:
+    """``table`` at the positions ``block[rows]``, times ``weights[rows]``."""
+    terms = np.take(table, block[rows], axis=1)
+    if weights is not None:
+        terms *= weights[rows, None]
+    return terms
 
 
 def shuffled(pos: np.ndarray, k: int, reduce, lanes) -> tuple[np.ndarray, int]:
@@ -494,18 +496,19 @@ def run_chunks(seed: int, count: int, width: int, kernel) -> tuple[np.ndarray, i
 def chunk_lanes(width: int) -> int:
     """Lanes per sub-block for rows of ``width`` values: CHUNK_ELEMENTS //
     width, but at least CHUNK_FLOOR so numpy's per-call cost is spread over
-    enough lanes."""
-    return max(CHUNK_FLOOR, CHUNK_ELEMENTS // max(width, 1))
+    enough lanes, and at most SUB_BLOCK_ELEMENTS // width (at least 1)."""
+    width = max(width, 1)
+    return max(1, min(max(CHUNK_FLOOR, CHUNK_ELEMENTS // width), SUB_BLOCK_ELEMENTS // width))
 
 
 def block_lanes(width: int) -> int:
-    """Lanes per block for rows of ``width`` values: ``chunk_lanes(width)``,
-    times 8 // the itemsize of ``position_dtype(width)`` where that sits at
-    CHUNK_FLOOR, so a block's draw table takes the bytes of a sub-block's
-    float64 rows (4096 lanes for int16 positions)."""
-    lanes = chunk_lanes(width)
-    if lanes == CHUNK_FLOOR:
-        lanes *= 8 // np.dtype(position_dtype(width)).itemsize
+    """Lanes per block for rows of ``width`` values: CHUNK_ELEMENTS // width,
+    or where that is at most CHUNK_FLOOR, CHUNK_FLOOR times 8 // the itemsize
+    of ``position_dtype(width)``, so a block's draw table takes the bytes of
+    CHUNK_FLOOR lanes of float64 rows (4096 lanes for int16 positions)."""
+    lanes = CHUNK_ELEMENTS // max(width, 1)
+    if lanes <= CHUNK_FLOOR:
+        lanes = CHUNK_FLOOR * (8 // np.dtype(position_dtype(width)).itemsize)
     return lanes
 
 

@@ -79,6 +79,11 @@ SUM_MARGIN = 8
 # per lane-value, from a Bernoulli trial to a paired shuffle step, the largest
 # legal run takes minutes, where the counts capped one by one allowed years.
 MAX_WORK = 10**10
+# The most draws one replicate may make: the rows of a block's draw table
+# (the rows a bootstrap draws, a shuffle's steps, a poll's electors).  With
+# 256 rows or more a table takes 8 KiB per draw (4096 int16 or 2048 int32
+# lanes), so at most 256 MiB; narrower data's tables stay under 512 KiB.
+MAX_DRAWS = 1 << 15
 
 
 def _resolve(caller: str, data, statistic: str | None, *kinds) -> str:
@@ -162,6 +167,12 @@ def check_work(count: int, width: int) -> None:
             f"a run of {count} replicates x {width} values each is {count * width} lane-values, "
             f"above the cap of {MAX_WORK}"
         )
+
+
+def check_draws(draws: int) -> None:
+    """Raise ValueError unless a replicate's ``draws`` are at most MAX_DRAWS."""
+    if draws > MAX_DRAWS:
+        raise ValueError(f"a replicate of {draws} draws is above the cap of {MAX_DRAWS} draws per replicate")
 
 
 def check_magnitude(data) -> None:

@@ -7,6 +7,7 @@ default (single) chunk.
 """
 
 import random
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -191,14 +192,11 @@ def test_scalar_engine_runs_unchunked(small_chunks, scalar_oracle, monkeypatch):
 
 @pytest.fixture
 def tiny_blocks(monkeypatch):
-    """Chunk constants small enough that block, sub-block, slab and tile
-    boundaries all fall inside each pinned run below: 6- to 10-row data gets
-    blocks of 20 lanes and sub-blocks of 5, and ``lane_sums`` reads 9- and
-    10-position blocks in slabs of 2 lanes and tiles of 1, and 25-position
-    ones a lane at a time."""
+    """Chunk constants small enough that block and sub-block boundaries fall
+    inside each pinned run below: 6- to 10-row data gets blocks of 20 lanes
+    and sub-blocks of 5."""
     monkeypatch.setattr(rng, "CHUNK_ELEMENTS", 24)
     monkeypatch.setattr(rng, "CHUNK_FLOOR", 5)
-    monkeypatch.setattr(rng, "_TILE_ELEMENTS", 16)
 
 
 def test_wide_blocks_draw_four_times_the_floor_lanes():
@@ -206,46 +204,36 @@ def test_wide_blocks_draw_four_times_the_floor_lanes():
     assert rng.chunk_lanes(2000) == rng.CHUNK_FLOOR
     assert rng.block_lanes(40_000) == 2 * rng.CHUNK_FLOOR  # int32 positions
     assert rng.block_lanes(255) == rng.chunk_lanes(255) == rng.CHUNK_ELEMENTS // 255
+    # Past SUB_BLOCK_ELEMENTS // CHUNK_FLOOR rows, a sub-block is bounded by
+    # its positions, down to one lane.
+    assert rng.chunk_lanes(10**4) == rng.SUB_BLOCK_ELEMENTS // 10**4 == 419
+    assert rng.chunk_lanes(rng.SUB_BLOCK_ELEMENTS + 1) == 1
 
 
-def lane_sums_reads(monkeypatch, block):
-    """The lane counts of the slabs that ``rng.lane_sums`` copies compact
-    and of the tiles it gathers, as it sums ``block``."""
-    slabs, tiles = [], []
-
-    class Numpy:
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        def ascontiguousarray(self, part):
-            slabs.append(part.shape[1])
-            return np.ascontiguousarray(part)
-
-        def sum(self, terms, axis, out):
-            tiles.append(len(terms))
-            return np.sum(terms, axis=axis, out=out)
-
-    with monkeypatch.context() as patched:
-        patched.setattr(rng, "np", Numpy())
-        sums = rng.lane_sums(np.arange(block.max() + 1.0), block)
+def lane_sums_calls(block) -> int:
+    """The function calls, numpy's among them, that ``rng.lane_sums`` makes
+    as it sums ``block``, whose sums are checked."""
+    values = np.arange(block.max() + 1.0)
+    calls = []
+    sys.setprofile(lambda frame, event, arg: calls.append(event) if event in ("call", "c_call") else None)
+    try:
+        sums = rng.lane_sums(values, block)
+    finally:
+        sys.setprofile(None)
     assert sums.tolist() == block.sum(axis=0).tolist()
-    return slabs, tiles
+    return len(calls)
 
 
-def test_tiny_blocks_put_every_boundary_inside_a_block(tiny_blocks, monkeypatch):
+def test_tiny_blocks_put_every_boundary_inside_a_block(tiny_blocks):
     for width in (6, 9, 10, 500):
         assert (rng.block_lanes(width), rng.chunk_lanes(width)) == (20, 5)
-    # A sub-block of 5 lanes, or a 23-lane block, of 8, 9, 10 and 25 positions.
-    codes = np.arange(25 * 23, dtype=np.int16).reshape(25, 23) % 25
-    for k, lanes, slabs, tiles in (
-        (8, 5, [3, 2], [2, 1, 2]),
-        (9, 5, [2, 2, 1], [1] * 5),
-        (10, 23, [2] * 11 + [1], [1] * 23),
-        (25, 5, [1] * 5, [1] * 5),
-    ):
-        assert lane_sums_reads(monkeypatch, codes[:k, :lanes]) == (slabs, tiles)
-    # Under 8 positions a block is added one position row at a time, unsplit.
-    assert lane_sums_reads(monkeypatch, codes[:7]) == ([], [])
+    # lane_sums reads whole position rows, one or eight at a time, so it
+    # makes as many calls for 2300 lanes as for 23: left to right under 8
+    # positions, in running sums from 8 on, and in halves past 128.
+    rand = np.random.default_rng(23)
+    for k in (7, 9, 2000):
+        block = rand.integers(0, k, (k, 2300)).astype(np.int16)
+        assert lane_sums_calls(block[:, :23]) == lane_sums_calls(block)
 
 
 @pytest.mark.parametrize("name", list(test_golden.ARRAYS))
@@ -257,7 +245,7 @@ def test_pinned_arrays_across_block_sub_block_and_row_block_boundaries(tiny_bloc
 
 
 # One row, position 0, is the first group: a third of the 9-row attempts
-# lose a group, so lanes of every slab and tile redraw.
+# lose a group, so several lanes of every block redraw.
 ONE_IN_NINE = GroupedSample.from_rows([(i, "a" if i < 1 else "b") for i in range(9)])
 
 
@@ -275,11 +263,10 @@ def lost_lanes(data: GroupedSample, seed: int, count: int) -> list[int]:
 def test_grouped_bootstrap_redraws_across_lane_tiles_of_one_block(tiny_blocks, scalar_oracle):
     # The pinned grouped bootstrap (veg6, seed 2) redraws several lanes of
     # one block, which lane_sums adds up one position row at a time; 9-row
-    # data redraws more lanes of one block than a slab holds, so lane_sums
-    # reads their redraw tables in several slabs and tiles.  Both count their
-    # redraws as a replay on the generator alone does.
-    slab = rng.CHUNK_ELEMENTS // ONE_IN_NINE.n
-    for data, seed, count, more_than in ((VEG6, 2, 3000, 1), (ONE_IN_NINE, 2, 300, slab)):
+    # data redraws more lanes of one block, whose redraw tables lane_sums
+    # reads in running sums.  Both count their redraws as a replay on the
+    # generator alone does.
+    for data, seed, count, more_than in ((VEG6, 2, 3000, 1), (ONE_IN_NINE, 2, 300, 2)):
         lost = lost_lanes(data, seed, count)
         assert max(Counter(r // rng.block_lanes(data.n) for r in lost).values()) > more_than
         dist = bootstrap(data, n_resamples=count, seed=seed)
@@ -289,12 +276,11 @@ def test_grouped_bootstrap_redraws_across_lane_tiles_of_one_block(tiny_blocks, s
 
 @pytest.mark.parametrize("kernel", ["shuffled", "drawn", "drawn-grouped", "summed", "drawn-redraws"])
 def test_shuffled_and_drawn_hand_reduce_row_blocks_in_lane_order(tiny_blocks, kernel):
-    # 23 lanes of 9-row data: sub-blocks of 5 lanes, the last partial, and
-    # lane_sums' slabs of 2 lanes and tiles of 1.  A reducer gets a whole
-    # position-major block (drawn) or sub-block (shuffled), a row per
-    # position or draw and a column per lane, and returns the picks of each
-    # lane as one code (its decimal digits), summed through lane_sums, so
-    # every value names its lane's draws.  drawn-grouped also stacks a
+    # 23 lanes of 9-row data: sub-blocks of 5 lanes, the last partial.  A
+    # reducer gets a whole position-major block (drawn) or sub-block
+    # (shuffled), a row per position or draw and a column per lane, and
+    # returns the picks of each lane as one code (its decimal digits), summed
+    # through lane_sums, so every value names its lane's draws.  drawn-grouped also stacks a
     # second row, the count of picks below 4; drawn-redraws stacks the count
     # of picks of ONE_IN_NINE's first group and redraws the lanes that lost
     # a group.  summed adds each draw's digit of the code as it draws.
@@ -370,12 +356,12 @@ SAMPLE, GROUPED, PAIRED, VOTERS = _wide_data()
 @pytest.mark.parametrize(
     "call, limit_mb",
     [
-        (lambda: simulate_poll(VOTERS, 200, "without-replacement", 1024), 40),
+        (lambda: simulate_poll(VOTERS, 200, "without-replacement", 1024), 16),
         (lambda: bootstrap(SAMPLE, n_resamples=1024), 24),
         (lambda: shuffle_test_paired(PAIRED, n_resamples=1024), 24),
         (lambda: shuffle_test(GROUPED, n_resamples=1024), 15),
         (lambda: bootstrap(GROUPED, n_resamples=1024), 40),
-        (lambda: simulate_poll(VOTERS, 200, "without-replacement", 4096), 40),
+        (lambda: simulate_poll(VOTERS, 200, "without-replacement", 4096), 16),
         (lambda: bootstrap(SAMPLE, n_resamples=4096), 24),
         (lambda: shuffle_test_paired(PAIRED, n_resamples=4096), 24),
         (lambda: shuffle_test(GROUPED, n_resamples=4096), 15),
@@ -392,8 +378,9 @@ def test_a_wide_chunk_holds_row_positions_or_one_value_matrix(call, limit_mb):
     # 10^4 voters.  A float64 matrix of every row per lane is 16 MB for 2000
     # rows and 82 MB for the voters at 1024 lanes.  A block's int16 draw
     # table takes those 16 MB for 2000 rows at 4096 lanes; the permuting
-    # kernels hold int16 positions for 1024 lanes at a time (4 and 20 MB)
-    # and lane_sums gathers values only a slab and a lane tile at a time.
+    # kernels hold int16 positions for 1024 lanes of 2000 rows (4 MB) or 419
+    # lanes of 10^4 (8 MB) at a time, and lane_sums gathers values only 8
+    # position rows at a time.
     tracemalloc.start()
     try:
         call()
@@ -422,6 +409,19 @@ def test_a_run_just_over_the_work_cap_builds_no_block(monkeypatch, call, work):
     monkeypatch.setattr(rng, "SubstreamBlock", no_block)
     with pytest.raises(ValueError, match=f"^a run of {work} .* above the cap of {spec.MAX_WORK}$"):
         call()
+
+
+def test_a_table_of_more_draws_than_the_cap_is_refused(monkeypatch):
+    monkeypatch.setattr(spec, "MAX_DRAWS", 5)
+    message = "^a replicate of 6 draws is above the cap of 5 draws per replicate$"
+    for call in (
+        lambda: bootstrap(Sample([float(i) for i in range(6)]), n_resamples=10),
+        lambda: shuffle_test_paired(PairedSample(range(7), range(7)), n_resamples=10),
+        lambda: simulate_poll(POLL500, 6, "without-replacement", 10),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+    simulate_poll(POLL500, 6, "with-replacement", 10)  # no table
 
 
 def test_the_work_cap_itself_is_accepted():

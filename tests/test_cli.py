@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -13,9 +14,10 @@ from pathlib import Path
 import pytest
 
 import resamplekit
+from resamplekit import spec
 from resamplekit.cli import build_parser, main
 from resamplekit.resampling import observed_statistic
-from resamplekit.spec import MAX_REPLICATES, MAX_WORK
+from resamplekit.spec import MAX_DRAWS, MAX_REPLICATES, MAX_WORK
 
 SUBCOMMANDS = ("shuffle-test", "bootstrap", "clip", "bayes", "montecarlo", "poll", "fixtures")
 
@@ -756,12 +758,13 @@ NUMPY_FREE_ARGVS = [
 ]
 
 
-def _numpy_free_run(argv, timeout=None) -> subprocess.CompletedProcess:
+def _numpy_free_run(argv, timeout=None, preexec_fn=None) -> subprocess.CompletedProcess:
     """``main(argv)`` in a child process whose last stdout line says whether
     it imported numpy."""
     child = "import sys; from resamplekit.cli import main; code = main(); print('numpy' in sys.modules); sys.exit(code)"
     return subprocess.run(
-        [sys.executable, "-c", child, *argv], capture_output=True, text=True, env=_cli_env(), timeout=timeout
+        [sys.executable, "-c", child, *argv], capture_output=True, text=True, env=_cli_env(), timeout=timeout,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -810,6 +813,51 @@ def test_counts_below_one_are_refused_by_name_before_numpy_is_imported(argv, opt
     proc = _numpy_free_run(argv)
     got = argv[argv.index(option) + 1]
     assert (proc.returncode, proc.stderr, proc.stdout) == (1, f"error: {option} must be at least 1, got {got}\n", "False\n")
+
+
+def _address_space_of_2gb():
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+
+def test_a_million_row_bootstrap_is_refused_by_its_draws_before_numpy_is_imported(tmp_path):
+    # 1000 replicates of 10^6 draws each pass the work cap, but their block's
+    # draw table alone would take 4 GB of int32.  The child runs under a 2 GB
+    # address-space limit, so a regression dies at once instead of taking
+    # the machine's memory.
+    path = tmp_path / "wide.csv"
+    path.write_text("value\n" + "\n".join(str(i % 97) for i in range(10**6)) + "\n")
+    proc = _numpy_free_run(("bootstrap", "--data", str(path), "--n", "1000"), 120, _address_space_of_2gb)
+    message = f"a replicate of 1000000 draws is above the cap of {MAX_DRAWS} draws per replicate"
+    assert (proc.returncode, proc.stderr, proc.stdout) == (1, f"error: {message}\n", "False\n")
+
+
+def test_draws_per_replicate_are_capped_by_what_each_plan_draws(capsys, monkeypatch, tmp_path):
+    # A bootstrap draws n rows, a shuffle test min(n1, n - 1) steps and a poll
+    # without replacement min(k, n - 1) steps; a poll with replacement and
+    # the exact shuffle test draw no table.
+    monkeypatch.setattr(spec, "MAX_DRAWS", 5)
+    seven, five = tmp_path / "seven.csv", tmp_path / "five.csv"
+    seven.write_text("value,group,x\n" + "".join(f"{v},{'ab'[v < 3]},{v * v}\n" for v in range(7)))
+    five.write_text("value\n1\n2\n3\n4\n5\n")
+    refused = [
+        (7, "bootstrap", "--data", str(seven), "--n", "10"),
+        (7, "bootstrap", "--data", str(seven), "--group-column", "group", "--n", "10"),
+        (6, "shuffle-test", "--data", str(seven), "--stat", "correlation", "--x-column", "x", "--y-column", "value",
+         "--n", "10"),
+        (6, "poll", "--fixture", "poll500", "--sample-size", "6", "--polls", "10"),
+    ]
+    for draws, *argv in refused:
+        message = f"error: a replicate of {draws} draws is above the cap of 5 draws per replicate\n"
+        assert run(capsys, *argv) == (1, "", message)
+    accepted = [
+        ("bootstrap", "--data", str(five), "--n", "10"),
+        ("shuffle-test", "--data", str(seven), "--group-column", "group", "--n", "10"),
+        ("shuffle-test", "--data", str(seven), "--group-column", "group", "--exact"),
+        ("poll", "--fixture", "poll500", "--sample-size", "5", "--polls", "10"),
+        ("poll", "--fixture", "poll500", "--sample-size", "6", "--polls", "10", "--mode", "with"),
+    ]
+    for argv in accepted:
+        assert run(capsys, *argv)[0] == 0, argv
 
 
 def test_bootstrap_of_values_near_1e200_reports_a_finite_skewness(capsys, tmp_path):

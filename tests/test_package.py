@@ -58,8 +58,7 @@ def test_dir_lists_the_public_names():
 def test_procedures_leave_every_lane_boundary_to_rng(module):
     # A procedure runs blocks and hands a reducer or a pick to one of the
     # three kernels, and its reducers read a block's values through rng's
-    # lane sums; lanes, and block, sub-block, slab and tile sizes, are
-    # rng's alone.
+    # lane sums; lanes, and block and sub-block sizes, are rng's alone.
     tree = ast.parse((Path(resamplekit.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
     used = {
         node.attr for node in ast.walk(tree)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from resamplekit import rng
 from resamplekit.rng import (
     ScalarLanes,
     SeededGenerator,
@@ -227,12 +226,16 @@ SUM_POOL = np.array(
 )
 
 
-@pytest.mark.parametrize("width", [*range(1, 21), 127, 128, 129, 2000])
+# Widths for every branch of the pairwise rule: left to right under 8, eight
+# running sums with and without a rest up to 128, and halves past 128 whose
+# own halves are split again (136, 255-257, 1000, 2000, 8193).
+@pytest.mark.parametrize("width", [*range(1, 21), 127, 128, 129, 136, 255, 256, 257, 1000, 2000, 8193])
 def test_lane_sums_are_numpys_row_sums_bit_for_bit(width):
     # A block is position-major, and the kernels hand over column slices of
-    # wider blocks; each lane's sum must equal numpy's sum of the same row
-    # gathered as C-contiguous float rows, down to the sign of a zero, also
-    # for each row of a stacked values table and for weighted terms.
+    # wider blocks; each lane's sum, written out in the spec's pairwise order,
+    # must equal numpy's sum of the same row gathered as C-contiguous float
+    # rows, down to the sign of a zero, also for each row of a stacked values
+    # table and for weighted terms.
     rand = np.random.default_rng(width)
     values = SUM_POOL[rand.permutation(SUM_POOL.size)]
     for pool in (values, values[:2], values[:5]):  # all-zero rows too
@@ -249,20 +252,6 @@ def test_lane_sums_are_numpys_row_sums_bit_for_bit(width):
             assert weighted.tobytes() == (pool[rows] * weights).sum(axis=1).tobytes()
         assert stacked.shape == (3, block.shape[1])
         assert [row.tobytes() for row in stacked] == [w.tobytes() for w in want]
-
-
-@pytest.mark.parametrize("width", [8, 9, 20, 129])
-def test_lane_sums_are_row_sums_across_slabs_and_tiles(monkeypatch, width):
-    # Slabs of 1000 // width lanes and tiles of 300 // width split the 243
-    # lanes, never a lane, so every sum is still numpy's row sum.
-    monkeypatch.setattr(rng, "CHUNK_ELEMENTS", 1000)
-    monkeypatch.setattr(rng, "_TILE_ELEMENTS", 300)
-    rand = np.random.default_rng(width)
-    values = rand.permutation(SUM_POOL)
-    block = rand.integers(0, values.size, (width, 300)).astype(positions(width).dtype)[:, 7:250]
-    rows = np.ascontiguousarray(block.T, dtype=np.intp)
-    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-        assert lane_sums(values, block).tobytes() == values[rows].sum(axis=1).tobytes()
 
 
 def test_short_lane_sums_start_from_positive_zero():
