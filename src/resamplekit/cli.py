@@ -53,13 +53,12 @@ from .spec import (
     STAT_MEAN,
     STAT_MEAN_DIFF,
     TAIL_DIRECTIONS,
-    check_bin_width,
+    check_bootstrap,
     check_count,
-    check_draws,
     check_level,
-    check_magnitude,
-    check_scale_bounds,
-    check_work,
+    check_poll,
+    check_run,
+    check_shuffle_test,
     exact_shuffle_p,
 )
 from .worlds import (
@@ -226,20 +225,13 @@ def _cmd_shuffle_test(args, rep: Report) -> Report:
         if not isinstance(data, GroupedSample):
             raise ValueError(f"{args.stat} needs two-group data (pass --group-column with --data)")
 
-    if args.bin_width is not None:
-        check_bin_width(args.bin_width)
-    check_magnitude(data)
-    if not args.exact:
-        first = data.n if args.stat == STAT_CORRELATION else data.group_count(data.group_names[0])
-        check_draws(min(first, data.n - 1))
-    from .resampling import observed_statistic, shuffle_test
-
     if args.exact:
         if args.stat == STAT_CORRELATION:
             raise ValueError("--exact supports two-group statistics only")
         p = exact_shuffle_p(data, args.stat, args.sidedness)
-        g1, _ = data.group_names
-        total = math.comb(data.n, data.group_count(g1))
+        from .resampling import observed_statistic
+
+        total = math.comb(data.n, data.group_count(data.group_names[0]))
         hits = int(p * total)
         rep.replicates = total
         rep.seed = None
@@ -253,6 +245,9 @@ def _cmd_shuffle_test(args, rep: Report) -> Report:
         rep.csv("p_value_exact", p)
         return rep
 
+    check_shuffle_test(data, args.stat, args.n, args.sidedness, args.bin_width)
+    from .resampling import shuffle_test
+
     result = shuffle_test(data, args.stat, args.n, rep.seed, args.sidedness, args.bin_width)
     rep.histogram = result.histogram
     rep.add(f"shuffle test ({result.statistic}), {result.sidedness}")
@@ -265,13 +260,11 @@ def _cmd_shuffle_test(args, rep: Report) -> Report:
 
 
 def _cmd_bootstrap(args, rep: Report) -> Report:
-    check_bin_width(args.bin_width)
     data = _load_input(rep, args.fixture, args.data, _parse_csv, args.value_column, args.group_column)
     bounds = _pair(args.bounds, "--bounds") if args.bounds else None
-    check_level(args.level)
-    check_scale_bounds(bounds)
-    check_magnitude(data)
-    check_draws(data.n)
+    check_bootstrap(
+        data, args.stat, args.n, args.level, args.threshold, args.tail_direction, bounds, args.bin_width
+    )
     from .resampling import bootstrap_report
 
     result = bootstrap_report(
@@ -397,7 +390,7 @@ def _cmd_bayes(args, rep: Report) -> Report:
 def _cmd_montecarlo(args, rep: Report) -> Report:
     check_count("--trials", args.trials)
     prob = parse_probability(args.prob)
-    check_work(args.runs, args.trials)
+    check_run(args.runs, args.trials)
     from .simulate import BernoulliExperiment, simulate_bernoulli
 
     experiment = BernoulliExperiment(args.trials, prob, args.event, args.count, args.runs)
@@ -417,14 +410,11 @@ def _cmd_montecarlo(args, rep: Report) -> Report:
 
 def _cmd_poll(args, rep: Report) -> Report:
     check_count("--sample-size", args.sample_size)
-    if args.mode == "with":
-        check_work(args.polls, args.sample_size)
     population = _load_input(rep, args.fixture, args.data, _parse_csv, args.value_column)
     if not args.fixture:
         population = PopulationVector(population.values)
     mode = "with-replacement" if args.mode == "with" else "without-replacement"
-    if args.mode != "with":
-        check_draws(min(args.sample_size, population.n - 1))
+    check_poll(population, args.sample_size, mode, args.polls)
     check_level(args.level)
     from .simulate import simulate_poll
 

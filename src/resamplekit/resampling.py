@@ -32,16 +32,15 @@ from .spec import (
     STAT_CORRELATION,
     STAT_MEAN,
     STATISTICS,
-    _check_sidedness,
     _check_tail_direction,
     _describe,
     _resolve,
     check_bin_width,
-    check_count,
+    check_bootstrap,
     check_finite,
     check_level,
     check_scale_bounds,
-    default_bin_width,
+    check_shuffle_test,
 )
 
 # Diagnostics thresholds.  Skewness above 0.25 marks a resample distribution
@@ -297,20 +296,14 @@ def shuffle_test(
     Two-group data is re-dealt to the original group sizes; paired data keeps
     its x column and shuffles the y column against it (Pearson r).  Ties
     count: the p-value is the fraction of re-deals whose statistic is at
-    least as extreme as the observed one.  ``bin_width`` defaults to
-    ``default_bin_width(statistic)``.
+    least as extreme as the observed one.  ``bin_width`` defaults by statistic
+    (``spec.check_shuffle_test``).
     """
-    statistic = _resolve("shuffle_test", data, statistic, GroupedSample, PairedSample)
-    _check_sidedness(sidedness)
-    check_count("n_resamples", n_resamples)
-    bin_width = default_bin_width(statistic) if bin_width is None else bin_width
-    check_bin_width(bin_width)
+    statistic, bin_width, k = check_shuffle_test(data, statistic, n_resamples, sidedness, bin_width)
     if statistic == STAT_CORRELATION:
-        k, reduce = data.n, _correlations(*_paired_columns(data))
+        reduce = _correlations(*_paired_columns(data))
     else:
-        arr = np.asarray(data.values, dtype=float)
-        k = data.group_count(data.group_names[0])
-        reduce = functools.partial(_grouped_diffs, arr, k)
+        reduce = functools.partial(_grouped_diffs, np.asarray(data.values, dtype=float), k)
     kernel = functools.partial(rng.shuffled, rng.positions(data.n), k, reduce)
     replicates, _ = rng.run_chunks(seed, n_resamples, data.n, kernel)
     observed = observed_statistic(data, statistic)
@@ -349,8 +342,7 @@ def bootstrap(
     an entire group are redrawn (the rule is in ``rng``) and counted in
     ``redraw_count``.
     """
-    statistic = _resolve("bootstrap", data, statistic, Sample, GroupedSample)
-    check_count("n_resamples", n_resamples)
+    statistic = check_bootstrap(data, statistic, n_resamples)
     n = data.n
     observed = observed_statistic(data, statistic)
     arr = np.asarray(data.values, dtype=float)
@@ -515,13 +507,8 @@ def bootstrap_report(
 ) -> BootstrapReport:
     """Bootstrap plus percentile interval, tail probabilities and diagnostics;
     every option is checked before the first replicate is drawn."""
-    check_level(level)
-    _check_tail_direction(tail_direction)
-    check_scale_bounds(scale_bounds)
-    check_bin_width(bin_width)
     thresholds = tuple(thresholds)
-    for t in thresholds:
-        check_finite(threshold=t)
+    check_bootstrap(data, statistic, n_resamples, level, thresholds, tail_direction, scale_bounds, bin_width)
     dist = bootstrap(data, statistic, n_resamples, seed)
     values = dist.array
     return BootstrapReport(

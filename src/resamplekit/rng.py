@@ -84,10 +84,9 @@ Lanes have a ``count``, ``below(n)`` (one draw per lane, an int64 array) and
 ``keep(lanes)`` (narrow to some lanes, each continuing its own stream).
 A kernel is a function of (inputs, lanes) that returns ``(values,
 redraws)``: a value per lane and the redraws it took (only the grouped
-bootstrap redraws).  ``run_chunks`` refuses a run above ``spec.MAX_WORK``
-lane-values, then runs the kernel on blocks, ``SubstreamBlock``s that step
-the lanes in numpy uint64 lockstep, writes their values in lane order into
-one output array and sums the redraws.  ``ScalarLanes`` steps one Python-int
+bootstrap redraws).  ``run_chunks`` runs the kernel on blocks,
+``SubstreamBlock``s that step the lanes in numpy uint64 lockstep, writes
+their values in lane order into one output array and sums the redraws.  ``ScalarLanes`` steps one Python-int
 ``substream(seed, r)`` per lane; the tests run a kernel once, unchunked, on
 ``ScalarLanes(seed, N)`` as the oracle for the uint64 lockstep, rejection,
 ``keep`` and chunking.  The plans themselves are checked against
@@ -95,17 +94,18 @@ one output array and sums the redraws.  ``ScalarLanes`` steps one Python-int
 ``bench/refgen.py`` outside the program.
 
 Memory is bounded at two levels, for rows of n values, and each is split by
-one function.  ``run_chunks`` splits the run into blocks of
-``block_lanes(n)`` lanes, and a kernel draws its whole table for the block at
-once, so numpy's per-call cost of ``below`` is spread over many lanes; past
-CHUNK_ELEMENTS // CHUNK_FLOOR rows that is 8 // the table's itemsize times
-CHUNK_FLOOR lanes (4096 for int16), so a table takes the bytes of a float64
-row matrix of CHUNK_FLOOR lanes.  ``shuffled`` splits a block into
+one function of ``spec``, where the sizing is integer arithmetic.
+``run_chunks`` splits the run into blocks of ``block_lanes(n)`` lanes, and a
+kernel draws its whole table for the block at once, so numpy's per-call cost
+of ``below`` is spread over many lanes; past CHUNK_ELEMENTS // CHUNK_FLOOR
+rows that is 8 // ``position_bytes(n)`` times CHUNK_FLOOR lanes (4096 for
+int16), so a table takes the bytes of a float64 row matrix of CHUNK_FLOOR
+lanes.  ``shuffled`` splits a block into
 sub-blocks of ``chunk_lanes(n)`` lanes of row state (a shuffle's positions),
 each built, reduced and released before the next is built.  Reducers get a
 whole block (``drawn``) or sub-block (``shuffled``), and ``lane_sums`` reads
-it 8 position rows of every lane at a time.  ``spec.MAX_DRAWS`` caps the
-rows of a table, so a table takes at most 256 MiB.
+it 8 position rows of every lane at a time.  Nothing here refuses a run:
+each procedure passes its check in ``spec`` before the first block.
 
 Chunking invariant: ``run_chunks`` covers replicates 0..N-1 with blocks of
 at most ``block_lanes(width)`` lanes, and lane r of every block is always
@@ -120,7 +120,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spec import check_draws, check_work
+from .spec import block_lanes, chunk_lanes, position_bytes
 
 _MASK64 = (1 << 64) - 1
 _SPAN = 1 << 64
@@ -131,16 +131,6 @@ _MIX_C2 = 0x94D049BB133111EB
 # below() accepts 1 <= n < 2**63 so results always fit a signed 64-bit int.
 _MAX_BELOW = 1 << 63
 
-# Sizes of run_chunks' blocks and of a shuffle's sub-blocks (see block_lanes,
-# chunk_lanes): about CHUNK_ELEMENTS values per sub-block, so a kernel's
-# matrices stay in cache and memory stays bounded by the block rather than by
-# replicates x row width.
-CHUNK_ELEMENTS = 1 << 18
-CHUNK_FLOOR = 1 << 10
-# The most positions in a shuffle's sub-block: a 10^4-row poll's takes 419
-# lanes, and wide-rows peak RSS reads 57 MB, where glibc mapped each 20.5 MB
-# sub-block of CHUNK_FLOOR lanes fresh (76 MB; numpy 2.4, glibc 2.36).
-SUB_BLOCK_ELEMENTS = 1 << 22
 # The spec's pairwise sum (lane_sums) adds at most this many rows in running sums.
 _PAIRWISE_BLOCK = 128
 # Redraw rounds of a grouped ``drawn`` before it gives up.
@@ -219,9 +209,9 @@ class SeededGenerator:
 
 
 def position_dtype(n: int) -> type:
-    """The narrowest signed integer type that holds the positions 0..n-1:
-    int16 up to 2**15 rows, int32 above (int64 past 2**31)."""
-    return np.int16 if n <= 1 << 15 else np.int32 if n <= 1 << 31 else np.int64
+    """The signed integer type of ``spec.position_bytes(n)``: int16 up to
+    2**15 rows, int32 above (int64 past 2**31)."""
+    return np.dtype(f"i{position_bytes(n)}").type
 
 
 def positions(n: int) -> np.ndarray:
@@ -237,9 +227,7 @@ def shuffle_steps(n: int, k: int) -> range:
 
 def draw_table(lanes, ns) -> np.ndarray:
     """The draw-major table of lanes: row d holds ``lanes.below(ns[d])``, one
-    draw per lane, in ``position_dtype(max(ns))``.  Tables of more than
-    ``spec.MAX_DRAWS`` rows are refused."""
-    check_draws(len(ns))
+    draw per lane, in ``position_dtype(max(ns))``."""
     table = np.empty((len(ns), lanes.count), dtype=position_dtype(max(ns, default=1)))
     for row, n in zip(table, ns):
         row[:] = lanes.below(n)
@@ -475,13 +463,11 @@ def run_chunks(seed: int, count: int, width: int, kernel) -> tuple[np.ndarray, i
     values written in lane order into one array, and the redraws summed.
 
     ``width`` is how many values a kernel holds per lane (the row width of
-    its matrices); count x width is the run's work, checked before the first
-    block.  Each block has ``block_lanes(width)`` lanes, the last one fewer,
-    and the output takes the first block's dtype and trailing shape.  Lane r
-    always comes from ``substream(seed, r)``, so the block size bounds
-    memory but never changes a value.
+    its matrices).  Each block has ``block_lanes(width)`` lanes, the last
+    one fewer, and the output takes the first block's dtype and trailing
+    shape.  Lane r always comes from ``substream(seed, r)``, so the block
+    size bounds memory but never changes a value.
     """
-    check_work(count, width)
     size = block_lanes(width)
     redraws = 0
     for start in range(0, count, size):
@@ -491,25 +477,6 @@ def run_chunks(seed: int, count: int, width: int, kernel) -> tuple[np.ndarray, i
         out[start : start + len(values)] = values
         redraws += more
     return out, redraws
-
-
-def chunk_lanes(width: int) -> int:
-    """Lanes per sub-block for rows of ``width`` values: CHUNK_ELEMENTS //
-    width, but at least CHUNK_FLOOR so numpy's per-call cost is spread over
-    enough lanes, and at most SUB_BLOCK_ELEMENTS // width (at least 1)."""
-    width = max(width, 1)
-    return max(1, min(max(CHUNK_FLOOR, CHUNK_ELEMENTS // width), SUB_BLOCK_ELEMENTS // width))
-
-
-def block_lanes(width: int) -> int:
-    """Lanes per block for rows of ``width`` values: CHUNK_ELEMENTS // width,
-    or where that is at most CHUNK_FLOOR, CHUNK_FLOOR times 8 // the itemsize
-    of ``position_dtype(width)``, so a block's draw table takes the bytes of
-    CHUNK_FLOOR lanes of float64 rows (4096 lanes for int16 positions)."""
-    lanes = CHUNK_ELEMENTS // max(width, 1)
-    if lanes <= CHUNK_FLOOR:
-        lanes = CHUNK_FLOOR * (8 // np.dtype(position_dtype(width)).itemsize)
-    return lanes
 
 
 _U5, _U7, _U9, _U57 = (np.uint64(k) for k in (5, 7, 9, 57))

@@ -19,9 +19,7 @@ import numpy as np
 from . import rng
 from .data import PopulationVector
 from .resampling import eq_by_fields, percentile_interval, read_only
-from .spec import EVENTS, check_count
-
-POLL_MODES = ("with-replacement", "without-replacement")
+from .spec import EVENTS, check_count, check_poll, check_run
 
 
 def exact_binomial(n: int, k: int, p) -> Fraction:
@@ -92,6 +90,7 @@ def simulate_bernoulli(experiment: BernoulliExperiment, seed: int = 0) -> float:
     den = experiment.success_probability.denominator
     n = experiment.trials_per_run
     runs = experiment.runs
+    check_run(runs, n)
     counts, _ = rng.run_chunks(seed, runs, n, functools.partial(rng.summed, den, n, lambda d: d < num))
     return float(np.count_nonzero(experiment.matches(counts)) / runs)
 
@@ -139,15 +138,8 @@ def simulate_poll(
     seed: int = 0,
 ) -> PollResult:
     """Poll the population N times and record each poll's sample proportion."""
-    if mode not in POLL_MODES:
-        raise ValueError(f"mode must be one of {POLL_MODES}, got {mode!r}")
-    check_count("sample_size", sample_size)
-    check_count("n_polls", n_polls)
+    check_poll(population, sample_size, mode, n_polls)
     n = population.n
-    if mode == "without-replacement" and sample_size > n:
-        raise ValueError(
-            f"cannot poll {sample_size} of {n} electors without replacement"
-        )
     entries = np.asarray(population.entries, dtype=float)
     if mode == "with-replacement":
         kernel = functools.partial(rng.summed, n, sample_size, entries.__getitem__)

@@ -1,8 +1,12 @@
-"""The numpy-free spec: which statistic each data kind takes, the rules and
-defaults that every procedure shares, and the exact shuffle p.
+"""The numpy-free spec: which statistic each data kind takes, the rules,
+checks and defaults of every procedure, and the exact shuffle p.
 
 Nothing here draws a replicate, so the command line reads its choices and
-checks from this module without importing numpy.
+checks from this module without importing numpy.  Each drawing procedure's
+checks are one function here, which the procedure calls first and the
+command line calls before it imports numpy.  ``check_run``, part of each,
+caps the lane-values of a run and the bytes of a block's draw table, sized
+by the same integer arithmetic that ``rng`` reads.
 
 The exact shuffle p (``exact_shuffle_p``) counts ties inclusively, as the
 Monte Carlo p of ``resampling`` does, over all C(n, n1) splits without listing
@@ -62,6 +66,7 @@ SIDEDNESS = ("two-sided", "greater", "less")
 TAIL_DIRECTIONS = ("ge", "gt")
 # The events a Bernoulli experiment scores on its success count.
 EVENTS = ("exactly", "at-least", "at-most")
+POLL_MODES = ("with-replacement", "without-replacement")
 
 DEFAULT_REPLICATES = 1000
 DEFAULT_BIN_WIDTH = 2.0
@@ -79,11 +84,21 @@ SUM_MARGIN = 8
 # per lane-value, from a Bernoulli trial to a paired shuffle step, the largest
 # legal run takes minutes, where the counts capped one by one allowed years.
 MAX_WORK = 10**10
-# The most draws one replicate may make: the rows of a block's draw table
-# (the rows a bootstrap draws, a shuffle's steps, a poll's electors).  With
-# 256 rows or more a table takes 8 KiB per draw (4096 int16 or 2048 int32
-# lanes), so at most 256 MiB; narrower data's tables stay under 512 KiB.
-MAX_DRAWS = 1 << 15
+# The most bytes of a block's draw table: its lanes x the draws of each lane
+# x the bytes of a row position.  A bootstrap of 10^6 rows at 1000
+# replicates, whose table would take 4 GB, is refused before any draw.
+MAX_TABLE_BYTES = 1 << 28
+
+# Sizes of rng.run_chunks' blocks and of a shuffle's sub-blocks (see
+# block_lanes, chunk_lanes): about CHUNK_ELEMENTS values per sub-block, so a
+# kernel's matrices stay in cache and memory stays bounded by the block
+# rather than by replicates x row width.
+CHUNK_ELEMENTS = 1 << 18
+CHUNK_FLOOR = 1 << 10
+# The most positions in a shuffle's sub-block: a 10^4-row poll's takes 419
+# lanes, and wide-rows peak RSS reads 57 MB, where glibc mapped each 20.5 MB
+# sub-block of CHUNK_FLOOR lanes fresh (76 MB; numpy 2.4, glibc 2.36).
+SUB_BLOCK_ELEMENTS = 1 << 22
 
 
 def _resolve(caller: str, data, statistic: str | None, *kinds) -> str:
@@ -159,20 +174,22 @@ def check_count(option: str, count: int) -> None:
         raise ValueError(f"{option} must be at most {MAX_REPLICATES}, got {count}")
 
 
-def check_work(count: int, width: int) -> None:
+def check_run(count: int, width: int, draws: int = 0) -> None:
     """Raise ValueError unless a run of ``count`` lanes of ``width`` values
-    each, count x width lane-values, is at most MAX_WORK."""
+    each is at most MAX_WORK lane-values, and its block's draw table of
+    ``draws`` positions per lane at most MAX_TABLE_BYTES."""
     if count * width > MAX_WORK:
         raise ValueError(
             f"a run of {count} replicates x {width} values each is {count * width} lane-values, "
             f"above the cap of {MAX_WORK}"
         )
-
-
-def check_draws(draws: int) -> None:
-    """Raise ValueError unless a replicate's ``draws`` are at most MAX_DRAWS."""
-    if draws > MAX_DRAWS:
-        raise ValueError(f"a replicate of {draws} draws is above the cap of {MAX_DRAWS} draws per replicate")
+    lanes = min(count, block_lanes(width))
+    size = lanes * draws * position_bytes(width)
+    if size > MAX_TABLE_BYTES:
+        raise ValueError(
+            f"a draw table of {lanes} lanes x {draws} draws is {size} bytes, "
+            f"above the cap of {MAX_TABLE_BYTES} bytes"
+        )
 
 
 def check_magnitude(data) -> None:
@@ -196,9 +213,76 @@ def check_bin_width(bin_width: float) -> None:
         raise ValueError(f"bin width must be a finite number > 0, got {bin_width}")
 
 
-def default_bin_width(statistic: str) -> float:
-    """The histogram bin width of a shuffle test of ``statistic``."""
-    return CORRELATION_BIN_WIDTH if statistic == STAT_CORRELATION else DEFAULT_BIN_WIDTH
+def check_shuffle_test(data, statistic: str | None, count: int, sidedness: str, bin_width: float | None):
+    """The checks of ``resampling.shuffle_test``: returns the statistic, the bin
+    width (its default if None) and the first group's size (every row for a correlation)."""
+    statistic = _resolve("shuffle_test", data, statistic, GroupedSample, PairedSample)
+    _check_sidedness(sidedness)
+    check_count("n_resamples", count)
+    if bin_width is None:
+        bin_width = CORRELATION_BIN_WIDTH if statistic == STAT_CORRELATION else DEFAULT_BIN_WIDTH
+    check_bin_width(bin_width)
+    k = data.n if statistic == STAT_CORRELATION else data.group_count(data.group_names[0])
+    check_run(count, data.n, min(k, data.n - 1))
+    return statistic, bin_width, k
+
+
+def check_bootstrap(data, statistic: str | None, count: int, level=0.95, thresholds=(), tail_direction="ge",
+                    scale_bounds=None, bin_width=DEFAULT_BIN_WIDTH) -> str:
+    """The checks of ``resampling.bootstrap`` and ``bootstrap_report``; returns the statistic."""
+    check_level(level)
+    _check_tail_direction(tail_direction)
+    check_scale_bounds(scale_bounds)
+    check_bin_width(bin_width)
+    for t in thresholds:
+        check_finite(threshold=t)
+    statistic = _resolve("bootstrap", data, statistic, Sample, GroupedSample)
+    check_count("n_resamples", count)
+    check_run(count, data.n, data.n)
+    return statistic
+
+
+def check_poll(population, sample_size: int, mode: str, count: int) -> None:
+    """The checks of ``simulate.simulate_poll``."""
+    if mode not in POLL_MODES:
+        raise ValueError(f"mode must be one of {POLL_MODES}, got {mode!r}")
+    check_count("sample_size", sample_size)
+    check_count("n_polls", count)
+    if mode == "with-replacement":
+        check_run(count, sample_size)
+    elif sample_size > population.n:
+        raise ValueError(f"cannot poll {sample_size} of {population.n} electors without replacement")
+    else:
+        check_run(count, population.n, min(sample_size, population.n - 1))
+
+
+# ---------------------------------------------------------------------------
+# the sizing of blocks and draw tables
+
+
+def position_bytes(n: int) -> int:
+    """The bytes of the narrowest signed integer that holds the positions
+    0..n-1: 2 up to 2**15 rows, 4 above (8 past 2**31)."""
+    return 2 if n <= 1 << 15 else 4 if n <= 1 << 31 else 8
+
+
+def chunk_lanes(width: int) -> int:
+    """Lanes per sub-block for rows of ``width`` values: CHUNK_ELEMENTS //
+    width, but at least CHUNK_FLOOR so numpy's per-call cost is spread over
+    enough lanes, and at most SUB_BLOCK_ELEMENTS // width (at least 1)."""
+    width = max(width, 1)
+    return max(1, min(max(CHUNK_FLOOR, CHUNK_ELEMENTS // width), SUB_BLOCK_ELEMENTS // width))
+
+
+def block_lanes(width: int) -> int:
+    """Lanes per block for rows of ``width`` values: CHUNK_ELEMENTS // width,
+    or where that is at most CHUNK_FLOOR, CHUNK_FLOOR times 8 //
+    ``position_bytes(width)``, so a block's draw table takes the bytes of
+    CHUNK_FLOOR lanes of float64 rows (4096 lanes for int16 positions)."""
+    lanes = CHUNK_ELEMENTS // max(width, 1)
+    if lanes <= CHUNK_FLOOR:
+        lanes = CHUNK_FLOOR * (8 // position_bytes(width))
+    return lanes
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,15 @@
 import pytest
 
-from resamplekit import rng
+from resamplekit import rng, spec
 
 
 @pytest.fixture
 def small_chunks(monkeypatch):
-    """Patch the chunk size of ``rng.run_chunks`` down to 64 values, at
-    least 7 lanes: 10 lanes for 6-row data, 7 lanes for 9-row data, 32 for
-    two-value rows."""
-    monkeypatch.setattr(rng, "CHUNK_ELEMENTS", 64)
-    monkeypatch.setattr(rng, "CHUNK_FLOOR", 7)
+    """Patch the chunk size of ``rng.run_chunks`` (sized in ``spec``) down to
+    64 values, at least 7 lanes: 10 lanes for 6-row data, 7 lanes for 9-row
+    data, 32 for two-value rows."""
+    monkeypatch.setattr(spec, "CHUNK_ELEMENTS", 64)
+    monkeypatch.setattr(spec, "CHUNK_FLOOR", 7)
 
 
 @pytest.fixture

@@ -48,9 +48,9 @@ def replayed_redraws(data: GroupedSample, seed: int, count: int) -> int:
 
 
 def test_patched_chunks_really_split_the_runs(small_chunks):
-    assert rng.chunk_lanes(6) == 10
-    assert rng.chunk_lanes(9) == 7
-    assert rng.chunk_lanes(1000) == 7
+    assert spec.chunk_lanes(6) == 10
+    assert spec.chunk_lanes(9) == 7
+    assert spec.chunk_lanes(1000) == 7
     sizes, redraws = [], []
 
     def kernel(blk):
@@ -66,8 +66,8 @@ def test_patched_chunks_really_split_the_runs(small_chunks):
 
 def test_chunk_size_does_not_change_values(monkeypatch):
     whole = shuffle_test(VEG6, n_resamples=N, seed=4)
-    monkeypatch.setattr(rng, "CHUNK_ELEMENTS", 64)
-    monkeypatch.setattr(rng, "CHUNK_FLOOR", 7)
+    monkeypatch.setattr(spec, "CHUNK_ELEMENTS", 64)
+    monkeypatch.setattr(spec, "CHUNK_FLOOR", 7)
     assert shuffle_test(VEG6, n_resamples=N, seed=4) == whole
 
 
@@ -195,19 +195,19 @@ def tiny_blocks(monkeypatch):
     """Chunk constants small enough that block and sub-block boundaries fall
     inside each pinned run below: 6- to 10-row data gets blocks of 20 lanes
     and sub-blocks of 5."""
-    monkeypatch.setattr(rng, "CHUNK_ELEMENTS", 24)
-    monkeypatch.setattr(rng, "CHUNK_FLOOR", 5)
+    monkeypatch.setattr(spec, "CHUNK_ELEMENTS", 24)
+    monkeypatch.setattr(spec, "CHUNK_FLOOR", 5)
 
 
 def test_wide_blocks_draw_four_times_the_floor_lanes():
-    assert rng.block_lanes(2000) == rng.block_lanes(10**4) == 4 * rng.CHUNK_FLOOR == 4096
-    assert rng.chunk_lanes(2000) == rng.CHUNK_FLOOR
-    assert rng.block_lanes(40_000) == 2 * rng.CHUNK_FLOOR  # int32 positions
-    assert rng.block_lanes(255) == rng.chunk_lanes(255) == rng.CHUNK_ELEMENTS // 255
+    assert spec.block_lanes(2000) == spec.block_lanes(10**4) == 4 * spec.CHUNK_FLOOR == 4096
+    assert spec.chunk_lanes(2000) == spec.CHUNK_FLOOR
+    assert spec.block_lanes(40_000) == 2 * spec.CHUNK_FLOOR  # int32 positions
+    assert spec.block_lanes(255) == spec.chunk_lanes(255) == spec.CHUNK_ELEMENTS // 255
     # Past SUB_BLOCK_ELEMENTS // CHUNK_FLOOR rows, a sub-block is bounded by
     # its positions, down to one lane.
-    assert rng.chunk_lanes(10**4) == rng.SUB_BLOCK_ELEMENTS // 10**4 == 419
-    assert rng.chunk_lanes(rng.SUB_BLOCK_ELEMENTS + 1) == 1
+    assert spec.chunk_lanes(10**4) == spec.SUB_BLOCK_ELEMENTS // 10**4 == 419
+    assert spec.chunk_lanes(spec.SUB_BLOCK_ELEMENTS + 1) == 1
 
 
 def lane_sums_calls(block) -> int:
@@ -226,7 +226,7 @@ def lane_sums_calls(block) -> int:
 
 def test_tiny_blocks_put_every_boundary_inside_a_block(tiny_blocks):
     for width in (6, 9, 10, 500):
-        assert (rng.block_lanes(width), rng.chunk_lanes(width)) == (20, 5)
+        assert (spec.block_lanes(width), spec.chunk_lanes(width)) == (20, 5)
     # lane_sums reads whole position rows, one or eight at a time, so it
     # makes as many calls for 2300 lanes as for 23: left to right under 8
     # positions, in running sums from 8 on, and in halves past 128.
@@ -237,7 +237,7 @@ def test_tiny_blocks_put_every_boundary_inside_a_block(tiny_blocks):
 
 
 @pytest.mark.parametrize("name", list(test_golden.ARRAYS))
-def test_pinned_arrays_across_block_sub_block_and_row_block_boundaries(tiny_blocks, scalar_oracle, name):
+def test_pinned_arrays_across_block_and_sub_block_boundaries(tiny_blocks, scalar_oracle, name):
     make, pin = test_golden.ARRAYS[name]
     arr = make()
     assert np.array_equal(arr, scalar_oracle(make))
@@ -260,7 +260,7 @@ def lost_lanes(data: GroupedSample, seed: int, count: int) -> list[int]:
     ]
 
 
-def test_grouped_bootstrap_redraws_across_lane_tiles_of_one_block(tiny_blocks, scalar_oracle):
+def test_grouped_bootstrap_redraws_within_one_block(tiny_blocks, scalar_oracle):
     # The pinned grouped bootstrap (veg6, seed 2) redraws several lanes of
     # one block, which lane_sums adds up one position row at a time; 9-row
     # data redraws more lanes of one block, whose redraw tables lane_sums
@@ -268,7 +268,7 @@ def test_grouped_bootstrap_redraws_across_lane_tiles_of_one_block(tiny_blocks, s
     # generator alone does.
     for data, seed, count, more_than in ((VEG6, 2, 3000, 1), (ONE_IN_NINE, 2, 300, 2)):
         lost = lost_lanes(data, seed, count)
-        assert max(Counter(r // rng.block_lanes(data.n) for r in lost).values()) > more_than
+        assert max(Counter(r // spec.block_lanes(data.n) for r in lost).values()) > more_than
         dist = bootstrap(data, n_resamples=count, seed=seed)
         assert dist == scalar_oracle(lambda: bootstrap(data, n_resamples=count, seed=seed))
         assert dist.redraw_count == replayed_redraws(data, seed, count) >= len(lost)
@@ -412,8 +412,9 @@ def test_a_run_just_over_the_work_cap_builds_no_block(monkeypatch, call, work):
 
 
 def test_a_table_of_more_draws_than_the_cap_is_refused(monkeypatch):
-    monkeypatch.setattr(spec, "MAX_DRAWS", 5)
-    message = "^a replicate of 6 draws is above the cap of 5 draws per replicate$"
+    # 100 bytes hold a table of 10 lanes x 5 int16 draws.
+    monkeypatch.setattr(spec, "MAX_TABLE_BYTES", 100)
+    message = "^a draw table of 10 lanes x 6 draws is 120 bytes, above the cap of 100 bytes$"
     for call in (
         lambda: bootstrap(Sample([float(i) for i in range(6)]), n_resamples=10),
         lambda: shuffle_test_paired(PairedSample(range(7), range(7)), n_resamples=10),
@@ -422,13 +423,15 @@ def test_a_table_of_more_draws_than_the_cap_is_refused(monkeypatch):
         with pytest.raises(ValueError, match=message):
             call()
     simulate_poll(POLL500, 6, "with-replacement", 10)  # no table
+    bootstrap(Sample([float(i) for i in range(5)]), n_resamples=10)
+    simulate_poll(POLL500, 5, "without-replacement", 10)
 
 
 def test_the_work_cap_itself_is_accepted():
-    spec.check_work(spec.MAX_WORK, 1)
-    spec.check_work(10**8, 100)
+    spec.check_run(spec.MAX_WORK, 1)
+    spec.check_run(10**8, 100)
     with pytest.raises(ValueError):
-        spec.check_work(spec.MAX_WORK + 1, 1)
+        spec.check_run(spec.MAX_WORK + 1, 1)
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ import resamplekit
 from resamplekit import spec
 from resamplekit.cli import build_parser, main
 from resamplekit.resampling import observed_statistic
-from resamplekit.spec import MAX_DRAWS, MAX_REPLICATES, MAX_WORK
+from resamplekit.spec import MAX_REPLICATES, MAX_TABLE_BYTES, MAX_WORK
 
 SUBCOMMANDS = ("shuffle-test", "bootstrap", "clip", "bayes", "montecarlo", "poll", "fixtures")
 
@@ -532,6 +532,23 @@ def test_runs_above_the_work_cap_exit_with_one_error_line(argv, work):
     assert f"above the cap of {MAX_WORK}" in proc.stderr
 
 
+@pytest.mark.parametrize("argv, work", [
+    (("bootstrap", "--data", "rows.csv", "--n", "100000000"), "100000000 replicates x 200 values each is 20000000000"),
+    (("shuffle-test", "--data", "rows.csv", "--group-column", "group", "--n", "100000000"),
+     "100000000 replicates x 200 values each is 20000000000"),
+    (("poll", "--fixture", "poll500", "--sample-size", "20", "--polls", "100000000"),
+     "100000000 replicates x 500 values each is 50000000000"),
+], ids=["bootstrap", "shuffle-test", "poll-without"])
+def test_runs_whose_width_is_the_inputs_rows_are_refused_before_numpy_is_imported(tmp_path, argv, work):
+    # The width of these runs is the rows of the input, known only once it
+    # loads, and the refusal still comes before numpy is imported.
+    (tmp_path / "rows.csv").write_text("value,group\n" + "".join(f"{i % 7},{'ab'[i % 2]}\n" for i in range(200)))
+    argv = [str(tmp_path / arg) if arg == "rows.csv" else arg for arg in argv]
+    proc = _numpy_free_run(argv, timeout=10)
+    assert _one_error_line(proc.returncode, "", proc.stderr) and proc.stdout == "False\n", proc.stderr
+    assert f"error: a run of {work} lane-values, above the cap of {MAX_WORK}\n" == proc.stderr
+
+
 def test_byte_order_mark_is_skipped_and_the_digest_covers_it(capsys, tmp_path):
     path = tmp_path / "bom.csv"
     path.write_bytes(b"\xef\xbb\xbfvalue\r\n1\r\n5\r\n7\r\n3\r\n")
@@ -827,15 +844,27 @@ def test_a_million_row_bootstrap_is_refused_by_its_draws_before_numpy_is_importe
     path = tmp_path / "wide.csv"
     path.write_text("value\n" + "\n".join(str(i % 97) for i in range(10**6)) + "\n")
     proc = _numpy_free_run(("bootstrap", "--data", str(path), "--n", "1000"), 120, _address_space_of_2gb)
-    message = f"a replicate of 1000000 draws is above the cap of {MAX_DRAWS} draws per replicate"
+    message = f"a draw table of 1000 lanes x 1000000 draws is 4000000000 bytes, above the cap of {MAX_TABLE_BYTES} bytes"
     assert (proc.returncode, proc.stderr, proc.stdout) == (1, f"error: {message}\n", "False\n")
+
+
+def test_a_wide_bootstrap_is_capped_by_its_tables_bytes_not_its_draws(capsys, tmp_path):
+    # 40,000 rows take int32 positions and blocks of 2048 lanes: 10
+    # replicates need a table of 1.6 MB, 10^4 replicates one of 328 MB.
+    path = tmp_path / "wide.csv"
+    path.write_text("value\n" + "\n".join(str(i % 97) for i in range(40_000)) + "\n")
+    code, out, err = run(capsys, "bootstrap", "--data", str(path), "--n", "10")
+    assert (code, err) == (0, "") and "resamples: 10 with replacement" in out
+    message = f"a draw table of 2048 lanes x 40000 draws is 327680000 bytes, above the cap of {MAX_TABLE_BYTES} bytes"
+    assert run(capsys, "bootstrap", "--data", str(path), "--n", "10000") == (1, "", f"error: {message}\n")
 
 
 def test_draws_per_replicate_are_capped_by_what_each_plan_draws(capsys, monkeypatch, tmp_path):
     # A bootstrap draws n rows, a shuffle test min(n1, n - 1) steps and a poll
     # without replacement min(k, n - 1) steps; a poll with replacement and
-    # the exact shuffle test draw no table.
-    monkeypatch.setattr(spec, "MAX_DRAWS", 5)
+    # the exact shuffle test draw no table.  100 bytes hold a table of 10
+    # lanes x 5 int16 draws.
+    monkeypatch.setattr(spec, "MAX_TABLE_BYTES", 100)
     seven, five = tmp_path / "seven.csv", tmp_path / "five.csv"
     seven.write_text("value,group,x\n" + "".join(f"{v},{'ab'[v < 3]},{v * v}\n" for v in range(7)))
     five.write_text("value\n1\n2\n3\n4\n5\n")
@@ -847,7 +876,7 @@ def test_draws_per_replicate_are_capped_by_what_each_plan_draws(capsys, monkeypa
         (6, "poll", "--fixture", "poll500", "--sample-size", "6", "--polls", "10"),
     ]
     for draws, *argv in refused:
-        message = f"error: a replicate of {draws} draws is above the cap of 5 draws per replicate\n"
+        message = f"error: a draw table of 10 lanes x {draws} draws is {20 * draws} bytes, above the cap of 100 bytes\n"
         assert run(capsys, *argv) == (1, "", message)
     accepted = [
         ("bootstrap", "--data", str(five), "--n", "10"),

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from resamplekit.dists import (
     normal_cdf,
-    normal_pdf,
     normal_quantile,
     regularized_incomplete_beta,
     t_cdf,
@@ -154,10 +153,6 @@ def test_t_domain_errors():
         t_quantile(0.0, 5)
     with pytest.raises(ValueError):
         t_quantile(0.5, 0)
-
-
-def test_normal_pdf_peak():
-    assert normal_pdf(0.0) == pytest.approx(1 / math.sqrt(2 * math.pi), abs=1e-15)
 
 
 def test_documented_error_bounds_hold_against_scipy():

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from resamplekit import rng
+from resamplekit import rng, spec
 from resamplekit.data import GroupedSample, PairedSample, PopulationVector, get_fixture
 from resamplekit.resampling import bootstrap, shuffle_test, shuffle_test_paired
 from resamplekit.rng import substream
@@ -40,7 +40,7 @@ def approx(x):
 def test_runs_span_several_chunks(small_chunks):
     # Row widths below: 2 (TINY), 6, 7, 8, 9 and 20 values; 500 for polls
     # without replacement from POLL500.
-    assert all(rng.chunk_lanes(w) * 3 < N for w in (2, 6, 7, 8, 9, 20, 500))
+    assert all(spec.chunk_lanes(w) * 3 < N for w in (2, 6, 7, 8, 9, 20, 500))
 
 
 def test_bootstrap_rows_follow_draw_with_replacement(small_chunks):
