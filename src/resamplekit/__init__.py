@@ -32,10 +32,8 @@ _EXPORTS = {
         "shuffle_test", "shuffle_test_paired", "tail_probability",
     ),
     "rng": ("SeededGenerator", "SubstreamBlock", "mix64", "substream"),
-    "simulate": (
-        "BernoulliExperiment", "PollResult", "exact_binomial", "simulate_bernoulli", "simulate_poll",
-    ),
-    "spec": ("exact_shuffle_p",),
+    "simulate": ("PollResult", "simulate_bernoulli", "simulate_poll"),
+    "spec": ("BernoulliExperiment", "exact_binomial", "exact_shuffle_p"),
     "worlds": (
         "Hypothesis", "HypothesisSet", "TwoStageOutcomes", "WorldTableau", "parse_probability",
         "posterior", "render_worlds", "sequential_update", "two_stage_grid",

@@ -53,11 +53,11 @@ from .spec import (
     STAT_MEAN,
     STAT_MEAN_DIFF,
     TAIL_DIRECTIONS,
+    BernoulliExperiment,
     check_bootstrap,
     check_count,
     check_level,
     check_poll,
-    check_run,
     check_shuffle_test,
     exact_shuffle_p,
 )
@@ -390,10 +390,9 @@ def _cmd_bayes(args, rep: Report) -> Report:
 def _cmd_montecarlo(args, rep: Report) -> Report:
     check_count("--trials", args.trials)
     prob = parse_probability(args.prob)
-    check_run(args.runs, args.trials)
-    from .simulate import BernoulliExperiment, simulate_bernoulli
-
     experiment = BernoulliExperiment(args.trials, prob, args.event, args.count, args.runs)
+    from .simulate import simulate_bernoulli
+
     estimate = simulate_bernoulli(experiment, rep.seed)
     exact = experiment.exact_probability()
     rep.add(

@@ -34,7 +34,6 @@ from .spec import (
     STATISTICS,
     _check_tail_direction,
     _describe,
-    _resolve,
     check_bin_width,
     check_bootstrap,
     check_finite,
@@ -256,8 +255,9 @@ def _paired_columns(data: PairedSample) -> tuple[np.ndarray, np.ndarray]:
 
 
 def observed_statistic(data, statistic: str | None = None) -> float:
-    """The statistic evaluated on the real data (no resampling)."""
-    statistic = _resolve("observed_statistic", data, statistic, *STATISTICS)
+    """The statistic evaluated on the real data (no resampling): ``statistic``
+    as a check in ``spec`` resolved it, or None for the kind's default."""
+    statistic = STATISTICS[type(data)][0] if statistic is None else statistic
     if statistic == STAT_MEAN:
         arr = np.asarray(data.values, dtype=float)
         return float(arr.reshape(1, -1).mean(axis=1)[0])

@@ -39,19 +39,32 @@ Replicated experiments take replicate r's randomness from
 ``substream(seed, r)`` so results never depend on execution order or thread
 scheduling.  The draw plans of the procedures, for replicate r:
 
-* bootstrap of n rows: the rows ``draw_with_replacement(range(n), n)``.
+* bootstrap of n rows: the rows ``draw_with_replacement(range(n), n)``;
+  the mean is the lane's ``lane_sums`` of the values / n.
 * grouped bootstrap: a replicate whose rows lack one of the two groups draws
   n fresh rows from the same substream, again until both groups are
-  present; each attempt counts as one redraw.
+  present; each attempt counts as one redraw.  A lane that holds one group
+  is redrawn before any value is kept.  The value is s1/c1 - (T - s1)/(n -
+  c1), where T, s1 and c1 come from one ``lane_sums`` of three value rows:
+  the values, the group-1 values (zero in group 2) and the group-1 flags
+  (1.0 or 0.0).
 * two-group shuffle test with n1 rows in the first group:
   ``sample_without_replacement(values, n1)`` over the values in row order
   is the first group; the other n - n1 positions, in their order after
-  those steps, are the second.
+  those steps, are the second.  The value is s1/n1 - s2/(n - n1), where s1
+  and s2 are two separate ``lane_sums`` of the values, over the first n1
+  and the other n - n1 position rows.
 * paired shuffle test: ``shuffle(ys)``; the x column stays fixed.
 * poll of k electors: ``sample_without_replacement(entries, k)``, or with
-  replacement ``draw_with_replacement(entries, k)``.
+  replacement ``draw_with_replacement(entries, k)``.  The proportion is the
+  lane's count of ones (from ``summed`` with replacement, from
+  ``lane_sums`` over the first k position rows without) divided by k,
+  rounded once.
 * Bernoulli run of t trials at success probability num/den (lowest
   terms): t draws of ``below(den)``, a success when the draw is below num.
+* ``summed`` adds picks of 0 or 1 in every plan (a success, or an elector's
+  entry), so each lane's sum is an exact integer and the order of its adds
+  is not part of the spec.
 
 The lanes forms of the plans sit here, and only here, beside the
 ``SeededGenerator`` methods they must match.  ``draw_table(lanes, ns)`` makes
@@ -59,7 +72,7 @@ every draw of a set of lanes in one lockstep pass: a draw-major table whose
 row d is ``lanes.below(ns[d])``, in ``position_dtype`` (int16, int32 past
 2^15 rows).  Column j of a table of n draws of ``below(n)`` is lane j's
 ``draw_with_replacement`` of the positions, as it stands.
-``shuffle_block(items, table)`` applies a table of ``shuffle_steps(n, k)``
+``shuffle_block(items, table)`` applies a table of ``spec.shuffle_steps(n, k)``
 and is ``sample_without_replacement``; its block is position-major too: row
 i holds slot i of every lane.  Three kernels run every plan.  ``shuffled``
 (both shuffle tests, and the poll without replacement, which reads the first
@@ -120,7 +133,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spec import block_lanes, chunk_lanes, position_bytes
+from .spec import block_lanes, chunk_lanes, position_bytes, shuffle_steps
 
 _MASK64 = (1 << 64) - 1
 _SPAN = 1 << 64
@@ -217,12 +230,6 @@ def position_dtype(n: int) -> type:
 def positions(n: int) -> np.ndarray:
     """The positions 0..n-1 in ``position_dtype(n)``."""
     return np.arange(n, dtype=position_dtype(n))
-
-
-def shuffle_steps(n: int, k: int) -> range:
-    """The ranges of the draws of ``sample_without_replacement`` of k of n
-    items: ``below(n - i)`` for i = 0..min(k, n-1)-1."""
-    return range(n, n - min(k, n - 1), -1)
 
 
 def draw_table(lanes, ns) -> np.ndarray:

@@ -1,87 +1,25 @@
-"""Forward probability simulation with exact small-case arithmetic.
+"""Forward probability simulation: Bernoulli runs and polls, drawn only.
 
-Bernoulli trials are sampled exactly: a trial at success probability num/den
-succeeds when ``below(den)`` is below num, so the simulated probability is
-exactly the requested rational.  Run r of any experiment draws from
-``substream(seed, r)``; the draw plans and the chunked engine that runs each
-kernel are specified in ``rng``.
+An experiment comes here checked: ``spec.BernoulliExperiment`` runs its
+checks as it is built, beside its exact probability (``spec.exact_binomial``),
+and ``spec.check_poll`` is a poll's.  Bernoulli trials are sampled exactly: a
+trial at success probability num/den succeeds when ``below(den)`` is below
+num, so the simulated probability is exactly the requested rational.  Run r
+of any experiment draws from ``substream(seed, r)``; the draw plans and the
+chunked engine that runs each kernel are specified in ``rng``.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import rng
 from .data import PopulationVector
 from .resampling import eq_by_fields, percentile_interval, read_only
-from .spec import EVENTS, check_count, check_poll, check_run
-
-
-def exact_binomial(n: int, k: int, p) -> Fraction:
-    """P(exactly k successes in n trials), as an exact rational."""
-    if n < 0 or not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError(f"success probability must be in [0, 1], got {p}")
-    return math.comb(n, k) * p**k * (1 - p) ** (n - k)
-
-
-@dataclass(frozen=True)
-class BernoulliExperiment:
-    """Repeated runs of n trials, scored by an event on the success count."""
-
-    trials_per_run: int
-    success_probability: Fraction
-    event: str  # "exactly" | "at-least" | "at-most"
-    event_count: int
-    runs: int
-
-    def __post_init__(self):
-        check_count("trials_per_run", self.trials_per_run)
-        check_count("runs", self.runs)
-        object.__setattr__(
-            self, "success_probability", Fraction(self.success_probability)
-        )
-        if not 0 <= self.success_probability <= 1:
-            raise ValueError(
-                f"success probability must be in [0, 1], got {self.success_probability}"
-            )
-        if self.success_probability.denominator >= 1 << 63:
-            raise ValueError(
-                "success probability needs a denominator below 2**63 to be sampled exactly"
-            )
-        if self.event not in EVENTS:
-            raise ValueError(f"event must be one of {EVENTS}, got {self.event!r}")
-        if not 0 <= self.event_count <= self.trials_per_run:
-            raise ValueError(
-                f"event count must be in [0, {self.trials_per_run}], "
-                f"got {self.event_count}"
-            )
-
-    def matches(self, successes):
-        """Whether a success count satisfies the event; elementwise on arrays."""
-        if self.event == "exactly":
-            return successes == self.event_count
-        if self.event == "at-least":
-            return successes >= self.event_count
-        return successes <= self.event_count
-
-    def exact_probability(self) -> Fraction:
-        """The event probability by exact enumeration over success counts."""
-        return sum(
-            (
-                exact_binomial(self.trials_per_run, k, self.success_probability)
-                for k in range(self.trials_per_run + 1)
-                if self.matches(k)
-            ),
-            Fraction(0),
-        )
+from .spec import BernoulliExperiment, check_poll
 
 
 def simulate_bernoulli(experiment: BernoulliExperiment, seed: int = 0) -> float:
@@ -90,7 +28,6 @@ def simulate_bernoulli(experiment: BernoulliExperiment, seed: int = 0) -> float:
     den = experiment.success_probability.denominator
     n = experiment.trials_per_run
     runs = experiment.runs
-    check_run(runs, n)
     counts, _ = rng.run_chunks(seed, runs, n, functools.partial(rng.summed, den, n, lambda d: d < num))
     return float(np.count_nonzero(experiment.matches(counts)) / runs)
 

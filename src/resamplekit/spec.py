@@ -1,12 +1,15 @@
 """The numpy-free spec: which statistic each data kind takes, the rules,
-checks and defaults of every procedure, and the exact shuffle p.
+checks and defaults of every procedure, the exact shuffle p, and the
+Bernoulli experiment with its exact binomial.
 
 Nothing here draws a replicate, so the command line reads its choices and
 checks from this module without importing numpy.  Each drawing procedure's
 checks are one function here, which the procedure calls first and the
-command line calls before it imports numpy.  ``check_run``, part of each,
-caps the lane-values of a run and the bytes of a block's draw table, sized
-by the same integer arithmetic that ``rng`` reads.
+command line calls before it imports numpy; a ``BernoulliExperiment`` runs
+its checks as it is built, so ``simulate.simulate_bernoulli`` gets one
+checked.  ``check_run``, part of each, caps the lane-values of a run and the
+bytes of a block's draw table, sized by the same integer arithmetic that
+``rng`` reads.
 
 The exact shuffle p (``exact_shuffle_p``) counts ties inclusively, as the
 Monte Carlo p of ``resampling`` does, over all C(n, n1) splits without listing
@@ -37,6 +40,7 @@ from __future__ import annotations
 import bisect
 import math
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .data import GroupedSample, PairedSample, Sample
@@ -223,7 +227,7 @@ def check_shuffle_test(data, statistic: str | None, count: int, sidedness: str, 
         bin_width = CORRELATION_BIN_WIDTH if statistic == STAT_CORRELATION else DEFAULT_BIN_WIDTH
     check_bin_width(bin_width)
     k = data.n if statistic == STAT_CORRELATION else data.group_count(data.group_names[0])
-    check_run(count, data.n, min(k, data.n - 1))
+    check_run(count, data.n, len(shuffle_steps(data.n, k)))
     return statistic, bin_width, k
 
 
@@ -253,11 +257,70 @@ def check_poll(population, sample_size: int, mode: str, count: int) -> None:
     elif sample_size > population.n:
         raise ValueError(f"cannot poll {sample_size} of {population.n} electors without replacement")
     else:
-        check_run(count, population.n, min(sample_size, population.n - 1))
+        check_run(count, population.n, len(shuffle_steps(population.n, sample_size)))
+
+
+# ---------------------------------------------------------------------------
+# the Bernoulli experiment and the exact binomial
+
+
+def exact_binomial(n: int, k: int, p) -> Fraction:
+    """P(exactly k successes in n trials), as an exact rational."""
+    if n < 0 or not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
+    p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise ValueError(f"success probability must be in [0, 1], got {p}")
+    return math.comb(n, k) * p**k * (1 - p) ** (n - k)
+
+
+@dataclass(frozen=True)
+class BernoulliExperiment:
+    """Repeated runs of n trials, scored by an event on the success count.
+    Building one runs every check of ``simulate.simulate_bernoulli``."""
+
+    trials_per_run: int
+    success_probability: Fraction
+    event: str  # "exactly" | "at-least" | "at-most"
+    event_count: int
+    runs: int
+
+    def __post_init__(self):
+        check_count("trials_per_run", self.trials_per_run)
+        check_count("runs", self.runs)
+        object.__setattr__(self, "success_probability", Fraction(self.success_probability))
+        if not 0 <= self.success_probability <= 1:
+            raise ValueError(f"success probability must be in [0, 1], got {self.success_probability}")
+        if self.success_probability.denominator >= 1 << 63:
+            raise ValueError("success probability needs a denominator below 2**63 to be sampled exactly")
+        if self.event not in EVENTS:
+            raise ValueError(f"event must be one of {EVENTS}, got {self.event!r}")
+        if not 0 <= self.event_count <= self.trials_per_run:
+            raise ValueError(f"event count must be in [0, {self.trials_per_run}], got {self.event_count}")
+        check_run(self.runs, self.trials_per_run)
+
+    def matches(self, successes):
+        """Whether a success count satisfies the event; elementwise on arrays."""
+        if self.event == "exactly":
+            return successes == self.event_count
+        if self.event == "at-least":
+            return successes >= self.event_count
+        return successes <= self.event_count
+
+    def exact_probability(self) -> Fraction:
+        """The event probability by exact enumeration over success counts."""
+        n, p = self.trials_per_run, self.success_probability
+        return sum((exact_binomial(n, k, p) for k in range(n + 1) if self.matches(k)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
 # the sizing of blocks and draw tables
+
+
+def shuffle_steps(n: int, k: int) -> range:
+    """The ranges of the draws of ``sample_without_replacement`` of k of n
+    items: ``below(n - i)`` for i = 0..min(k, n-1)-1."""
+    return range(n, n - min(k, n - 1), -1)
 
 
 def position_bytes(n: int) -> int:

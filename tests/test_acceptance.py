@@ -25,11 +25,10 @@ from resamplekit.resampling import (
 )
 from resamplekit.simulate import (
     BernoulliExperiment,
-    exact_binomial,
     simulate_bernoulli,
     simulate_poll,
 )
-from resamplekit.spec import exact_shuffle_p
+from resamplekit.spec import exact_binomial, exact_shuffle_p
 from resamplekit.worlds import (
     HypothesisSet,
     posterior,

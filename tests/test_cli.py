@@ -549,6 +549,18 @@ def test_runs_whose_width_is_the_inputs_rows_are_refused_before_numpy_is_importe
     assert f"error: a run of {work} lane-values, above the cap of {MAX_WORK}\n" == proc.stderr
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("montecarlo", "--trials", "8", "--count", "9"), "event count must be in [0, 8], got 9"),
+    (("montecarlo", "--trials", "8", "--count", "4", "--prob", "1/9223372036854775808"),
+     "success probability needs a denominator below 2**63 to be sampled exactly"),
+], ids=["count", "prob"])
+def test_a_bernoulli_experiment_is_refused_before_numpy_is_imported(argv, message):
+    # The experiment checks itself as it is built, in spec, and the command
+    # line builds it before it imports simulate.
+    proc = _numpy_free_run(argv, timeout=10)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (1, f"error: {message}\n", "False\n")
+
+
 def test_byte_order_mark_is_skipped_and_the_digest_covers_it(capsys, tmp_path):
     path = tmp_path / "bom.csv"
     path.write_bytes(b"\xef\xbb\xbfvalue\r\n1\r\n5\r\n7\r\n3\r\n")

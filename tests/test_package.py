@@ -81,7 +81,9 @@ def test_procedures_leave_every_lane_boundary_to_rng(module):
     assert lane_params == lane_calls == []
 
 
-@pytest.mark.parametrize("statement", ["import resamplekit", "import resamplekit.spec"])
+@pytest.mark.parametrize("statement", [
+    "import resamplekit", "import resamplekit.spec", "from resamplekit import BernoulliExperiment, exact_binomial",
+])
 def test_the_package_and_its_spec_import_no_numpy(statement):
     src = str(Path(resamplekit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

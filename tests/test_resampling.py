@@ -873,7 +873,7 @@ def test_each_entry_refuses_other_data_kinds_by_naming_the_kinds_it_takes():
         (lambda: bootstrap_report(PAIRS), "bootstrap needs one-sample or two-group data"),
         (lambda: exact_shuffle_p(PAIRS), "exact_shuffle_p needs two-group data, got paired data"),
         (lambda: shuffle_test(VEG9), "shuffle_test needs two-group or paired data, got one-sample data"),
-        (lambda: observed_statistic(population), "got PopulationVector"),
+        (lambda: shuffle_test(population), "got PopulationVector"),
     ]
     for refuse, message in refusals:
         with pytest.raises(ValueError) as err:
@@ -882,17 +882,17 @@ def test_each_entry_refuses_other_data_kinds_by_naming_the_kinds_it_takes():
 
 
 def test_a_statistic_of_another_kind_is_refused_with_the_statistics_of_this_one():
-    for data, statistic, kind in ((VEG9, "mean-diff", "one-sample"), (VEG6, "correlation", "two-group"),
-                                  (PAIRS, "mean", "paired")):
+    for entry, data, statistic, kind in ((bootstrap, VEG9, "mean-diff", "one-sample"),
+                                         (shuffle_test, VEG6, "correlation", "two-group"),
+                                         (shuffle_test, PAIRS, "mean", "paired")):
         with pytest.raises(ValueError, match=f"'{statistic}' does not apply to {kind} data"):
-            observed_statistic(data, statistic)
+            entry(data, statistic)
 
 
 def test_degenerate_pairs_are_refused_by_every_entry():
     for pairs in (PairedSample((1, 2), (3, 4)), PairedSample((1, 2, 3), (4, 4, 4))):
-        for entry in (observed_statistic, shuffle_test):
-            with pytest.raises(ValueError, match="3 pairs|zero variance"):
-                entry(pairs)
+        with pytest.raises(ValueError, match="3 pairs|zero variance"):
+            shuffle_test(pairs)
 
 
 def test_shuffle_test_of_pairs_is_the_paired_shuffle_test(scalar_oracle):
@@ -915,7 +915,7 @@ def test_data_whose_sums_could_overflow_are_refused_before_any_draw(monkeypatch)
         patched.setattr(rng, "run_chunks", no_draws)
         for call in (
             lambda: bootstrap(huge), lambda: bootstrap(grouped), lambda: shuffle_test(grouped),
-            lambda: exact_shuffle_p(grouped), lambda: observed_statistic(huge),
+            lambda: exact_shuffle_p(grouped),
         ):
             with pytest.raises(ValueError, match="could overflow a sum of"):
                 call()

@@ -9,11 +9,10 @@ from resamplekit import rng
 from resamplekit.data import PopulationVector, get_fixture
 from resamplekit.simulate import (
     BernoulliExperiment,
-    exact_binomial,
     simulate_bernoulli,
     simulate_poll,
 )
-from resamplekit.spec import MAX_REPLICATES
+from resamplekit.spec import MAX_REPLICATES, exact_binomial
 
 F = Fraction
 POLL500 = get_fixture("poll500").payload
