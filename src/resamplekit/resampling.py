@@ -38,6 +38,7 @@ from .spec import (
     check_bootstrap,
     check_finite,
     check_level,
+    check_report,
     check_scale_bounds,
     check_shuffle_test,
 )
@@ -508,7 +509,7 @@ def bootstrap_report(
     """Bootstrap plus percentile interval, tail probabilities and diagnostics;
     every option is checked before the first replicate is drawn."""
     thresholds = tuple(thresholds)
-    check_bootstrap(data, statistic, n_resamples, level, thresholds, tail_direction, scale_bounds, bin_width)
+    check_report(level, thresholds, tail_direction, scale_bounds, bin_width)
     dist = bootstrap(data, statistic, n_resamples, seed)
     values = dist.array
     return BootstrapReport(

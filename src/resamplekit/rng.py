@@ -82,6 +82,17 @@ and one column per lane, and the reducer reads values at those positions
 through ``lane_sums``.  ``summed`` (Bernoulli trials and polls with
 replacement) sums a pick of each draw as it draws, with no table.
 
+``shuffled`` reduces a block by one of two paths, and the path is not part
+of the spec, because no lane's value depends on it.  Every reducer works lane
+by lane, so a lane's value is the reducer's value on that lane's positions
+alone.  Where the block's steps ``s_i = n - i`` allow no more distinct draw
+sequences than it has lanes (their product, which ``_sequence_count`` stops
+multiplying once it passes the lane count), it lists every sequence once, in
+mixed-radix order (the last step varies fastest, the factorial number
+system), reduces that table, and gives each lane the value at its draws'
+index ((t_0 s_1 + t_1) s_2 + t_2) ...; veg6 has 120 sequences for 43,690
+lanes.  Elsewhere it shuffles and reduces every lane.
+
 ``lane_sums(values, block)`` is, for every lane, +0.0 plus the pairwise sum
 of ``values`` at the lane's positions over the k position rows of the block
 (numpy's ``pairwise_sum``, so also numpy's sum of those values as one float
@@ -303,13 +314,42 @@ def _terms(table: np.ndarray, block: np.ndarray, weights, rows) -> np.ndarray:
 def shuffled(pos: np.ndarray, k: int, reduce, lanes) -> tuple[np.ndarray, int]:
     """The kernel that permutes: ``reduce(block)`` for every lane, where the
     block is ``shuffle_block(pos, ...)`` after the lanes' min(k, n - 1)
-    steps, and no redraws.  After one draw table for all lanes, blocks are
-    built and reduced for sub-blocks of ``chunk_lanes(n)`` lanes, each
-    released before the next is built."""
-    table = draw_table(lanes, shuffle_steps(pos.size, k))
+    steps, and no redraws.  Where the lanes' one draw table allows no more
+    distinct sequences than lanes, each sequence is reduced once (module
+    docstring).  Blocks are built and reduced for sub-blocks of
+    ``chunk_lanes(n)`` columns, each released before the next is built."""
+    ns = shuffle_steps(pos.size, k)
+    table = draw_table(lanes, ns)
+    count = _sequence_count(ns, lanes.count)
+    if count is None:
+        return _reduced(pos, table, reduce), 0
+    every = np.empty((len(ns), count), dtype=table.dtype)  # column c: sequence c
+    stride, index = count, np.zeros(lanes.count, dtype=np.intp)
+    for n, row, draws in zip(ns, every, table):
+        stride //= n
+        row[:] = np.arange(count) // stride % n
+        index *= n
+        index += draws
+    return np.take(_reduced(pos, every, reduce), index, axis=-1), 0
+
+
+def _sequence_count(ns, cap: int) -> int | None:
+    """How many draw sequences the ranges ``ns`` allow, their product, or
+    None as soon as it passes ``cap``."""
+    count = 1
+    for n in ns:
+        count *= n
+        if count > cap:
+            return None
+    return count
+
+
+def _reduced(pos: np.ndarray, table: np.ndarray, reduce) -> np.ndarray:
+    """``reduce(shuffle_block(pos, table))``, a sub-block of
+    ``chunk_lanes(pos.size)`` columns of ``table`` at a time."""
     size = chunk_lanes(pos.size)
-    starts = range(0, lanes.count, size)
-    return np.concatenate([reduce(shuffle_block(pos, table[:, s : s + size])) for s in starts], axis=-1), 0
+    starts = range(0, table.shape[1], size)
+    return np.concatenate([reduce(shuffle_block(pos, table[:, s : s + size])) for s in starts], axis=-1)
 
 
 def drawn(n: int, reduce, grouped: bool, lanes) -> tuple[np.ndarray, int]:

@@ -231,15 +231,22 @@ def check_shuffle_test(data, statistic: str | None, count: int, sidedness: str, 
     return statistic, bin_width, k
 
 
-def check_bootstrap(data, statistic: str | None, count: int, level=0.95, thresholds=(), tail_direction="ge",
-                    scale_bounds=None, bin_width=DEFAULT_BIN_WIDTH) -> str:
-    """The checks of ``resampling.bootstrap`` and ``bootstrap_report``; returns the statistic."""
+def check_report(level, thresholds, tail_direction, scale_bounds, bin_width) -> None:
+    """The checks of ``resampling.bootstrap_report``'s own options, the ones
+    ``bootstrap`` does not take."""
     check_level(level)
     _check_tail_direction(tail_direction)
     check_scale_bounds(scale_bounds)
     check_bin_width(bin_width)
     for t in thresholds:
         check_finite(threshold=t)
+
+
+def check_bootstrap(data, statistic: str | None, count: int, level=0.95, thresholds=(), tail_direction="ge",
+                    scale_bounds=None, bin_width=DEFAULT_BIN_WIDTH) -> str:
+    """The checks of ``resampling.bootstrap_report``: ``check_report``, then
+    those of ``bootstrap``; returns the statistic."""
+    check_report(level, thresholds, tail_direction, scale_bounds, bin_width)
     statistic = _resolve("bootstrap", data, statistic, Sample, GroupedSample)
     check_count("n_resamples", count)
     check_run(count, data.n, data.n)

@@ -591,6 +591,20 @@ def test_report_options_are_refused_before_any_replicate_is_drawn(monkeypatch, c
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("data", [VEG9, VEG6], ids=["one-sample", "two-group"])
+def test_bootstrap_report_resolves_its_data_once(monkeypatch, data):
+    # Each resolve is a pass of check_magnitude over every value.
+    resolve, callers = spec._resolve, []
+
+    def spy(caller, *args):
+        callers.append(caller)
+        return resolve(caller, *args)
+
+    monkeypatch.setattr(spec, "_resolve", spy)
+    bootstrap_report(data, n_resamples=50, thresholds=[50], scale_bounds=(-100, 100))
+    assert callers == ["bootstrap"]
+
+
 @pytest.mark.parametrize(
     "call, got",
     [(lambda: bootstrap(VEG9, n_resamples=0), 0), (lambda: shuffle_test(VEG6, n_resamples=-1), -1)],
