@@ -58,6 +58,7 @@ from .spec import (
     check_count,
     check_level,
     check_poll,
+    check_report,
     check_shuffle_test,
     exact_shuffle_p,
 )
@@ -262,9 +263,8 @@ def _cmd_shuffle_test(args, rep: Report) -> Report:
 def _cmd_bootstrap(args, rep: Report) -> Report:
     data = _load_input(rep, args.fixture, args.data, _parse_csv, args.value_column, args.group_column)
     bounds = _pair(args.bounds, "--bounds") if args.bounds else None
-    check_bootstrap(
-        data, args.stat, args.n, args.level, args.threshold, args.tail_direction, bounds, args.bin_width
-    )
+    check_report(args.n, args.level, args.threshold, args.tail_direction, bounds, args.bin_width)
+    check_bootstrap(data, args.stat, args.n)
     from .resampling import bootstrap_report
 
     result = bootstrap_report(
@@ -477,7 +477,7 @@ INPUT = ("--fixture", "--data", "--value-column")
 SIGNED = ("--ci", "--bounds", "--estimate", "--null", "--threshold")
 # Namespace entries that are no manifest options: the seed and the input have
 # manifest lines of their own, and the rest are the parser's bookkeeping.
-NOT_OPTIONS = {"seed", "fixture", "data", "command", "func", "replicates_option"}
+NOT_OPTIONS = {"seed", "fixture", "data", "command", "func", "replicates_option", "reports_interval"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -493,15 +493,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def subcommand(name, handler, help, *shared, replicates=None):
+    def subcommand(name, handler, help, *shared, replicates=None, interval=False):
         """Adds a subcommand with --format and the ``shared`` options, whose
-        replicate count is the option ``replicates``; returns its
-        ``add_argument`` for the options of its own."""
+        replicate count is the option ``replicates`` and whose report prints
+        a percentile interval if ``interval``; returns its ``add_argument``
+        for the options of its own."""
         sp = sub.add_parser(name, help=help, allow_abbrev=False)
         for option in shared:
             sp.add_argument(option, **SHARED[option])
         sp.add_argument("--format", choices=("text", "csv"), default="text")
-        sp.set_defaults(func=handler, replicates_option=replicates)
+        sp.set_defaults(func=handler, replicates_option=replicates, reports_interval=interval)
         return sp.add_argument
 
     add = subcommand(
@@ -519,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add = subcommand(
         "bootstrap", _cmd_bootstrap, "resample rows with replacement for a confidence distribution",
-        *INPUT, "--group-column", "--n", "--seed", "--level", "--out", replicates="n",
+        *INPUT, "--group-column", "--n", "--seed", "--level", "--out", replicates="n", interval=True,
     )
     add("--stat", choices=(STAT_MEAN, *GROUP_STATS))
     add("--threshold", type=finite_number, action="append", default=[],
@@ -561,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add = subcommand(
         "poll", _cmd_poll, "simulate opinion polls from a 0/1 population",
-        *INPUT, "--seed", "--level", replicates="polls",
+        *INPUT, "--seed", "--level", replicates="polls", interval=True,
     )
     add("--sample-size", type=int, required=True)
     add("--mode", choices=("with", "without"), default="without")
@@ -596,7 +597,7 @@ def main(argv=None) -> int:
         replicates = None
         if args.replicates_option:
             replicates = getattr(args, args.replicates_option)
-            check_count(f"--{args.replicates_option}", replicates)
+            check_count(f"--{args.replicates_option}", replicates, args.reports_interval)
         options = " ".join(
             f"{key.replace('_', '-')}={_text(value, repr)}"
             for key, value in sorted(vars(args).items()) if key not in NOT_OPTIONS

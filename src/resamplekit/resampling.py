@@ -10,6 +10,21 @@ values at those positions through ``rng.lane_sums``, which sums each lane on
 its own in numpy's order for a C-contiguous row, so no block size changes a
 value, not even the float summation order.
 
+Summaries of a run (the histogram, tail shares, a shuffle test's hits, and
+the diagnostics' mean, moments and out-of-bounds share) read its values
+through ``_walk``, a slice of at most ``spec.SUMMARY_SLICE`` values (256 KB)
+at a time, so their temporaries are the size of a slice, not of the run.
+Counts add up exactly over slices.  Sums keep every bit because numpy's sum
+of a contiguous float64 array is the pairwise tree that the ``rng``
+docstring writes out, and a subtree is the same rule on a contiguous span:
+the walk cuts the run where the tree cuts it (in halves at multiples of 8,
+never a span of ``spec.PAIRWISE_BLOCK`` values or fewer), sums each slice
+with numpy and adds the sums back up the tree (Higham, "The accuracy of
+floating point summation", SIAM J. Sci. Comput., 1993).  Only the interval
+and the median sort a whole copy, one after the other.  Summaries refuse
+NaN and infinities, which they find in the minimum and maximum or the
+sorted ends that they read anyway.
+
 p-values count ties inclusively: two-sided p = #{|T*| >= |T_obs|} / N,
 one-sided variants count T* >= T_obs (or <=).  The statistic table, these
 rules and the exact shuffle p are in ``spec``, which needs no numpy.
@@ -24,11 +39,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
+from . import rng, spec
 from .data import GroupedSample, PairedSample, Sample
 from .spec import (
     DEFAULT_BIN_WIDTH,
     DEFAULT_REPLICATES,
+    INTERVAL_VALUES,
     STAT_CORRELATION,
     STAT_MEAN,
     STATISTICS,
@@ -76,17 +92,23 @@ class Histogram:
         # A width of at least `fit` gives at most MAX_BINS bins, with bin
         # indexes below 2**62 so that they fit int64.
         vmin, vmax = float(v.min()), float(v.max())
+        _check_ends(v, vmin, vmax)
         fit = max((vmax - vmin) / (MAX_BINS - 1), max(-vmin, vmax) / 2**61)
         if bin_width < fit:
             raise ValueError(
                 f"bin width {bin_width:g} gives too many bins for these values "
                 f"(limit {MAX_BINS}); use a width of at least {fit * 1.01:.3g}"
             )
-        k = np.floor(v / bin_width + 0.5).astype(np.int64)
-        lo, hi = int(k.min()), int(k.max())
-        counts = np.bincount(k - lo, minlength=hi - lo + 1)
+
+        def bins(s):
+            return np.floor(s / bin_width + 0.5).astype(np.int64)
+
+        # A bin index never falls as v rises, so vmin's and vmax's bins are
+        # the first and the last.
+        lo, hi = bins(np.array([vmin, vmax])).tolist()
+        counts = _walk(v, lambda s: np.bincount(bins(s) - lo, minlength=hi - lo + 1))
         centers = tuple(float(i * bin_width) for i in range(lo, hi + 1))
-        return cls(bin_width=float(bin_width), centers=centers, counts=tuple(int(c) for c in counts))
+        return cls(bin_width=float(bin_width), centers=centers, counts=tuple(counts.tolist()))
 
     @property
     def total(self) -> int:
@@ -311,7 +333,7 @@ def shuffle_test(
     dist = ResampleDistribution(
         replicates, observed, statistic, "without-replacement", n_resamples, seed, data.n
     )
-    hits = np.count_nonzero(_at_least_as_extreme(dist.array, observed, sidedness))
+    hits = _walk(dist.array, lambda s: np.count_nonzero(_at_least_as_extreme(s, observed, sidedness)))
     histogram = Histogram.from_values(dist.array, bin_width)
     return TestReport(dist, hits / n_resamples, sidedness, histogram, _describe(data, statistic))
 
@@ -382,6 +404,32 @@ def _values_array(dist) -> np.ndarray:
     return np.asarray(dist, dtype=float)
 
 
+def _walk(v: np.ndarray, leaf, lo: int = 0, hi: int | None = None):
+    """The sum of ``leaf`` of each slice of v[lo:hi], added back up numpy's
+    pairwise tree (module docstring).
+
+    A span of k values, more than ``spec.SUMMARY_SLICE`` and more than the
+    ``spec.PAIRWISE_BLOCK`` that numpy's pairwise sum adds in running sums,
+    is cut where that sum cuts it, after its first (k // 2) // 8 * 8
+    values.  So where ``leaf`` returns its slice's sums, the walk returns
+    v's sums bit for bit; counts add up exactly in any order."""
+    hi = v.size if hi is None else hi
+    k = hi - lo
+    if k <= max(spec.SUMMARY_SLICE, spec.PAIRWISE_BLOCK):
+        return leaf(v[lo:hi])
+    mid = lo + k // 2 // 8 * 8
+    return _walk(v, leaf, lo, mid) + _walk(v, leaf, mid, hi)
+
+
+def _check_ends(v: np.ndarray, low: float, high: float) -> None:
+    """Raise ValueError, counting v's values that are not finite, unless
+    ``low`` and ``high`` are finite: v's minimum and maximum, or its sorted
+    ends, as the caller read them (both carry NaN, which sorts last)."""
+    if not (math.isfinite(low) and math.isfinite(high)):
+        bad = v.size - np.count_nonzero(np.isfinite(v))
+        raise ValueError(f"{bad} of {v.size} values are NaN or infinite; summaries need finite values")
+
+
 def _sorted_percentile(s: np.ndarray, q: float) -> float:
     pos = q * (s.size - 1)
     i = int(math.floor(pos))
@@ -395,10 +443,11 @@ def percentile_interval(dist, level: float = 0.95) -> tuple[float, float]:
     """Equal-tailed interval: the (1-level)/2 and 1-(1-level)/2 percentiles."""
     check_level(level)
     v = _values_array(dist)
-    if v.size < 2:
+    if v.size < INTERVAL_VALUES:
         raise ValueError("need at least two values for an interval")
     alpha = (1 - level) / 2
     s = np.sort(v)
+    _check_ends(s, s[0], s[-1])
     return _sorted_percentile(s, alpha), _sorted_percentile(s, 1 - alpha)
 
 
@@ -407,7 +456,13 @@ def tail_probability(dist, threshold: float, direction: str = "ge") -> float:
     _check_tail_direction(direction)
     check_finite(threshold=threshold)
     v = _values_array(dist)
-    return float(np.count_nonzero(v >= threshold if direction == "ge" else v > threshold) / v.size)
+    beyond = np.greater_equal if direction == "ge" else np.greater
+
+    def count(s):
+        _check_ends(v, s.min(), s.max())
+        return np.count_nonzero(beyond(s, threshold))
+
+    return float(_walk(v, count) / v.size)
 
 
 def _median(v: np.ndarray) -> float:
@@ -419,18 +474,22 @@ def _median(v: np.ndarray) -> float:
 
 
 def _central_moments(v: np.ndarray, e: int) -> tuple[float, float, float]:
-    """The mean of v and the second and third moments of v about it, in one
-    pass over v - mean, all taken on v scaled by 2^-e, which is exact.
+    """The mean of v and the second and third moments of v about it, all
+    taken on v scaled by 2^-e, which is exact: the mean in one walk, the
+    moments in a second over v - mean.  Each is numpy's mean of the whole
+    array, bit for bit (``_walk``)."""
+    mu = _walk(v, lambda s: np.ldexp(s, -e).sum()) / v.size
 
-    A helper, so that its two temporaries of v's size are gone before
-    ``diagnostics`` builds the next one."""
-    d = np.ldexp(v, -e)
-    mu = float(d.mean())
-    d -= mu
-    d2 = d * d
-    m2 = float(d2.mean())
-    d2 *= d
-    return mu, m2, float(d2.mean())
+    def powers(s):
+        d = np.ldexp(s, -e)
+        d -= mu
+        d2 = d * d
+        m2 = d2.sum()
+        d2 *= d
+        return np.array([m2, d2.sum()])
+
+    m2, m3 = (_walk(v, powers) / v.size).tolist()
+    return float(mu), m2, m3
 
 
 def diagnostics(
@@ -444,10 +503,12 @@ def diagnostics(
     and whether the source sample is small.
     """
     v = dist.array
+    low, high = float(v.min()), float(v.max())
+    _check_ends(v, low, high)
     # e is 0 while |v| lies within 2^±256, so ordinary moments are unscaled;
     # beyond, v is scaled to that edge, where the cubes of v - mean and the
     # sums of N of them neither overflow nor underflow.
-    exponent = math.frexp(max(-float(v.min()), float(v.max())))[1]
+    exponent = math.frexp(max(-low, high))[1]
     e = exponent - min(256, max(-256, exponent))
     mu, m2, m3 = _central_moments(v, e)
     mu = math.ldexp(mu, e)
@@ -461,8 +522,13 @@ def diagnostics(
     if scale_bounds is not None:
         check_scale_bounds(scale_bounds)
         lo, hi = float(scale_bounds[0]), float(scale_bounds[1])
-        reflected = 2.0 * dist.observed - v
-        oob = float(np.count_nonzero((reflected < lo) | (reflected > hi)) / v.size)
+        twice = 2.0 * dist.observed
+
+        def outside(s):
+            reflected = twice - s
+            return np.count_nonzero((reflected < lo) | (reflected > hi))
+
+        oob = float(_walk(v, outside) / v.size)
         bounds_flagged = oob > 0
     small = dist.source_size < SMALL_SAMPLE_SIZE
     notes = []
@@ -509,7 +575,7 @@ def bootstrap_report(
     """Bootstrap plus percentile interval, tail probabilities and diagnostics;
     every option is checked before the first replicate is drawn."""
     thresholds = tuple(thresholds)
-    check_report(level, thresholds, tail_direction, scale_bounds, bin_width)
+    check_report(n_resamples, level, thresholds, tail_direction, scale_bounds, bin_width)
     dist = bootstrap(data, statistic, n_resamples, seed)
     values = dist.array
     return BootstrapReport(

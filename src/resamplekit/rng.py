@@ -90,8 +90,10 @@ sequences than it has lanes (their product, which ``_sequence_count`` stops
 multiplying once it passes the lane count), it lists every sequence once, in
 mixed-radix order (the last step varies fastest, the factorial number
 system), reduces that table, and gives each lane the value at its draws'
-index ((t_0 s_1 + t_1) s_2 + t_2) ...; veg6 has 120 sequences for 43,690
-lanes.  Elsewhere it shuffles and reduces every lane.
+index ((t_0 s_1 + t_1) s_2 + t_2) ..., built as the steps are drawn, in
+the same order, with no draw table; veg6 has 120 sequences for 43,690
+lanes.  Elsewhere it draws the block's table of steps, and shuffles and
+reduces every lane.
 
 ``lane_sums(values, block)`` is, for every lane, +0.0 plus the pairwise sum
 of ``values`` at the lane's positions over the k position rows of the block
@@ -120,13 +122,13 @@ their values in lane order into one output array and sums the redraws.  ``Scalar
 Memory is bounded at two levels, for rows of n values, and each is split by
 one function of ``spec``, where the sizing is integer arithmetic.
 ``run_chunks`` splits the run into blocks of ``block_lanes(n)`` lanes, and a
-kernel draws its whole table for the block at once, so numpy's per-call cost
-of ``below`` is spread over many lanes; past CHUNK_ELEMENTS // CHUNK_FLOOR
-rows that is 8 // ``position_bytes(n)`` times CHUNK_FLOOR lanes (4096 for
-int16), so a table takes the bytes of a float64 row matrix of CHUNK_FLOOR
-lanes.  ``shuffled`` splits a block into
-sub-blocks of ``chunk_lanes(n)`` lanes of row state (a shuffle's positions),
-each built, reduced and released before the next is built.  Reducers get a
+kernel that draws a table draws it for the whole block at once, so numpy's
+per-call cost of ``below`` is spread over many lanes; past CHUNK_ELEMENTS //
+CHUNK_FLOOR rows that is 8 // ``position_bytes(n)`` times CHUNK_FLOOR lanes
+(4096 for int16), so a table takes the bytes of a float64 row matrix of
+CHUNK_FLOOR lanes.  ``shuffled`` splits a block into sub-blocks of
+``chunk_lanes(n)`` lanes of row state (a shuffle's positions), each built,
+reduced and released before the next is built.  Reducers get a
 whole block (``drawn``) or sub-block (``shuffled``), and ``lane_sums`` reads
 it 8 position rows of every lane at a time.  Nothing here refuses a run:
 each procedure passes its check in ``spec`` before the first block.
@@ -144,7 +146,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spec import block_lanes, chunk_lanes, position_bytes, shuffle_steps
+from .spec import PAIRWISE_BLOCK, block_lanes, chunk_lanes, position_bytes, shuffle_steps
 
 _MASK64 = (1 << 64) - 1
 _SPAN = 1 << 64
@@ -155,8 +157,6 @@ _MIX_C2 = 0x94D049BB133111EB
 # below() accepts 1 <= n < 2**63 so results always fit a signed 64-bit int.
 _MAX_BELOW = 1 << 63
 
-# The spec's pairwise sum (lane_sums) adds at most this many rows in running sums.
-_PAIRWISE_BLOCK = 128
 # Redraw rounds of a grouped ``drawn`` before it gives up.
 _MAX_REDRAW_ROUNDS = 10_000
 
@@ -286,7 +286,7 @@ def lane_sums(values: np.ndarray, block: np.ndarray, weights: np.ndarray | None 
 def _pairwise(table: np.ndarray, block: np.ndarray, weights, lo: int, hi: int) -> np.ndarray:
     """The pairwise sum over position rows lo..hi-1, per value row and lane."""
     k = hi - lo
-    if k > _PAIRWISE_BLOCK:
+    if k > PAIRWISE_BLOCK:
         mid = lo + k // 2 // 8 * 8
         return _pairwise(table, block, weights, lo, mid) + _pairwise(table, block, weights, mid, hi)
     if k < 8:
@@ -314,22 +314,22 @@ def _terms(table: np.ndarray, block: np.ndarray, weights, rows) -> np.ndarray:
 def shuffled(pos: np.ndarray, k: int, reduce, lanes) -> tuple[np.ndarray, int]:
     """The kernel that permutes: ``reduce(block)`` for every lane, where the
     block is ``shuffle_block(pos, ...)`` after the lanes' min(k, n - 1)
-    steps, and no redraws.  Where the lanes' one draw table allows no more
-    distinct sequences than lanes, each sequence is reduced once (module
+    steps, and no redraws.  Where the steps allow no more distinct sequences
+    than lanes, each sequence is reduced once and each lane's index is built
+    from its draws one step at a time, with no draw table (module
     docstring).  Blocks are built and reduced for sub-blocks of
     ``chunk_lanes(n)`` columns, each released before the next is built."""
     ns = shuffle_steps(pos.size, k)
-    table = draw_table(lanes, ns)
     count = _sequence_count(ns, lanes.count)
     if count is None:
-        return _reduced(pos, table, reduce), 0
-    every = np.empty((len(ns), count), dtype=table.dtype)  # column c: sequence c
+        return _reduced(pos, draw_table(lanes, ns), reduce), 0
+    every = np.empty((len(ns), count), dtype=position_dtype(pos.size))  # column c: sequence c
     stride, index = count, np.zeros(lanes.count, dtype=np.intp)
-    for n, row, draws in zip(ns, every, table):
+    for n, row in zip(ns, every):
         stride //= n
         row[:] = np.arange(count) // stride % n
         index *= n
-        index += draws
+        index += lanes.below(n)
     return np.take(_reduced(pos, every, reduce), index, axis=-1), 0
 
 

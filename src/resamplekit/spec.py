@@ -73,6 +73,9 @@ EVENTS = ("exactly", "at-least", "at-most")
 POLL_MODES = ("with-replacement", "without-replacement")
 
 DEFAULT_REPLICATES = 1000
+# The fewest values a percentile interval reads, so the fewest replicates of
+# a run that reports one.
+INTERVAL_VALUES = 2
 DEFAULT_BIN_WIDTH = 2.0
 CORRELATION_BIN_WIDTH = 0.05
 
@@ -99,6 +102,13 @@ MAX_TABLE_BYTES = 1 << 28
 # rather than by replicates x row width.
 CHUNK_ELEMENTS = 1 << 18
 CHUNK_FLOOR = 1 << 10
+# The pairwise sum of the spec (``rng.lane_sums``, and numpy's float sums)
+# adds at most this many values in running sums, and halves longer spans.
+PAIRWISE_BLOCK = 128
+# Values per slice of a summary's walk over a run (``resampling._walk``):
+# 2^15 float64 values take 256 KB, so a slice and the temporaries made from
+# it stay in a 2 MB L2 cache.
+SUMMARY_SLICE = 1 << 15
 # The most positions in a shuffle's sub-block: a 10^4-row poll's takes 419
 # lanes, and wide-rows peak RSS reads 57 MB, where glibc mapped each 20.5 MB
 # sub-block of CHUNK_FLOOR lanes fresh (76 MB; numpy 2.4, glibc 2.36).
@@ -169,11 +179,14 @@ def check_scale_bounds(bounds: tuple[float, float] | None) -> None:
         raise ValueError(f"scale bounds must satisfy low < high, got {bounds}")
 
 
-def check_count(option: str, count: int) -> None:
+def check_count(option: str, count: int, interval: bool = False) -> None:
     """Raise ValueError naming ``option`` unless 1 <= ``count`` <=
-    MAX_REPLICATES."""
+    MAX_REPLICATES, and for a run that reports an ``interval``, unless
+    ``count`` is at least INTERVAL_VALUES."""
     if count < 1:
         raise ValueError(f"{option} must be at least 1, got {count}")
+    if interval and count < INTERVAL_VALUES:
+        raise ValueError(f"{option} must be at least {INTERVAL_VALUES} for an interval, got {count}")
     if count > MAX_REPLICATES:
         raise ValueError(f"{option} must be at most {MAX_REPLICATES}, got {count}")
 
@@ -231,9 +244,11 @@ def check_shuffle_test(data, statistic: str | None, count: int, sidedness: str, 
     return statistic, bin_width, k
 
 
-def check_report(level, thresholds, tail_direction, scale_bounds, bin_width) -> None:
+def check_report(count, level, thresholds, tail_direction, scale_bounds, bin_width) -> None:
     """The checks of ``resampling.bootstrap_report``'s own options, the ones
-    ``bootstrap`` does not take."""
+    ``bootstrap`` does not take, and of its count of replicates, of which
+    its interval needs INTERVAL_VALUES."""
+    check_count("n_resamples", count, interval=True)
     check_level(level)
     _check_tail_direction(tail_direction)
     check_scale_bounds(scale_bounds)
@@ -242,11 +257,9 @@ def check_report(level, thresholds, tail_direction, scale_bounds, bin_width) -> 
         check_finite(threshold=t)
 
 
-def check_bootstrap(data, statistic: str | None, count: int, level=0.95, thresholds=(), tail_direction="ge",
-                    scale_bounds=None, bin_width=DEFAULT_BIN_WIDTH) -> str:
-    """The checks of ``resampling.bootstrap_report``: ``check_report``, then
-    those of ``bootstrap``; returns the statistic."""
-    check_report(level, thresholds, tail_direction, scale_bounds, bin_width)
+def check_bootstrap(data, statistic: str | None, count: int) -> str:
+    """The checks of ``resampling.bootstrap``; returns the statistic.  A
+    report runs ``check_report`` first."""
     statistic = _resolve("bootstrap", data, statistic, Sample, GroupedSample)
     check_count("n_resamples", count)
     check_run(count, data.n, data.n)

@@ -844,6 +844,22 @@ def test_counts_below_one_are_refused_by_name_before_numpy_is_imported(argv, opt
     assert (proc.returncode, proc.stderr, proc.stdout) == (1, f"error: {option} must be at least 1, got {got}\n", "False\n")
 
 
+# A report's interval needs two values, so bootstrap and poll refuse one
+# replicate by its option, before numpy is imported and anything is drawn.
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("bootstrap", "--fixture", "veg9", "--n", "1"), "--n"),
+        (("poll", "--fixture", "poll500", "--sample-size", "20", "--polls", "1"), "--polls"),
+    ],
+    ids=["bootstrap", "poll"],
+)
+def test_reports_of_one_replicate_are_refused_by_name_before_numpy_is_imported(argv, option):
+    proc = _numpy_free_run(argv)
+    message = f"error: {option} must be at least 2 for an interval, got 1\n"
+    assert (proc.returncode, proc.stderr, proc.stdout) == (1, message, "False\n")
+
+
 def _address_space_of_2gb():
     resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
 
