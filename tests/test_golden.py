@@ -73,6 +73,20 @@ README_PINS = {
     "fixtures": "24128378a38aec24e3736e88e283d2b3ec2fe0fd9539e7d7e5f45c38bb64976e",
 }
 
+# The same command lines with --format csv appended.
+README_CSV_PINS = {
+    "shuffle-test --fixture veg6 --stat mean-diff --exact": "9cac1c7f119db0a95f401fc54fc5aaae7596344aed8e53c319d67cb031462804",
+    "shuffle-test --fixture veg6 --stat mean-diff --n 100000 --seed 0": "b64cb7b8996db1c54a19a9778c2f0845fb18703520b2b531ee06db35f0eb6974",
+    "bootstrap --fixture veg9 --threshold 50 --bounds 0,100": "e45cc72c0fc0565be93051b478f4a768730774b46c0068c23e88d1a597fe987f",
+    'clip --ci 49,72 --query "gt 50"': "a44412f94e9ed08da03c179b701a8b3359742b02971820469205a037fc613594",
+    'clip --p 0.04 --estimate 0.88 --null 1 --query "lt 1"': "52a3c5ace9900a50613f4ea61f18288069522c50e370ea52d4778590d5296714",
+    "clip --two-by-two 4,6,8,2": "5d2fccd2af2238403ff91e599030d9b4029c0f4e448e8f153d298ab3cea6540a",
+    "bayes --hypothesis guessing:3/4:1/50 --hypothesis telepathy:1/4:1 --worlds --update 1/50,1": "f34bbae901cca5021b78ff0c3be54b5bf465f9f79895ef622e91d455c2eb2b55",
+    "montecarlo --trials 8 --prob 1/2 --event exactly --count 4 --runs 1000": "3f204ed351d2db64e79bcabae66b3fee9dfe81fe134ce7b095b662080ea55c75",
+    "poll --fixture poll500 --sample-size 20 --polls 1000": "3fedf344c5808ea8582762293bdbd2df897c7894110db30a70c84948eea6df67",
+    "fixtures": "df8e7a0bdbcdf1c484e150579e58fb682bfc8d482b96f61a00994b365567c380",
+}
+
 # Runs that no README line covers: a paired correlation test on integer data
 # (read from a file, so the manifest digest is pinned too) and a grouped
 # bootstrap in csv format.
@@ -124,6 +138,14 @@ def test_readme_command_lines_are_the_pinned_ones():
 def test_readme_command_stdout(line, capsys, monkeypatch):
     monkeypatch.delenv("RESAMPLE_SEED", raising=False)
     assert sha256(cli_stdout(shlex.split(line), capsys)) == README_PINS[line]
+
+
+@pytest.mark.parametrize("line", list(README_CSV_PINS))
+def test_readme_command_csv_stdout(line, capsys, monkeypatch):
+    assert list(README_CSV_PINS) == list(README_PINS)
+    monkeypatch.delenv("RESAMPLE_SEED", raising=False)
+    argv = shlex.split(line) + ["--format", "csv"]
+    assert sha256(cli_stdout(argv, capsys)) == README_CSV_PINS[line]
 
 
 @pytest.mark.parametrize("name", list(EXTRA_CLI))
