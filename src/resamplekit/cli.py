@@ -177,11 +177,9 @@ class Report:
         self.csv_rows: list[str] = []
         self.histogram = None
 
-    def add(self, line: str = "") -> None:
+    def add(self, line: str = "", /, **rows) -> None:
         self.lines.append(line)
-
-    def csv(self, key: str, value) -> None:
-        self.csv_rows.append(f"{key},{_text(value)}")
+        self.csv_rows += (f"{key},{_text(value)}" for key, value in rows.items())
 
     def manifest_items(self) -> list[tuple[str, str]]:
         return [
@@ -238,12 +236,9 @@ def _cmd_shuffle_test(args, rep: Report) -> Report:
         rep.seed = None
         obs = observed_statistic(data, args.stat)
         rep.add(f"shuffle test ({args.stat}), exact enumeration")
-        rep.add(f"  observed {args.stat}: {_fmt(obs)}")
-        rep.add(f"  {P_VALUE_LABEL}: {_fmt(float(p))} = {p}")
+        rep.add(f"  observed {args.stat}: {_fmt(obs)}", observed=obs)
+        rep.add(f"  {P_VALUE_LABEL}: {_fmt(float(p))} = {p}", p_value=float(p), p_value_exact=p)
         rep.add(f"  {hits} of all {total} group assignments were at least this extreme")
-        rep.csv("observed", obs)
-        rep.csv("p_value", float(p))
-        rep.csv("p_value_exact", p)
         return rep
 
     check_shuffle_test(data, args.stat, args.n, args.sidedness, args.bin_width)
@@ -252,11 +247,10 @@ def _cmd_shuffle_test(args, rep: Report) -> Report:
     result = shuffle_test(data, args.stat, args.n, rep.seed, args.sidedness, args.bin_width)
     rep.histogram = result.histogram
     rep.add(f"shuffle test ({result.statistic}), {result.sidedness}")
-    rep.add(f"  observed {result.statistic} ({result.description}): {_fmt(result.observed)}")
-    rep.add(f"  {P_VALUE_LABEL}: {_fmt(result.p_value)}")
+    rep.add(f"  observed {result.statistic} ({result.description}): {_fmt(result.observed)}",
+            observed=result.observed)
+    rep.add(f"  {P_VALUE_LABEL}: {_fmt(result.p_value)}", p_value=result.p_value)
     rep.add(f"  resamples: {result.n_resamples} without replacement, seed {result.seed}")
-    rep.csv("observed", result.observed)
-    rep.csv("p_value", result.p_value)
     return rep
 
 
@@ -276,32 +270,29 @@ def _cmd_bootstrap(args, rep: Report) -> Report:
 
     rep.add(f"bootstrap ({dist.statistic})")
     detail = f" ({result.description})" if result.description != dist.statistic else ""
-    rep.add(f"  observed {dist.statistic}{detail}: {_fmt(dist.observed)}")
+    rep.add(f"  observed {dist.statistic}{detail}: {_fmt(dist.observed)}", observed=dist.observed)
     lo, hi = result.interval
-    rep.add(f"  {_percent(args.level)} percentile interval: {_fmt(lo)} to {_fmt(hi)}")
+    rep.add(f"  {_percent(args.level)} percentile interval: {_fmt(lo)} to {_fmt(hi)}",
+            interval_low=lo, interval_high=hi)
     sign = ">=" if args.tail_direction == "ge" else ">"
     for threshold, prob in result.tail_probabilities:
         rep.add(
             f"  tentative probability that the population {result.description} "
-            f"{sign} {_fmt(threshold)}: {_fmt(prob)}"
+            f"{sign} {_fmt(threshold)}: {_fmt(prob)}",
+            **{f"tail_{sign}_{_fmt(threshold)}": prob},
         )
     rep.add(f"  resamples: {dist.n_resamples} with replacement, seed {dist.seed}")
     if dist.redraw_count:
         rep.add(f"  replicates redrawn (one group vanished): {dist.redraw_count}")
     diag = result.diagnostics
-    rep.add(f"  diagnostics: skewness {_fmt(diag.skewness)}, |mean-median|/sd {_fmt(diag.mean_median_gap)}")
+    oob = diag.out_of_bounds_fraction
+    rep.add(
+        f"  diagnostics: skewness {_fmt(diag.skewness)}, |mean-median|/sd {_fmt(diag.mean_median_gap)}",
+        skewness=diag.skewness, skew_flagged=diag.skew_flagged,
+        **({} if oob is None else {"out_of_bounds_fraction": oob}), redraws=dist.redraw_count,
+    )
     for note in diag.notes:
         rep.add(f"  note: {note}")
-    rep.csv("observed", dist.observed)
-    rep.csv("interval_low", lo)
-    rep.csv("interval_high", hi)
-    for threshold, prob in result.tail_probabilities:
-        rep.csv(f"tail_{sign}_{_fmt(threshold)}", prob)
-    rep.csv("skewness", diag.skewness)
-    rep.csv("skew_flagged", diag.skew_flagged)
-    if diag.out_of_bounds_fraction is not None:
-        rep.csv("out_of_bounds_fraction", diag.out_of_bounds_fraction)
-    rep.csv("redraws", dist.redraw_count)
     return rep
 
 
@@ -312,8 +303,7 @@ def _cmd_clip(args, rep: Report) -> Report:
         table = TwoByTwo(*counts)
         rep.add(f"2x2 table: {counts[0]}/{counts[1]} events/non-events vs {counts[2]}/{counts[3]}")
         for name, ratio in (("odds", odds_ratio(table)), ("risk", risk_ratio(table))):
-            rep.add(f"  {name} ratio: {_fmt(ratio)}")
-            rep.csv(f"{name}_ratio", ratio)
+            rep.add(f"  {name} ratio: {_fmt(ratio)}", **{f"{name}_ratio": ratio})
         return rep
 
     family, df = args.family, args.df
@@ -333,15 +323,14 @@ def _cmd_clip(args, rep: Report) -> Report:
 
     rep.add(f"calibrated {family} model from {source}")
     scale_note = " on ln(theta)" if dist.log_scale else ""
-    rep.add(f"  center {_fmt(dist.center)}, scale {_fmt(dist.se)}{scale_note}")
+    rep.add(f"  center {_fmt(dist.center)}, scale {_fmt(dist.se)}{scale_note}",
+            center=dist.center, scale=dist.se)
     for note in dist.notes:
         rep.add(f"  note: {note}")
-    rep.csv("center", dist.center)
-    rep.csv("scale", dist.se)
     for query in args.query:
         prob = probability_query(dist, query)
-        rep.add(f"  tentative probability of theta {query}: {_fmt(prob)}")
-        rep.csv(f"query {query}".replace(",", ";"), prob)
+        rep.add(f"  tentative probability of theta {query}: {_fmt(prob)}",
+                **{f"query {query}".replace(",", ";"): prob})
     return rep
 
 
@@ -353,10 +342,8 @@ def _cmd_bayes(args, rep: Report) -> Report:
         for name in ("both", "first only", "second only", "neither"):
             key = name.replace(" ", "_")
             value = getattr(grid, key)
-            rep.add(f"  {name}: {value} = {float(value):.4g}")
-            rep.csv(key, value)
-        rep.add(f"  second stage overall: {grid.second} = {float(grid.second):.4g}")
-        rep.csv("second_overall", grid.second)
+            rep.add(f"  {name}: {value} = {float(value):.4g}", **{key: value})
+        rep.add(f"  second stage overall: {grid.second} = {float(grid.second):.4g}", second_overall=grid.second)
         return rep
 
     if not args.hypothesis:
@@ -373,8 +360,7 @@ def _cmd_bayes(args, rep: Report) -> Report:
         rep.add(render_worlds(hset).render())
     rep.add("posterior probabilities (exact):")
     for name, prob in posterior(hset):
-        rep.add(f"  {name}: {prob} = {float(prob):.4g}")
-        rep.csv(f"posterior_{name}", prob)
+        rep.add(f"  {name}: {prob} = {float(prob):.4g}", **{f"posterior_{name}": prob})
     current = hset
     count = len(hset.hypotheses)
     for round_no, update_str in enumerate(args.update, start=1):
@@ -382,8 +368,7 @@ def _cmd_bayes(args, rep: Report) -> Report:
         current = sequential_update(current, _split(update_str, count, usage))
         rep.add(f"after evidence round {round_no} (likelihoods {update_str}):")
         for name, prob in posterior(current):
-            rep.add(f"  {name}: {prob} = {float(prob):.4g}")
-            rep.csv(f"round{round_no}_{name}", prob)
+            rep.add(f"  {name}: {prob} = {float(prob):.4g}", **{f"round{round_no}_{name}": prob})
     return rep
 
 
@@ -399,11 +384,10 @@ def _cmd_montecarlo(args, rep: Report) -> Report:
         f"bernoulli experiment: {args.trials} trials at success probability "
         f"{experiment.success_probability}, event '{args.event} {args.count}'"
     )
-    rep.add(f"  simulated probability over {args.runs} runs (seed {rep.seed}): {_fmt(estimate)}")
-    rep.add(f"  exact probability: {exact} = {_fmt(float(exact))}")
+    rep.add(f"  simulated probability over {args.runs} runs (seed {rep.seed}): {_fmt(estimate)}",
+            estimate=estimate)
+    rep.add(f"  exact probability: {exact} = {_fmt(float(exact))}", exact=exact)
     rep.add(f"  simulation error: {_fmt(abs(estimate - float(exact)))}")
-    rep.csv("estimate", estimate)
-    rep.csv("exact", exact)
     return rep
 
 
@@ -421,16 +405,14 @@ def _cmd_poll(args, rep: Report) -> Report:
     lo, hi = result.interval(args.level)
     rep.add(f"{args.polls} simulated polls of {args.sample_size} electors ({mode}) from a population of "
             f"{population.n} (true proportion {_fmt(population.proportion)})")
-    rep.add(f"  poll proportions range: {_fmt(result.minimum)} to {_fmt(result.maximum)}")
+    rep.add(f"  poll proportions range: {_fmt(result.minimum)} to {_fmt(result.maximum)}",
+            minimum=result.minimum, maximum=result.maximum)
     rep.add(
         f"  {_percent(args.level)} of polls fell between {_fmt(lo)} and {_fmt(hi)} "
-        f"(the {_percent((1 - args.level) / 2)} and {_percent(1 - (1 - args.level) / 2)} percentiles)"
+        f"(the {_percent((1 - args.level) / 2)} and {_percent(1 - (1 - args.level) / 2)} percentiles)",
+        interval_low=lo, interval_high=hi,
     )
     rep.add(f"  seed {rep.seed}")
-    rep.csv("minimum", result.minimum)
-    rep.csv("maximum", result.maximum)
-    rep.csv("interval_low", lo)
-    rep.csv("interval_high", hi)
     return rep
 
 
@@ -438,8 +420,7 @@ def _cmd_fixtures(args, rep: Report) -> Report:
     if not args.name:
         rep.add("built-in fixtures:")
         for fixture in fixtures():
-            rep.add(f"  {fixture.name}: {fixture.description}")
-            rep.csv(fixture.name, fixture.description)
+            rep.add(f"  {fixture.name}: {fixture.description}", **{fixture.name: fixture.description})
         return rep
     fixture = get_fixture(args.name)
     rep.add(f"{fixture.name}: {fixture.description}")
