@@ -143,6 +143,16 @@ def _pair(text: str, option: str) -> tuple[float, float]:
     return tuple(_split(text, 2, usage, finite_number))
 
 
+def _refuse_unread(args, option: str, *others: str) -> None:
+    """Refuses each of ``others`` that was given along with ``option``, whose
+    report would leave it unread."""
+    if getattr(args, option[2:].replace("-", "_")):
+        for other in others:
+            value = getattr(args, other[2:].replace("-", "_"))
+            if value is not None and value is not False and value != []:
+                raise ValueError(f"{other} cannot be used with {option}")
+
+
 def _load_input(rep, fixture, data, parse, *columns):
     """The input's payload, named in ``rep.input_id``; a fixture wins over a
     file, and only ``poll`` takes the 0/1 population fixtures.
@@ -165,7 +175,9 @@ def _load_input(rep, fixture, data, parse, *columns):
 
 
 class Report:
-    """Collects body lines, csv rows, the manifest and an optional histogram."""
+    """Collects body lines, csv rows, the manifest and an optional histogram:
+    one ``add`` call per body line, carrying the csv rows of the figures that
+    line shows (a comma in a row's key is written as ";")."""
 
     def __init__(self, command: str, options: str, seed=None, replicates=None):
         self.command = command
@@ -179,7 +191,7 @@ class Report:
 
     def add(self, line: str = "", /, **rows) -> None:
         self.lines.append(line)
-        self.csv_rows += (f"{key},{_text(value)}" for key, value in rows.items())
+        self.csv_rows += (f"{key.replace(',', ';')},{_text(value)}" for key, value in rows.items())
 
     def manifest_items(self) -> list[tuple[str, str]]:
         return [
@@ -215,6 +227,7 @@ class Report:
 
 
 def _cmd_shuffle_test(args, rep: Report) -> Report:
+    _refuse_unread(args, "--exact", "--out", "--bin-width")
     if args.stat == STAT_CORRELATION:
         if not args.data:
             raise ValueError("correlation needs --data with --x-column/--y-column")
@@ -297,6 +310,8 @@ def _cmd_bootstrap(args, rep: Report) -> Report:
 
 
 def _cmd_clip(args, rep: Report) -> Report:
+    _refuse_unread(args, "--two-by-two", "--ci", "--p", "--estimate", "--df", "--log-scale", "--query")
+    _refuse_unread(args, "--ci", "--p")
     if args.two_by_two:
         usage = f"--two-by-two needs four whole-number counts, got {args.two_by_two!r}"
         counts = _split(args.two_by_two, 4, usage, int)
@@ -329,12 +344,12 @@ def _cmd_clip(args, rep: Report) -> Report:
         rep.add(f"  note: {note}")
     for query in args.query:
         prob = probability_query(dist, query)
-        rep.add(f"  tentative probability of theta {query}: {_fmt(prob)}",
-                **{f"query {query}".replace(",", ";"): prob})
+        rep.add(f"  tentative probability of theta {query}: {_fmt(prob)}", **{f"query {query}": prob})
     return rep
 
 
 def _cmd_bayes(args, rep: Report) -> Report:
+    _refuse_unread(args, "--two-stage", "--hypothesis", "--update", "--worlds")
     if args.two_stage:
         usage = "--two-stage needs P_FIRST,P_SECOND_GIVEN_FIRST,P_SECOND_GIVEN_NOT_FIRST"
         grid = two_stage_grid(*_split(args.two_stage, 3, usage))

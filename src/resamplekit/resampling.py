@@ -86,9 +86,7 @@ class Histogram:
     @classmethod
     def from_values(cls, values, bin_width: float = DEFAULT_BIN_WIDTH) -> "Histogram":
         check_bin_width(bin_width)
-        v = np.asarray(values, dtype=float)
-        if v.size == 0:
-            raise ValueError("cannot bin an empty value list")
+        v = _values_array(values)
         # A width of at least `fit` gives at most MAX_BINS bins, with bin
         # indexes below 2**62 so that they fit int64.
         vmin, vmax = float(v.min()), float(v.max())
@@ -399,9 +397,11 @@ def _grouped_resample_diffs(table: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 
 def _values_array(dist) -> np.ndarray:
-    if isinstance(dist, ResampleDistribution):
-        return dist.array
-    return np.asarray(dist, dtype=float)
+    """The values every summary reads, refused when there are none."""
+    v = dist.array if isinstance(dist, ResampleDistribution) else np.asarray(dist, dtype=float)
+    if v.size == 0:
+        raise ValueError("cannot summarize an empty value list")
+    return v
 
 
 def _walk(v: np.ndarray, leaf, lo: int = 0, hi: int | None = None):
@@ -502,7 +502,7 @@ def diagnostics(
     observed value falls outside the measurement scale (flagged when any),
     and whether the source sample is small.
     """
-    v = dist.array
+    v = _values_array(dist)
     low, high = float(v.min()), float(v.max())
     _check_ends(v, low, high)
     # e is 0 while |v| lies within 2^±256, so ordinary moments are unscaled;

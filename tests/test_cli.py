@@ -784,6 +784,9 @@ NUMPY_FREE_ARGVS = [
     ("montecarlo", "--trials", "8", "--prob", "1/0", "--count", "4"),
     ("bootstrap", "--fixture", "veg9", "--bin-width", "nan"),
     ("bootstrap", "--fixture", "veg9", "--n", str(2**64)),
+    ("clip", "--two-by-two", "4,6,8,2", "--format", "csv"),
+    ("bayes", "--hypothesis", "a:1/2:1", "--hypothesis", "b:1/2:1/4", "--format", "csv"),
+    ("fixtures", "--name", "veg6", "--format", "csv"),
 ]
 
 
@@ -966,3 +969,36 @@ def test_subnormal_data_beside_zero_runs_cleanly_on_both_shuffle_paths(capsys, t
         code, out, err = run(capsys, *argv, *(["--exact"] if exact else ["--n", "200"]))
     assert (code, err) == (0, "")
     assert "observed mean-diff" in out and ": 1.665e-321" in out
+
+
+# Options that the report would leave unread: each is refused with one line
+# that names both options, before numpy is imported.
+UNREAD = [
+    (("clip", "--two-by-two", "4,6,8,2", "--query", "gt 1"), "--query cannot be used with --two-by-two"),
+    (("clip", "--two-by-two", "4,6,8,2", "--log-scale"), "--log-scale cannot be used with --two-by-two"),
+    (("clip", "--ci", "1,2", "--p", "0.04", "--estimate", "1.5"), "--p cannot be used with --ci"),
+    (("clip", "--ci", "1,2", "--p", "0"), "--p cannot be used with --ci"),
+    (("bayes", "--two-stage", "1/2,1/2,1/2", "--hypothesis", "a:1:1"), "--hypothesis cannot be used with --two-stage"),
+    (("bayes", "--two-stage", "1/2,1/2,1/2", "--update", "1"), "--update cannot be used with --two-stage"),
+    (("bayes", "--two-stage", "1/2,1/2,1/2", "--worlds"), "--worlds cannot be used with --two-stage"),
+    (("shuffle-test", "--fixture", "veg6", "--exact", "--out", "h.csv"), "--out cannot be used with --exact"),
+    (("shuffle-test", "--fixture", "veg6", "--exact", "--bin-width", "1"), "--bin-width cannot be used with --exact"),
+]
+
+
+@pytest.mark.parametrize("argv, message", UNREAD, ids=[" ".join(argv) for argv, _ in UNREAD])
+def test_options_the_report_would_leave_unread_are_refused_before_numpy_is_imported(
+    monkeypatch, tmp_path, argv, message
+):
+    monkeypatch.chdir(tmp_path)
+    proc = _numpy_free_run(argv)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (1, f"error: {message}\n", "False\n")
+    assert not (tmp_path / "h.csv").exists()
+
+
+def test_a_comma_in_a_csv_key_is_written_as_a_semicolon(capsys):
+    code, out, err = run(capsys, "bayes", "--hypothesis", "a,b:1/2:1", "--hypothesis", "c:1/2:1/2",
+                         "--update", "1,1/3", "--format", "csv")
+    assert code == 0 and err == ""
+    rows = dict(line.split(",", 1) for line in out.splitlines()[6:])
+    assert rows == {"posterior_a;b": "2/3", "posterior_c": "1/3", "round1_a;b": "6/7", "round1_c": "1/7"}

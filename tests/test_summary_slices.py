@@ -186,3 +186,22 @@ def test_a_report_of_one_replicate_is_refused_before_any_draw(monkeypatch):
 def test_runs_that_build_no_interval_still_take_one_replicate():
     assert bootstrap(VEG9, n_resamples=1).array.shape == (1,)
     assert simulate_poll(get_fixture("poll500").payload, 20, n_polls=1).array.shape == (1,)
+
+
+EMPTY_RUN = ResampleDistribution(np.empty(0), 1.5, "mean", "with-replacement", 0, 0, 9)
+
+
+@pytest.mark.parametrize(
+    "summary",
+    [
+        lambda: Histogram.from_values([], 1.0),
+        lambda: percentile_interval([]),
+        lambda: tail_probability([], 1.0),
+        lambda: tail_probability(EMPTY_RUN, 1.0),
+        lambda: diagnostics(EMPTY_RUN),
+    ],
+    ids=["histogram", "interval", "tail", "tail-of-a-run", "diagnostics"],
+)
+def test_summaries_refuse_an_empty_run_by_name(summary):
+    with pytest.raises(ValueError, match="^cannot summarize an empty value list$"):
+        summary()
