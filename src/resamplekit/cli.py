@@ -227,7 +227,7 @@ class Report:
 
 
 def _cmd_shuffle_test(args, rep: Report) -> Report:
-    _refuse_unread(args, "--exact", "--out", "--bin-width")
+    _refuse_unread(args, "--exact", "--out", "--bin-width", "--seed")
     if args.stat == STAT_CORRELATION:
         if not args.data:
             raise ValueError("correlation needs --data with --x-column/--y-column")

@@ -983,6 +983,7 @@ UNREAD = [
     (("bayes", "--two-stage", "1/2,1/2,1/2", "--worlds"), "--worlds cannot be used with --two-stage"),
     (("shuffle-test", "--fixture", "veg6", "--exact", "--out", "h.csv"), "--out cannot be used with --exact"),
     (("shuffle-test", "--fixture", "veg6", "--exact", "--bin-width", "1"), "--bin-width cannot be used with --exact"),
+    (("shuffle-test", "--fixture", "veg6", "--exact", "--seed", "5"), "--seed cannot be used with --exact"),
 ]
 
 
