@@ -143,19 +143,9 @@ def _pair(text: str, option: str) -> tuple[float, float]:
     return tuple(_split(text, 2, usage, finite_number))
 
 
-def _refuse_unread(args, option: str, *others: str) -> None:
-    """Refuses each of ``others`` that was given along with ``option``, whose
-    report would leave it unread."""
-    if getattr(args, option[2:].replace("-", "_")):
-        for other in others:
-            value = getattr(args, other[2:].replace("-", "_"))
-            if value is not None and value is not False and value != []:
-                raise ValueError(f"{other} cannot be used with {option}")
-
-
 def _load_input(rep, fixture, data, parse, *columns):
-    """The input's payload, named in ``rep.input_id``; a fixture wins over a
-    file, and only ``poll`` takes the 0/1 population fixtures.
+    """The input's payload, named in ``rep.input_id``; only ``poll`` takes
+    the 0/1 population fixtures.
 
     The file is read once and the digest is of the bytes ``parse`` analysed,
     so it names the exact input even for pipes and files rewritten mid-run.
@@ -227,7 +217,6 @@ class Report:
 
 
 def _cmd_shuffle_test(args, rep: Report) -> Report:
-    _refuse_unread(args, "--exact", "--out", "--bin-width", "--seed")
     if args.stat == STAT_CORRELATION:
         if not args.data:
             raise ValueError("correlation needs --data with --x-column/--y-column")
@@ -238,8 +227,6 @@ def _cmd_shuffle_test(args, rep: Report) -> Report:
             raise ValueError(f"{args.stat} needs two-group data (pass --group-column with --data)")
 
     if args.exact:
-        if args.stat == STAT_CORRELATION:
-            raise ValueError("--exact supports two-group statistics only")
         p = exact_shuffle_p(data, args.stat, args.sidedness)
         from .resampling import observed_statistic
 
@@ -310,8 +297,6 @@ def _cmd_bootstrap(args, rep: Report) -> Report:
 
 
 def _cmd_clip(args, rep: Report) -> Report:
-    _refuse_unread(args, "--two-by-two", "--ci", "--p", "--estimate", "--df", "--log-scale", "--query")
-    _refuse_unread(args, "--ci", "--p")
     if args.two_by_two:
         usage = f"--two-by-two needs four whole-number counts, got {args.two_by_two!r}"
         counts = _split(args.two_by_two, 4, usage, int)
@@ -349,7 +334,6 @@ def _cmd_clip(args, rep: Report) -> Report:
 
 
 def _cmd_bayes(args, rep: Report) -> Report:
-    _refuse_unread(args, "--two-stage", "--hypothesis", "--update", "--worlds")
     if args.two_stage:
         usage = "--two-stage needs P_FIRST,P_SECOND_GIVEN_FIRST,P_SECOND_GIVEN_NOT_FIRST"
         grid = two_stage_grid(*_split(args.two_stage, 3, usage))
@@ -474,6 +458,22 @@ SIGNED = ("--ci", "--bounds", "--estimate", "--null", "--threshold")
 # Namespace entries that are no manifest options: the seed and the input have
 # manifest lines of their own, and the rest are the parser's bookkeeping.
 NOT_OPTIONS = {"seed", "fixture", "data", "command", "func", "replicates_option", "reports_interval"}
+# What leaves options unread: while a rule holds, ``main`` refuses each option
+# it lists that was typed.  A rule holds "with" an option that was typed or has
+# the parsed value named, and "without" an option that was not typed.
+UNREAD = {
+    "with --exact": "--out --bin-width --seed --n",
+    "with --two-by-two": "--ci --p --estimate --df --log-scale --query --null --family --level",
+    "with --ci": "--p --null",
+    "with --two-stage": "--hypothesis --update --worlds",
+    "with --stat correlation": "--exact --fixture --value-column --group-column",
+    "with --stat mean-diff": "--x-column --y-column",
+    "with --stat proportion-diff": "--x-column --y-column",
+    "with --fixture": "--data --value-column --group-column",
+    "with --p": "--level",
+    "with --family normal": "--df",
+    "without --threshold": "--tail-direction",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -582,10 +582,24 @@ def _attach_signed(argv: list[str]) -> list[str]:
     return out
 
 
+def _refuse_unread(args, argv: list[str]) -> None:
+    """Refuses the first option, in ``UNREAD``'s order, that was typed while a
+    rule listing it holds; ``argv`` holds a typed option as --name or --name=value."""
+    typed = {token.split("=", 1)[0] for token in argv}
+    for rule, options in UNREAD.items():
+        word, key, *value = rule.split()
+        name = key[2:].replace("-", "_")
+        held = getattr(args, name, None) == value[0] if value else (key in typed) == (word == "with")
+        for option in options.split():
+            if held and option in typed:
+                raise ValueError(f"{option} cannot be used {rule}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _attach_signed(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = parser.parse_args(_attach_signed(sys.argv[1:] if argv is None else list(argv)))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
@@ -598,6 +612,7 @@ def main(argv=None) -> int:
             f"{key.replace('_', '-')}={_text(value, repr)}"
             for key, value in sorted(vars(args).items()) if key not in NOT_OPTIONS
         )
+        _refuse_unread(args, argv)
         rep = args.func(args, Report(args.command, options, seed, replicates))
         print(rep.emit(args.format, getattr(args, "out", None)), flush=True)
     except BrokenPipeError:

@@ -96,10 +96,6 @@ class HypothesisSet:
             )
         )
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(h.name for h in self.hypotheses)
-
 
 def posterior(hset: HypothesisSet) -> list[tuple[str, Fraction]]:
     """Exact posteriors: prior*likelihood renormalized; they sum to 1."""

@@ -984,6 +984,22 @@ UNREAD = [
     (("shuffle-test", "--fixture", "veg6", "--exact", "--out", "h.csv"), "--out cannot be used with --exact"),
     (("shuffle-test", "--fixture", "veg6", "--exact", "--bin-width", "1"), "--bin-width cannot be used with --exact"),
     (("shuffle-test", "--fixture", "veg6", "--exact", "--seed", "5"), "--seed cannot be used with --exact"),
+    (("shuffle-test", "--fixture", "veg6", "--x-column", "zz"), "--x-column cannot be used with --stat mean-diff"),
+    (("shuffle-test", "--fixture", "veg6", "--exact", "--n", "77"), "--n cannot be used with --exact"),
+    (("shuffle-test", "--stat", "correlation", "--data", "P.csv", "--value-column", "v"),
+     "--value-column cannot be used with --stat correlation"),
+    (("shuffle-test", "--stat", "correlation", "--data", "P.csv", "--fixture", "veg6"),
+     "--fixture cannot be used with --stat correlation"),
+    (("bootstrap", "--fixture", "veg9", "--group-column", "g"), "--group-column cannot be used with --fixture"),
+    (("bootstrap", "--fixture", "veg9", "--data", "FILE"), "--data cannot be used with --fixture"),
+    (("bootstrap", "--fixture", "veg9", "--tail-direction", "gt"), "--tail-direction cannot be used without --threshold"),
+    (("poll", "--fixture", "poll500", "--sample-size", "20", "--value-column", "zz"),
+     "--value-column cannot be used with --fixture"),
+    (("clip", "--ci", "1,2", "--null", "5"), "--null cannot be used with --ci"),
+    (("clip", "--two-by-two", "4,6,8,2", "--family", "t"), "--family cannot be used with --two-by-two"),
+    (("clip", "--two-by-two", "4,6,8,2", "--level", "0.9"), "--level cannot be used with --two-by-two"),
+    (("clip", "--ci", "1,2", "--df", "5"), "--df cannot be used with --family normal"),
+    (("clip", "--p", "0.04", "--estimate", "1.5", "--level", "0.9"), "--level cannot be used with --p"),
 ]
 
 
@@ -1003,3 +1019,112 @@ def test_a_comma_in_a_csv_key_is_written_as_a_semicolon(capsys):
     assert code == 0 and err == ""
     rows = dict(line.split(",", 1) for line in out.splitlines()[6:])
     assert rows == {"posterior_a;b": "2/3", "posterior_c": "1/3", "round1_a;b": "6/7", "round1_c": "1/7"}
+
+
+def test_a_group_statistic_on_one_sample_data_is_refused_by_the_data_it_needs(capsys):
+    message = "error: mean-diff needs two-group data (pass --group-column with --data)\n"
+    assert run(capsys, "shuffle-test", "--fixture", "veg9") == (1, "", message)
+
+
+def test_a_p_value_without_its_estimate_is_refused(capsys):
+    message = "error: --p needs --estimate (and --null for ratio baselines)\n"
+    assert run(capsys, "clip", "--p", "0.04") == (1, "", message)
+
+
+def test_an_estimate_far_from_the_interval_midpoint_prints_a_note(capsys):
+    code, out, err = run(capsys, "clip", "--ci", "1,2", "--estimate", "1.9")
+    assert (code, err) == (0, "")
+    assert "\n  note: interval midpoint 1.5 is far from the point estimate 1.9 " in out
+
+
+# The parser walk (McKeeman's differential testing, 1998).  In each mode of
+# each subcommand, every option that build_parser() declares is given a
+# valid value other than its default.  The run must print another report
+# body than its twin with the option dropped, or be refused by one error
+# line naming the option; an option that does neither is a knob that shapes
+# nothing.  --bounds and --estimate print only a note, and only when they
+# find something, so their samples are values that do.
+WALK_CSV = (
+    "value,group,v2,g2,b,b2,x,y,x2,y2\n12,a,3,a,1,1,1,2,5,9\n15,a,8,b,0,1,2,4,3,1\n"
+    "9,a,5,a,1,0,3,3,8,4\n20,a,1,b,1,1,4,7,1,6\n31,b,9,a,0,1,5,6,7,2\n"
+    "27,b,4,b,0,0,6,9,2,8\n18,b,7,a,1,0,7,8,6,3\n24,b,6,b,0,0,8,11,4,5\n"
+)
+# A sample per option, or per (subcommand, option); None marks a flag.
+WALK_SAMPLES = {
+    "--fixture": "veg6", ("poll", "--fixture"): "poll500", "--data": "walk.csv",
+    "--value-column": "v2", ("poll", "--value-column"): "b2", "--group-column": "g2",
+    "--n": "77", "--seed": "5", "--level": "0.8", "--out": "h.csv", "--format": "csv",
+    "--x-column": "x2", "--y-column": "y2", "--stat": "correlation", ("bootstrap", "--stat"): "proportion-diff",
+    "--sidedness": "greater", "--bin-width": "1", "--exact": None, "--threshold": "55",
+    "--tail-direction": "gt", "--bounds": "0.6,62", "--ci": "1,3", "--p": "0.04", "--estimate": "1.9",
+    "--null": "5", "--family": "t", "--df": "5", "--log-scale": None, "--query": "gt 1.2",
+    "--two-by-two": "3,6,8,2", "--hypothesis": "c:1:1", "--worlds": None, "--update": "1,1/3",
+    "--two-stage": "1/3,1/2,1/2", "--trials": "9", "--prob": "1/3", "--event": "at-least",
+    "--count": "3", "--runs": "77", "--sample-size": "5", "--mode": "with", "--polls": "77", "--name": "veg6",
+}
+# Each subcommand's modes: an argv that runs, and the options that have no
+# valid non-default value in it (each is walked in another mode).
+WALK_MODES = {
+    "shuffle-test": [
+        ("--fixture veg6", ()),
+        ("--fixture veg6 --exact", ()),
+        ("--data walk.csv --group-column group", ()),
+        ("--data walk.csv --group-column group --value-column b --stat proportion-diff", ("--value-column",)),
+        ("--data walk.csv --stat correlation", ()),
+    ],
+    "bootstrap": [
+        ("--fixture veg9", ("--stat",)),
+        ("--fixture veg9 --threshold 50", ("--stat",)),
+        ("--data walk.csv --group-column group --value-column b", ("--value-column",)),
+    ],
+    "clip": [
+        ("--ci 1,2", ("--family",)),
+        ("--ci 1,2 --family t --df 3", ()),
+        ("--p 0.04 --estimate 1.5 --null 1", ("--family",)),
+        ("--two-by-two 4,6,8,2", ()),
+    ],
+    "bayes": [("--hypothesis a:1/2:1 --hypothesis b:1/2:1/4", ()), ("--two-stage 1/2,1/2,1/2", ())],
+    "montecarlo": [("--trials 8 --count 4", ())],
+    "poll": [("--fixture poll500 --sample-size 20", ()), ("--data walk.csv --value-column b --sample-size 3", ())],
+    "fixtures": [("", ())],
+}
+
+
+def _walk_body(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    return code, out.split("\nrun manifest:\n")[0] if code == 0 else err
+
+
+def _without(argv, option, takes_value):
+    """``argv`` with every occurrence of ``option`` (and its value) dropped."""
+    out, skip = [], False
+    for token in argv:
+        if skip or token == option:
+            skip = takes_value and not skip
+            continue
+        out.append(token)
+    return out
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_every_option_changes_the_report_or_is_refused_by_name(capsys, monkeypatch, tmp_path, command):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("RESAMPLE_SEED", raising=False)
+    (tmp_path / "walk.csv").write_text(WALK_CSV)
+    subparsers = next(action for action in build_parser()._actions if action.dest == "command")
+    actions = [action for action in subparsers.choices[command]._actions if action.dest != "help"]
+    for base, no_sample in WALK_MODES[command]:
+        base = [command, *shlex.split(base)]
+        assert _walk_body(capsys, base)[0] == 0, base
+        for action in actions:
+            option = action.option_strings[0]
+            if option in no_sample:
+                continue
+            sample = WALK_SAMPLES.get((command, option), WALK_SAMPLES.get(option, "no sample"))
+            assert sample != "no sample", f"{option} of {command} has no sample value"
+            assert (sample is None) == (action.nargs == 0) and sample != str(action.default), option
+            twin = _without(base, option, sample is not None)
+            argv = [*twin, option, *([] if sample is None else [sample])]
+            code, body = _walk_body(capsys, argv)
+            refused = code == 1 and body.count("\n") == 1 and body.startswith("error: ") and option in body.split()
+            assert refused or code == 0 and body != _walk_body(capsys, twin)[1], " ".join(argv)

@@ -639,6 +639,12 @@ def test_percentile_linear_interpolation_rule():
     assert percentile_interval([1.0, 1.0], 0.99) == (1.0, 1.0)
 
 
+def test_a_level_one_ulp_below_1_takes_the_maximum_as_its_upper_end():
+    # 1 - (1 - L)/2 rounds to 1.0, so the upper position is the last index
+    # and no next order statistic exists to interpolate towards.
+    assert percentile_interval(np.arange(10.0), 0.9999999999999999)[1] == 9.0
+
+
 def test_percentile_interval_validation():
     with pytest.raises(ValueError):
         percentile_interval([1.0, 2.0], 0.0)

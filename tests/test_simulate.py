@@ -62,6 +62,8 @@ def test_experiment_validation():
         BernoulliExperiment(3, F(1, 2), "exactly", 4, 10)
     with pytest.raises(ValueError):
         BernoulliExperiment(3, F(1, 2), "exactly", 1, 0)
+    with pytest.raises(ValueError, match=r"^success probability must be in \[0, 1\], got 3/2$"):
+        BernoulliExperiment(8, F(3, 2), "exactly", 4, 10)
 
 
 # ---------------------------------------------------------------------------
