@@ -138,6 +138,14 @@ def _split(text: str, count: int, usage: str, convert=str, sep: str | None = Non
     return items
 
 
+def _nonempty(text: str) -> str:
+    """The parser type of an option whose handler would read an empty value
+    as the option left out."""
+    if not text:
+        raise argparse.ArgumentTypeError("needs a non-empty value")
+    return text
+
+
 def _pair(text: str, option: str) -> tuple[float, float]:
     usage = f"{option} needs two comma-separated finite numbers, got {text!r}"
     return tuple(_split(text, 2, usage, finite_number))
@@ -440,15 +448,15 @@ def _cmd_fixtures(args, rep: Report) -> Report:
 
 # Options that several subcommands take, each declared once.
 SHARED = {
-    "--fixture": dict(help="built-in dataset name"),
-    "--data": dict(help="CSV file (header row, UTF-8)"),
+    "--fixture": dict(type=_nonempty, help="built-in dataset name"),
+    "--data": dict(type=_nonempty, help="CSV file (header row, UTF-8)"),
     "--value-column": dict(default="value"),
-    "--group-column": dict(help="read (value, group) rows; omit for ungrouped data"),
+    "--group-column": dict(type=_nonempty, help="read (value, group) rows; omit for ungrouped data"),
     "--n": dict(type=int, default=DEFAULT_REPLICATES,
                 help=f"number of resamples (default {DEFAULT_REPLICATES})"),
     "--seed": dict(type=int, help="default 0, or RESAMPLE_SEED"),
     "--level": dict(type=finite_number, default=0.95),
-    "--out": dict(help="write the histogram CSV to this file"),
+    "--out": dict(type=_nonempty, help="write the histogram CSV to this file"),
 }
 INPUT = ("--fixture", "--data", "--value-column")
 # Options whose number or LOW,HIGH value may begin with a minus sign.  argparse
@@ -522,11 +530,11 @@ def build_parser() -> argparse.ArgumentParser:
     add("--threshold", type=finite_number, action="append", default=[],
         help="report the tail probability at this value (repeatable)")
     add("--tail-direction", choices=TAIL_DIRECTIONS, default=TAIL_DIRECTIONS[0])
-    add("--bounds", help="measurement scale LOW,HIGH for diagnostics")
+    add("--bounds", type=_nonempty, help="measurement scale LOW,HIGH for diagnostics")
     add("--bin-width", type=float, default=DEFAULT_BIN_WIDTH)
 
     add = subcommand("clip", _cmd_clip, "probabilities for a quantity from a published CI or p-value", "--level")
-    add("--ci", help="confidence interval LOW,HIGH")
+    add("--ci", type=_nonempty, help="confidence interval LOW,HIGH")
     add("--p", type=finite_number, help="two-sided p-value")
     add("--estimate", type=finite_number)
     add("--null", type=finite_number, default=0.0,
@@ -536,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("--log-scale", action="store_true")
     add("--query", action="append", default=[],
         help="'gt X' | 'lt X' | 'between X1,X2' | 'outside X1,X2' (repeatable)")
-    add("--two-by-two", help="EVENTS1,NONEVENTS1,EVENTS2,NONEVENTS2: print odds and risk ratios")
+    add("--two-by-two", type=_nonempty, help="EVENTS1,NONEVENTS1,EVENTS2,NONEVENTS2: print odds and risk ratios")
 
     add = subcommand("bayes", _cmd_bayes, "exact-rational posterior over discrete hypotheses")
     add("--hypothesis", action="append", default=[],
@@ -544,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("--worlds", action="store_true", help="print the possible-worlds grid")
     add("--update", action="append", default=[],
         help="likelihoods L1,L2,... for another round of evidence (repeatable)")
-    add("--two-stage", help="P1,P2_GIVEN_1,P2_GIVEN_NOT_1: joint outcomes of two events")
+    add("--two-stage", type=_nonempty, help="P1,P2_GIVEN_1,P2_GIVEN_NOT_1: joint outcomes of two events")
 
     add = subcommand(
         "montecarlo", _cmd_montecarlo, "simulate repeated Bernoulli trials and compare to exact",
@@ -565,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("--polls", type=int, default=1000)
 
     add = subcommand("fixtures", _cmd_fixtures, "list or dump the built-in datasets")
-    add("--name")
+    add("--name", type=_nonempty)
 
     return parser
 

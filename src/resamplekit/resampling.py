@@ -3,8 +3,8 @@
 Replicate r draws from ``substream(seed, r)``, so a run is fully
 determined by (data, statistic, number of replicates, seed).  The draw plans,
 their lanes forms and the chunking that runs them are specified once, in
-``rng``.  Each procedure here passes a reducer to ``rng.shuffled`` or
-``rng.drawn``: a function from one position-major block, a row per position
+``rng``.  Each procedure here runs its check's plan through ``rng.run``
+with a reducer: a function from one position-major block, a row per position
 or draw and a column per lane, to the statistic of each lane.  It reads
 values at those positions through ``rng.lane_sums``, which sums each lane on
 its own in numpy's order for a C-contiguous row, so no block size changes a
@@ -320,13 +320,12 @@ def shuffle_test(
     least as extreme as the observed one.  ``bin_width`` defaults by statistic
     (``spec.check_shuffle_test``).
     """
-    statistic, bin_width, k = check_shuffle_test(data, statistic, n_resamples, sidedness, bin_width)
+    statistic, bin_width, plan = check_shuffle_test(data, statistic, n_resamples, sidedness, bin_width)
     if statistic == STAT_CORRELATION:
         reduce = _correlations(*_paired_columns(data))
     else:
-        reduce = functools.partial(_grouped_diffs, np.asarray(data.values, dtype=float), k)
-    kernel = functools.partial(rng.shuffled, rng.positions(data.n), k, reduce)
-    replicates, _ = rng.run_chunks(seed, n_resamples, data.n, kernel)
+        reduce = functools.partial(_grouped_diffs, np.asarray(data.values, dtype=float), plan.k)
+    replicates, _ = rng.run(plan, seed, reduce)
     observed = observed_statistic(data, statistic)
     dist = ResampleDistribution(
         replicates, observed, statistic, "without-replacement", n_resamples, seed, data.n
@@ -363,18 +362,18 @@ def bootstrap(
     an entire group are redrawn (the rule is in ``rng``) and counted in
     ``redraw_count``.
     """
-    statistic = check_bootstrap(data, statistic, n_resamples)
+    statistic, plan = check_bootstrap(data, statistic, n_resamples)
     n = data.n
     observed = observed_statistic(data, statistic)
     arr = np.asarray(data.values, dtype=float)
-    if statistic == STAT_MEAN:
-        kernel = functools.partial(rng.drawn, n, lambda block: rng.lane_sums(arr, block) / n, False)
-    else:
+    if plan.grouped:
         g1, _ = data.group_names
         in_g1 = np.asarray([g == g1 for g in data.groups], dtype=float)
         reduce = functools.partial(_grouped_resample_diffs, np.stack([arr, arr * in_g1, in_g1]))
-        kernel = functools.partial(rng.drawn, n, reduce, True)
-    values, redraws = rng.run_chunks(seed, n_resamples, n, kernel)
+    else:
+        def reduce(block):
+            return rng.lane_sums(arr, block) / n
+    values, redraws = rng.run(plan, seed, reduce)
     return ResampleDistribution(values, observed, statistic, "with-replacement", n_resamples, seed, n, redraws)
 
 

@@ -74,7 +74,9 @@ row d is ``lanes.below(ns[d])``, in ``position_dtype`` (int16, int32 past
 ``draw_with_replacement`` of the positions, as it stands.
 ``shuffle_block(items, table)`` applies a table of ``spec.shuffle_steps(n, k)``
 and is ``sample_without_replacement``; its block is position-major too: row
-i holds slot i of every lane.  Three kernels run every plan.  ``shuffled``
+i holds slot i of every lane.  Three kernels run every plan, each run
+declared once as a ``spec.Plan`` whose ``kind`` names its kernel and whose
+``draws`` are the ranges of its table.  ``shuffled``
 (both shuffle tests, and the poll without replacement, which reads the first
 k rows) and ``drawn`` (both bootstraps; grouped, it also applies the redraw
 rule) hand a procedure's reducer such blocks, one row per position or draw
@@ -108,11 +110,14 @@ row (the terms of a correlation).  These sums decide a replicate's last bits.
 
 Lanes have a ``count``, ``below(n)`` (one draw per lane, an int64 array) and
 ``keep(lanes)`` (narrow to some lanes, each continuing its own stream).
-A kernel is a function of (inputs, lanes) that returns ``(values,
-redraws)``: a value per lane and the redraws it took (only the grouped
-bootstrap redraws).  ``run_chunks`` runs the kernel on blocks,
-``SubstreamBlock``s that step the lanes in numpy uint64 lockstep, writes
-their values in lane order into one output array and sums the redraws.  ``ScalarLanes`` steps one Python-int
+A kernel is a function of (plan, reducer or pick, lanes) that returns
+``(values, redraws)``: a value per lane and the redraws it took (only the
+grouped bootstrap redraws).  ``run(plan, seed, f)`` is the one entry point
+of the procedures: it runs the plan's kernel through ``run_chunks``, the
+generic runner of a kernel on blocks, ``SubstreamBlock``s that step the
+lanes in numpy uint64 lockstep, which writes their values in lane order
+into one output array and sums the redraws; its count and width are the
+plan's.  ``ScalarLanes`` steps one Python-int
 ``substream(seed, r)`` per lane; the tests run a kernel once, unchunked, on
 ``ScalarLanes(seed, N)`` as the oracle for the uint64 lockstep, rejection,
 ``keep`` and chunking.  The plans themselves are checked against
@@ -131,7 +136,7 @@ CHUNK_FLOOR lanes.  ``shuffled`` splits a block into sub-blocks of
 reduced and released before the next is built.  Reducers get a
 whole block (``drawn``) or sub-block (``shuffled``), and ``lane_sums`` reads
 it 8 position rows of every lane at a time.  Nothing here refuses a run:
-each procedure passes its check in ``spec`` before the first block.
+each plan was checked in ``spec`` as it was built, before the first block.
 
 Chunking invariant: ``run_chunks`` covers replicates 0..N-1 with blocks of
 at most ``block_lanes(width)`` lanes, and lane r of every block is always
@@ -146,7 +151,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spec import PAIRWISE_BLOCK, block_lanes, chunk_lanes, position_bytes, shuffle_steps
+from .spec import PAIRWISE_BLOCK, block_lanes, chunk_lanes, position_bytes
 
 _MASK64 = (1 << 64) - 1
 _SPAN = 1 << 64
@@ -311,15 +316,15 @@ def _terms(table: np.ndarray, block: np.ndarray, weights, rows) -> np.ndarray:
     return terms
 
 
-def shuffled(pos: np.ndarray, k: int, reduce, lanes) -> tuple[np.ndarray, int]:
+def shuffled(plan, reduce, lanes) -> tuple[np.ndarray, int]:
     """The kernel that permutes: ``reduce(block)`` for every lane, where the
-    block is ``shuffle_block(pos, ...)`` after the lanes' min(k, n - 1)
-    steps, and no redraws.  Where the steps allow no more distinct sequences
-    than lanes, each sequence is reduced once and each lane's index is built
-    from its draws one step at a time, with no draw table (module
-    docstring).  Blocks are built and reduced for sub-blocks of
-    ``chunk_lanes(n)`` columns, each released before the next is built."""
-    ns = shuffle_steps(pos.size, k)
+    block is ``shuffle_block`` of n positions after the ``plan.draws`` steps,
+    and no redraws.  Where the steps allow no more distinct sequences than
+    lanes, each sequence is reduced once and each lane's index is built from
+    its draws one step at a time, with no draw table (module docstring).
+    Blocks are built and reduced for sub-blocks of ``chunk_lanes(n)``
+    columns, each released before the next is built."""
+    pos, ns = positions(plan.n), plan.draws
     count = _sequence_count(ns, lanes.count)
     if count is None:
         return _reduced(pos, draw_table(lanes, ns), reduce), 0
@@ -352,23 +357,23 @@ def _reduced(pos: np.ndarray, table: np.ndarray, reduce) -> np.ndarray:
     return np.concatenate([reduce(shuffle_block(pos, table[:, s : s + size])) for s in starts], axis=-1)
 
 
-def drawn(n: int, reduce, grouped: bool, lanes) -> tuple[np.ndarray, int]:
+def drawn(plan, reduce, lanes) -> tuple[np.ndarray, int]:
     """The kernel that draws with replacement: ``reduce(block)`` for every
-    lane, where the block is the lanes' draw table of n draws of
-    ``below(n)``.  ``grouped``, ``reduce`` stacks each lane's value over its
-    first-group count, and only the lanes whose count is 0 or n draw again
+    lane, where the block is the lanes' draw table of ``plan.draws``.
+    ``plan.grouped``, ``reduce`` stacks each lane's value over its
+    first-group count, and only the lanes whose count is 0 or k draw again
     (``keep``), each attempt a redraw; otherwise there are none."""
 
     def attempt():
-        return reduce(draw_table(lanes, [n] * n))
+        return reduce(draw_table(lanes, plan.draws))
 
-    if not grouped:
+    if not plan.grouped:
         return attempt(), 0
     values, c1 = attempt()
     todo = np.arange(lanes.count)  # where the lanes still drawing write
     redraws = 0
     for _ in range(_MAX_REDRAW_ROUNDS + 1):
-        lost = (c1 == 0) | (c1 == n)
+        lost = (c1 == 0) | (c1 == plan.k)
         if not lost.any():
             return values, redraws
         lanes.keep(np.flatnonzero(lost))
@@ -378,12 +383,12 @@ def drawn(n: int, reduce, grouped: bool, lanes) -> tuple[np.ndarray, int]:
     raise RuntimeError("grouped bootstrap kept drawing one-group resamples")
 
 
-def summed(n: int, k: int, pick, lanes) -> tuple[np.ndarray, int]:
+def summed(plan, pick, lanes) -> tuple[np.ndarray, int]:
     """The kernel that sums as it draws: each lane's float64 sum of
     ``pick(d)`` over its k draws d of ``below(n)``, and no redraws."""
     totals = np.zeros(lanes.count)
-    for _ in range(k):
-        totals += pick(lanes.below(n))
+    for _ in range(plan.k):
+        totals += pick(lanes.below(plan.n))
     return totals, 0
 
 
@@ -505,15 +510,22 @@ class ScalarLanes:
         self.count = len(self._gens)
 
 
+def run(plan, seed: int, f) -> tuple[np.ndarray, int]:
+    """``plan``'s kernel, with ``f`` its reducer or pick, on the blocks of
+    ``run_chunks`` that the plan's count and width size."""
+    kernel = {"shuffled": shuffled, "drawn": drawn, "summed": summed}[plan.kind]
+    return run_chunks(seed, plan.count, plan.width, lambda lanes: kernel(plan, f, lanes))
+
+
 def run_chunks(seed: int, count: int, width: int, kernel) -> tuple[np.ndarray, int]:
     """``kernel(lanes)`` over consecutive blocks of lanes 0..count-1: the
     values written in lane order into one array, and the redraws summed.
 
-    ``width`` is how many values a kernel holds per lane (the row width of
-    its matrices).  Each block has ``block_lanes(width)`` lanes, the last
-    one fewer, and the output takes the first block's dtype and trailing
-    shape.  Lane r always comes from ``substream(seed, r)``, so the block
-    size bounds memory but never changes a value.
+    ``width`` is a plan's: how many values its kernel holds per lane (the
+    row width of its matrices).  Each block has ``block_lanes(width)``
+    lanes, the last one fewer, and the output takes the first block's dtype
+    and trailing shape.  Lane r always comes from ``substream(seed, r)``,
+    so the block size bounds memory but never changes a value.
     """
     size = block_lanes(width)
     redraws = 0

@@ -25,11 +25,8 @@ from .spec import BernoulliExperiment, check_poll
 def simulate_bernoulli(experiment: BernoulliExperiment, seed: int = 0) -> float:
     """Fraction of runs whose success count satisfies the event."""
     num = experiment.success_probability.numerator
-    den = experiment.success_probability.denominator
-    n = experiment.trials_per_run
-    runs = experiment.runs
-    counts, _ = rng.run_chunks(seed, runs, n, functools.partial(rng.summed, den, n, lambda d: d < num))
-    return float(np.count_nonzero(experiment.matches(counts)) / runs)
+    counts, _ = rng.run(experiment.plan, seed, lambda d: d < num)
+    return float(np.count_nonzero(experiment.matches(counts)) / experiment.runs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,17 +72,11 @@ def simulate_poll(
     seed: int = 0,
 ) -> PollResult:
     """Poll the population N times and record each poll's sample proportion."""
-    check_poll(population, sample_size, mode, n_polls)
-    n = population.n
+    plan = check_poll(population, sample_size, mode, n_polls)
     entries = np.asarray(population.entries, dtype=float)
-    if mode == "with-replacement":
-        kernel = functools.partial(rng.summed, n, sample_size, entries.__getitem__)
-        sums, _ = rng.run_chunks(seed, n_polls, sample_size, kernel)
-        props = sums / sample_size
+    if plan.kind == "summed":
+        sums, _ = rng.run(plan, seed, entries.__getitem__)
     else:
-        kernel = functools.partial(
-            rng.shuffled, rng.positions(n), sample_size,
-            lambda block: rng.lane_sums(entries, block[:sample_size]) / sample_size,
-        )
-        props, _ = rng.run_chunks(seed, n_polls, n, kernel)
-    return PollResult(props, sample_size, mode, n_polls, seed)
+        sums, _ = rng.run(plan, seed, lambda block: rng.lane_sums(entries, block[:sample_size]))
+    sums /= sample_size
+    return PollResult(sums, sample_size, mode, n_polls, seed)

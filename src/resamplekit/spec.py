@@ -1,15 +1,16 @@
 """The numpy-free spec: which statistic each data kind takes, the rules,
-checks and defaults of every procedure, the exact shuffle p, and the
-Bernoulli experiment with its exact binomial.
+checks and defaults of every procedure, the plan of each run, the exact
+shuffle p, and the Bernoulli experiment with its exact binomial.
 
 Nothing here draws a replicate, so the command line reads its choices and
 checks from this module without importing numpy.  Each drawing procedure's
 checks are one function here, which the procedure calls first and the
 command line calls before it imports numpy; a ``BernoulliExperiment`` runs
 its checks as it is built, so ``simulate.simulate_bernoulli`` gets one
-checked.  ``check_run``, part of each, caps the lane-values of a run and the
-bytes of a block's draw table, sized by the same integer arithmetic that
-``rng`` reads.
+checked.  Each returns, or holds, the run's ``Plan``: the kernel, rows,
+draws and lanes that ``rng.run`` runs.  Building a plan caps the lane-values
+of its run and the bytes of a block's draw table, from the width and draws
+that ``rng`` sizes its blocks and tables by.
 
 The exact shuffle p (``exact_shuffle_p``) counts ties inclusively, as the
 Monte Carlo p of ``resampling`` does, over all C(n, n1) splits without listing
@@ -40,7 +41,7 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .data import GroupedSample, PairedSample, Sample
@@ -191,24 +192,6 @@ def check_count(option: str, count: int, interval: bool = False) -> None:
         raise ValueError(f"{option} must be at most {MAX_REPLICATES}, got {count}")
 
 
-def check_run(count: int, width: int, draws: int = 0) -> None:
-    """Raise ValueError unless a run of ``count`` lanes of ``width`` values
-    each is at most MAX_WORK lane-values, and its block's draw table of
-    ``draws`` positions per lane at most MAX_TABLE_BYTES."""
-    if count * width > MAX_WORK:
-        raise ValueError(
-            f"a run of {count} replicates x {width} values each is {count * width} lane-values, "
-            f"above the cap of {MAX_WORK}"
-        )
-    lanes = min(count, block_lanes(width))
-    size = lanes * draws * position_bytes(width)
-    if size > MAX_TABLE_BYTES:
-        raise ValueError(
-            f"a draw table of {lanes} lanes x {draws} draws is {size} bytes, "
-            f"above the cap of {MAX_TABLE_BYTES} bytes"
-        )
-
-
 def check_magnitude(data) -> None:
     """Raise ValueError for one-sample or two-group data whose sums could
     overflow: n x max|v| x SUM_MARGIN past the largest double (the rule in
@@ -230,9 +213,46 @@ def check_bin_width(bin_width: float) -> None:
         raise ValueError(f"bin width must be a finite number > 0, got {bin_width}")
 
 
+@dataclass(frozen=True)
+class Plan:
+    """A run of ``count`` lanes by the ``rng`` kernel ``kind``: "shuffled"
+    takes k of n positions, "drawn" k draws of ``below(n)`` (``grouped``: the
+    redraw rule) and "summed" sums a pick of k such draws.  ``width`` is the
+    values a lane holds, ``draws`` the ranges of a lane's table draws.
+    Building one refuses more than MAX_WORK lane-values (``count`` x
+    ``width``) and a block's draw table above MAX_TABLE_BYTES."""
+
+    kind: str
+    n: int
+    k: int
+    count: int
+    grouped: bool = False
+
+    def __post_init__(self):
+        count, width, draws = self.count, self.width, len(self.draws)
+        if count * width > MAX_WORK:
+            raise ValueError(f"a run of {count} replicates x {width} values each is "
+                             f"{count * width} lane-values, above the cap of {MAX_WORK}")
+        lanes = min(count, block_lanes(width))
+        size = lanes * draws * position_bytes(width)
+        if size > MAX_TABLE_BYTES:
+            raise ValueError(f"a draw table of {lanes} lanes x {draws} draws is {size} bytes, "
+                             f"above the cap of {MAX_TABLE_BYTES} bytes")
+
+    @property
+    def width(self) -> int:
+        return self.k if self.kind == "summed" else self.n
+
+    @property
+    def draws(self):
+        if self.kind == "shuffled":
+            return shuffle_steps(self.n, self.k)
+        return (self.n,) * self.k if self.kind == "drawn" else ()
+
+
 def check_shuffle_test(data, statistic: str | None, count: int, sidedness: str, bin_width: float | None):
     """The checks of ``resampling.shuffle_test``: returns the statistic, the bin
-    width (its default if None) and the first group's size (every row for a correlation)."""
+    width (its default if None) and the plan, k the first group's size (or n)."""
     statistic = _resolve("shuffle_test", data, statistic, GroupedSample, PairedSample)
     _check_sidedness(sidedness)
     check_count("n_resamples", count)
@@ -240,8 +260,7 @@ def check_shuffle_test(data, statistic: str | None, count: int, sidedness: str, 
         bin_width = CORRELATION_BIN_WIDTH if statistic == STAT_CORRELATION else DEFAULT_BIN_WIDTH
     check_bin_width(bin_width)
     k = data.n if statistic == STAT_CORRELATION else data.group_count(data.group_names[0])
-    check_run(count, data.n, len(shuffle_steps(data.n, k)))
-    return statistic, bin_width, k
+    return statistic, bin_width, Plan("shuffled", data.n, k, count)
 
 
 def check_report(count, level, thresholds, tail_direction, scale_bounds, bin_width) -> None:
@@ -257,27 +276,25 @@ def check_report(count, level, thresholds, tail_direction, scale_bounds, bin_wid
         check_finite(threshold=t)
 
 
-def check_bootstrap(data, statistic: str | None, count: int) -> str:
-    """The checks of ``resampling.bootstrap``; returns the statistic.  A
-    report runs ``check_report`` first."""
+def check_bootstrap(data, statistic: str | None, count: int) -> tuple[str, Plan]:
+    """The checks of ``resampling.bootstrap``; returns the statistic and the
+    plan.  A report runs ``check_report`` first."""
     statistic = _resolve("bootstrap", data, statistic, Sample, GroupedSample)
     check_count("n_resamples", count)
-    check_run(count, data.n, data.n)
-    return statistic
+    return statistic, Plan("drawn", data.n, data.n, count, grouped=statistic != STAT_MEAN)
 
 
-def check_poll(population, sample_size: int, mode: str, count: int) -> None:
-    """The checks of ``simulate.simulate_poll``."""
+def check_poll(population, sample_size: int, mode: str, count: int) -> Plan:
+    """The checks of ``simulate.simulate_poll``; returns the plan."""
     if mode not in POLL_MODES:
         raise ValueError(f"mode must be one of {POLL_MODES}, got {mode!r}")
     check_count("sample_size", sample_size)
     check_count("n_polls", count)
     if mode == "with-replacement":
-        check_run(count, sample_size)
-    elif sample_size > population.n:
+        return Plan("summed", population.n, sample_size, count)
+    if sample_size > population.n:
         raise ValueError(f"cannot poll {sample_size} of {population.n} electors without replacement")
-    else:
-        check_run(count, population.n, len(shuffle_steps(population.n, sample_size)))
+    return Plan("shuffled", population.n, sample_size, count)
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +314,14 @@ def exact_binomial(n: int, k: int, p) -> Fraction:
 @dataclass(frozen=True)
 class BernoulliExperiment:
     """Repeated runs of n trials, scored by an event on the success count.
-    Building one runs every check of ``simulate.simulate_bernoulli``."""
+    Building one runs every check of ``simulate.simulate_bernoulli``, and its ``plan``."""
 
     trials_per_run: int
     success_probability: Fraction
     event: str  # "exactly" | "at-least" | "at-most"
     event_count: int
     runs: int
+    plan: Plan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_count("trials_per_run", self.trials_per_run)
@@ -317,7 +335,8 @@ class BernoulliExperiment:
             raise ValueError(f"event must be one of {EVENTS}, got {self.event!r}")
         if not 0 <= self.event_count <= self.trials_per_run:
             raise ValueError(f"event count must be in [0, {self.trials_per_run}], got {self.event_count}")
-        check_run(self.runs, self.trials_per_run)
+        plan = Plan("summed", self.success_probability.denominator, self.trials_per_run, self.runs)
+        object.__setattr__(self, "plan", plan)
 
     def matches(self, successes):
         """Whether a success count satisfies the event; elementwise on arrays."""

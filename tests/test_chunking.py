@@ -297,11 +297,11 @@ def test_shuffled_and_drawn_hand_reduce_row_blocks_in_lane_order(tiny_blocks, ke
 
     def run(lanes):
         if kernel == "shuffled":
-            return rng.shuffled(rng.positions(n), k, reduce, lanes)
+            return rng.shuffled(spec.Plan("shuffled", n, k, count), reduce, lanes)
         if kernel == "summed":
             digits = iter(10 ** np.arange(k, dtype=np.int64))
-            return rng.summed(n, k, lambda d: d * next(digits), lanes)
-        return rng.drawn(n, reduce, kernel == "drawn-redraws", lanes)
+            return rng.summed(spec.Plan("summed", n, k, count), lambda d: d * next(digits), lanes)
+        return rng.drawn(spec.Plan("drawn", n, n, count, grouped=kernel == "drawn-redraws"), reduce, lanes)
 
     values, redraws = run(SubstreamBlock(seed, count))
     attempts = [0] * count  # each lane's attempts, replayed below
@@ -428,10 +428,11 @@ def test_a_table_of_more_draws_than_the_cap_is_refused(monkeypatch):
 
 
 def test_the_work_cap_itself_is_accepted():
-    spec.check_run(spec.MAX_WORK, 1)
-    spec.check_run(10**8, 100)
+    # A summed run keeps no draw table, so only the work cap bounds it.
+    spec.Plan("summed", 2, 1, spec.MAX_WORK)
+    spec.Plan("summed", 2, 100, 10**8)
     with pytest.raises(ValueError):
-        spec.check_run(spec.MAX_WORK + 1, 1)
+        spec.Plan("summed", 2, 1, spec.MAX_WORK + 1)
 
 
 @pytest.mark.parametrize(

@@ -826,6 +826,29 @@ def test_report_options_are_refused_before_numpy_is_imported(argv, message):
     assert (proc.returncode, proc.stderr, proc.stdout) == (1, f"error: {message}\n", "False\n")
 
 
+# An empty value of an option whose handler would read it as the option left
+# out: each ran as if it were absent, or was refused naming another option.
+@pytest.mark.parametrize("argv", [
+    ("shuffle-test", "--fixture", ""),
+    ("bootstrap", "--data", ""),
+    ("bootstrap", "--data", "rows.csv", "--group-column", ""),
+    ("bootstrap", "--fixture", "veg9", "--out", ""),
+    ("bootstrap", "--fixture", "veg9", "--bounds", ""),
+    ("clip", "--ci", ""),
+    ("clip", "--two-by-two", "", "--ci", "1,2"),
+    ("bayes", "--two-stage", "", "--hypothesis", "a:1:1"),
+    ("fixtures", "--name", ""),
+], ids=lambda argv: " ".join(arg or '""' for arg in argv))
+def test_empty_option_values_are_usage_errors_naming_the_option(tmp_path, argv):
+    (tmp_path / "rows.csv").write_text("value,group\n1,a\n2,b\n3,a\n")
+    option = argv[argv.index("") - 1]
+    argv = [str(tmp_path / arg) if arg == "rows.csv" else arg for arg in argv]
+    proc = _numpy_free_run(argv)
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert (proc.returncode, proc.stdout) == (2, "False\n"), proc.stderr
+    assert errors == [f"resamplekit {argv[0]}: error: argument {option}: needs a non-empty value"]
+
+
 # Counts below 1: each named by its option, as counts above the limit are,
 # and refused before numpy is imported.
 @pytest.mark.parametrize(

@@ -77,7 +77,7 @@ def test_shuffle_test_first_group_follows_sample_without_replacement(small_chunk
     n1 = VEG6.group_count(g1)
     values = list(VEG6.values)
     arr = np.asarray(values)
-    steps = rng.shuffle_steps(arr.size, n1)
+    steps = spec.shuffle_steps(arr.size, n1)
     # shuffle_block is position-major, a column per lane: its transpose has
     # a row per lane, as run_chunks writes them.
     rows, _ = rng.run_chunks(5, N, arr.size, lambda blk: (rng.shuffle_block(arr, rng.draw_table(blk, steps)).T, 0))
@@ -93,7 +93,7 @@ def test_shuffle_test_first_group_follows_sample_without_replacement(small_chunk
 def test_paired_shuffle_follows_shuffle(small_chunks):
     ys = list(PAIRED.ys)
     arr = np.asarray(ys)
-    steps = rng.shuffle_steps(arr.size, arr.size)
+    steps = spec.shuffle_steps(arr.size, arr.size)
     rows, _ = rng.run_chunks(6, N, arr.size, lambda blk: (rng.shuffle_block(arr, rng.draw_table(blk, steps)).T, 0))
     rs = shuffle_test_paired(PAIRED, n_resamples=N, seed=6).distribution.values
     for r in range(N):
@@ -152,3 +152,59 @@ def test_bernoulli_trials_succeed_when_below_den_is_below_num(small_chunks, p):
     for k in range(trials + 1):
         experiment = BernoulliExperiment(trials, p, "exactly", k, N)
         assert simulate_bernoulli(experiment, seed=7) == counts[k] / N
+
+
+class CountingLanes(rng.ScalarLanes):
+    """``ScalarLanes`` that count each lane's ``below`` calls: ``calls`` in
+    all, and ``first`` as they stood at the first ``keep``, the end of a
+    grouped bootstrap's first attempt (None if no lane was kept)."""
+
+    def __init__(self, seed, count):
+        super().__init__(seed, count)
+        self.calls, self.first, self.ids = [0] * count, None, list(range(count))
+
+    def below(self, n):
+        for i in self.ids:
+            self.calls[i] += 1
+        return super().below(n)
+
+    def keep(self, lanes):
+        if self.first is None:
+            self.first = list(self.calls)
+        self.ids = [self.ids[i] for i in lanes]
+        super().keep(lanes)
+
+
+@pytest.mark.parametrize("call, draws", [
+    (lambda: shuffle_test(VEG6, n_resamples=N, seed=5), 3),
+    (lambda: shuffle_test_paired(PAIRED, n_resamples=N, seed=6), 5),
+    (lambda: bootstrap(VEG9, n_resamples=N, seed=3), 9),
+    (lambda: bootstrap(TINY, n_resamples=N, seed=2), 2),
+    (lambda: simulate_poll(POLL500, 20, "with-replacement", N, seed=8), 20),
+    (lambda: simulate_poll(POLL500, 20, "without-replacement", N, seed=8), 20),
+    (lambda: simulate_bernoulli(BernoulliExperiment(8, "1/3", "at-least", 3, N), seed=7), 8),
+], ids=["two-group-shuffle", "paired-shuffle", "bootstrap", "grouped-bootstrap", "poll-with", "poll-without",
+        "bernoulli"])
+def test_each_lane_draws_what_its_plan_declares(monkeypatch, call, draws):
+    # Each procedure runs one plan.  On its first attempt every lane calls
+    # below once per draw of the plan's table, or once per pick of a summed
+    # run; each redraw of a grouped bootstrap draws n more.
+    plans, made, real_run = [], [], rng.run
+
+    def run(plan, seed, f):
+        plans.append(plan)
+        return real_run(plan, seed, f)
+
+    def unchunked(seed, count, width, kernel):
+        made.append(CountingLanes(seed, count))
+        return kernel(made[-1])
+
+    monkeypatch.setattr(rng, "run", run)
+    monkeypatch.setattr(rng, "run_chunks", unchunked)
+    result = call()
+    (plan,), (lanes,) = plans, made
+    first = lanes.calls if lanes.first is None else lanes.first
+    assert first == [plan.k if plan.kind == "summed" else len(plan.draws)] * N == [draws] * N
+    redraws = getattr(result, "redraw_count", 0)
+    assert (redraws > 0) == plan.grouped
+    assert sum(lanes.calls) - sum(first) == redraws * plan.n

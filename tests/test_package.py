@@ -56,9 +56,9 @@ def test_dir_lists_the_public_names():
 
 @pytest.mark.parametrize("module", ["resampling", "simulate"])
 def test_procedures_leave_every_lane_boundary_to_rng(module):
-    # A procedure runs blocks and hands a reducer or a pick to one of the
-    # three kernels, and its reducers read a block's values through rng's
-    # lane sums; lanes, and block and sub-block sizes, are rng's alone.
+    # A procedure hands its plan and a reducer or a pick to rng.run, and its
+    # reducers read a block's values through rng's lane sums; kernels, lanes,
+    # and block and sub-block sizes are rng's alone.
     tree = ast.parse((Path(resamplekit.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
     used = {
         node.attr for node in ast.walk(tree)
@@ -68,7 +68,7 @@ def test_procedures_leave_every_lane_boundary_to_rng(module):
         alias.name for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.module == "rng" for alias in node.names
     }
-    assert used and used <= {"run_chunks", "shuffled", "drawn", "summed", "positions", "lane_sums"}
+    assert used and used <= {"run", "positions", "lane_sums"}
     lane_params = [
         node.lineno for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.Lambda)) and "lanes" in {a.arg for a in node.args.args}

@@ -319,7 +319,7 @@ def test_shuffle_replicates_preserve_value_multiset(scalar_oracle):
     arr = np.asarray(VEG6.values)
 
     def kernel(blk):
-        return rng.shuffle_block(arr, rng.draw_table(blk, rng.shuffle_steps(arr.size, 3))).T, 0
+        return rng.shuffle_block(arr, rng.draw_table(blk, spec.shuffle_steps(arr.size, 3))).T, 0
 
     for run in (lambda fn: fn(), scalar_oracle):
         mat, _ = run(lambda: rng.run_chunks(7, 50, arr.size, kernel))

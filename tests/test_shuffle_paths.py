@@ -15,7 +15,7 @@ import random
 import numpy as np
 import pytest
 
-from resamplekit import rng
+from resamplekit import rng, spec
 from resamplekit.data import GroupedSample, PairedSample, PopulationVector
 from resamplekit.resampling import shuffle_test
 from resamplekit.simulate import simulate_poll
@@ -89,7 +89,7 @@ def test_polls_without_replacement_are_the_same_on_both_paths(monkeypatch, n, k)
 
 
 def test_a_poll_of_every_voter_of_one_takes_the_one_sequence_of_no_steps():
-    assert rng._sequence_count(rng.shuffle_steps(1, 1), 1) == 1
+    assert rng._sequence_count(spec.shuffle_steps(1, 1), 1) == 1
     got = simulate_poll(PopulationVector([1]), 1, "without-replacement", 5, seed=3).array
     assert got.tolist() == [1.0] * 5
 
@@ -139,9 +139,9 @@ def test_both_paths_match_the_scalar_oracle(monkeypatch, scalar_oracle, run):
 
 
 def test_the_sequence_count_stops_once_it_passes_the_lanes():
-    assert rng._sequence_count(rng.shuffle_steps(6, 3), 120) == 120
-    assert rng._sequence_count(rng.shuffle_steps(6, 3), 119) is None
-    assert rng._sequence_count(rng.shuffle_steps(5, 1), 5) == 5
+    assert rng._sequence_count(spec.shuffle_steps(6, 3), 120) == 120
+    assert rng._sequence_count(spec.shuffle_steps(6, 3), 119) is None
+    assert rng._sequence_count(spec.shuffle_steps(5, 1), 5) == 5
 
     def steps():
         yield 5000
