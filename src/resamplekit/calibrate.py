@@ -43,7 +43,6 @@ class CalibratedDistribution:
     se: float
     family: str = "normal"
     df: int | None = None
-    source: str = "interval"  # "interval" | "p-value"
     log_scale: bool = False
     notes: tuple[str, ...] = ()
 
@@ -147,8 +146,7 @@ def calibrate_from_interval(
                 "symmetric model behind these probabilities looks doubtful"
             )
     return CalibratedDistribution(
-        center=center, se=se, family=family, df=df,
-        source="interval", log_scale=log_scale, notes=tuple(notes),
+        center=center, se=se, family=family, df=df, log_scale=log_scale, notes=tuple(notes),
     )
 
 
@@ -180,10 +178,7 @@ def calibrate_from_p(
         est, null = float(estimate), float(null_value)
     q = _family_quantile(1 - p / 2, family, df)
     se = abs(est - null) / q
-    return CalibratedDistribution(
-        center=est, se=se, family=family, df=df,
-        source="p-value", log_scale=log_scale,
-    )
+    return CalibratedDistribution(center=est, se=se, family=family, df=df, log_scale=log_scale)
 
 
 def finite_number(text: str) -> float:

@@ -590,6 +590,15 @@ def _attach_signed(argv: list[str]) -> list[str]:
     return out
 
 
+def _refuse_line_breaks(args) -> None:
+    """Refuses the first text option whose value holds a line break, which
+    would split a line of the report or a row of its csv."""
+    for key, value in vars(args).items():
+        for text in value if isinstance(value, list) else [value]:
+            if isinstance(text, str) and ("\n" in text or "\r" in text):
+                raise ValueError(f"--{key.replace('_', '-')} cannot hold a line break, got {text!r}")
+
+
 def _refuse_unread(args, argv: list[str]) -> None:
     """Refuses the first option, in ``UNREAD``'s order, that was typed while a
     rule listing it holds; ``argv`` holds a typed option as --name or --name=value."""
@@ -620,6 +629,7 @@ def main(argv=None) -> int:
             f"{key.replace('_', '-')}={_text(value, repr)}"
             for key, value in sorted(vars(args).items()) if key not in NOT_OPTIONS
         )
+        _refuse_line_breaks(args)
         _refuse_unread(args, argv)
         rep = args.func(args, Report(args.command, options, seed, replicates))
         print(rep.emit(args.format, getattr(args, "out", None)), flush=True)

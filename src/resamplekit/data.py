@@ -206,6 +206,8 @@ def _read_columns(text: str, path: Path, numeric: tuple[str, ...], group: str | 
                 g = row[k].strip() if k < width else ""
                 if not g:
                     raise ValueError(f"row {i}: blank group in column {group!r}")
+                if "\n" in g or "\r" in g:
+                    raise ValueError(f"row {i}: group {g!r} holds a line break")
                 groups.append(g)
     except csv.Error as exc:
         raise ValueError(f"{path}: {f'row {i + 1}' if i >= 0 else 'header'}: {exc}") from None

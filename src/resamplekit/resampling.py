@@ -15,15 +15,13 @@ the diagnostics' mean, moments and out-of-bounds share) read its values
 through ``_walk``, a slice of at most ``spec.SUMMARY_SLICE`` values (256 KB)
 at a time, so their temporaries are the size of a slice, not of the run.
 Counts add up exactly over slices.  Sums keep every bit because numpy's sum
-of a contiguous float64 array is the pairwise tree that the ``rng``
-docstring writes out, and a subtree is the same rule on a contiguous span:
-the walk cuts the run where the tree cuts it (in halves at multiples of 8,
-never a span of ``spec.PAIRWISE_BLOCK`` values or fewer), sums each slice
-with numpy and adds the sums back up the tree (Higham, "The accuracy of
-floating point summation", SIAM J. Sci. Comput., 1993).  Only the interval
-and the median sort a whole copy, one after the other.  Summaries refuse
-NaN and infinities, which they find in the minimum and maximum or the
-sorted ends that they read anyway.
+of a contiguous float64 array is the pairwise tree of ``spec.pairwise``, and
+a subtree is the same rule on a contiguous span: the walk cuts the run by
+``spec.pairwise``, sums each slice with numpy and adds the sums back up the
+tree (Higham, "The accuracy of floating point summation", SIAM J. Sci.
+Comput., 1993).  Only the interval and the median sort a whole copy, one
+after the other.  Summaries refuse NaN and infinities, which they find in
+the minimum and maximum or the sorted ends that they read anyway.
 
 p-values count ties inclusively: two-sided p = #{|T*| >= |T_obs|} / N,
 one-sided variants count T* >= T_obs (or <=).  The statistic table, these
@@ -403,21 +401,12 @@ def _values_array(dist) -> np.ndarray:
     return v
 
 
-def _walk(v: np.ndarray, leaf, lo: int = 0, hi: int | None = None):
-    """The sum of ``leaf`` of each slice of v[lo:hi], added back up numpy's
-    pairwise tree (module docstring).
-
-    A span of k values, more than ``spec.SUMMARY_SLICE`` and more than the
-    ``spec.PAIRWISE_BLOCK`` that numpy's pairwise sum adds in running sums,
-    is cut where that sum cuts it, after its first (k // 2) // 8 * 8
-    values.  So where ``leaf`` returns its slice's sums, the walk returns
-    v's sums bit for bit; counts add up exactly in any order."""
-    hi = v.size if hi is None else hi
-    k = hi - lo
-    if k <= max(spec.SUMMARY_SLICE, spec.PAIRWISE_BLOCK):
-        return leaf(v[lo:hi])
-    mid = lo + k // 2 // 8 * 8
-    return _walk(v, leaf, lo, mid) + _walk(v, leaf, mid, hi)
+def _walk(v: np.ndarray, leaf):
+    """The sum of ``leaf`` of each slice of v, added back up numpy's pairwise
+    tree (``spec.pairwise``) with slices of up to ``spec.SUMMARY_SLICE``
+    values.  So where ``leaf`` returns its slice's sums, the walk returns v's
+    sums bit for bit; counts add up exactly in any order."""
+    return spec.pairwise(lambda lo, hi: leaf(v[lo:hi]), 0, v.size, spec.SUMMARY_SLICE)
 
 
 def _check_ends(v: np.ndarray, low: float, high: float) -> None:

@@ -104,9 +104,10 @@ row): under 8 rows left to right from +0.0; up to 128 in eight running sums,
 sum j of rows j, j + 8, ... up to the last multiple of 8, added as ((0 + 1)
 + (2 + 3)) + ((4 + 5) + (6 + 7)), then the last k % 8 rows one by one; past
 128 the sum of the first (k // 2) // 8 * 8 rows plus the sum of the rest,
-each by this rule.  Values of shape (m, n) are m value rows summed through
-the same indices, and ``weights`` scale the values position row by position
-row (the terms of a correlation).  These sums decide a replicate's last bits.
+each by this rule, whose cut is coded in ``spec.pairwise``.  Values of shape
+(m, n) are m value rows summed through the same indices, and ``weights``
+scale the values position row by position row (the terms of a correlation).
+These sums decide a replicate's last bits.
 
 Lanes have a ``count``, ``below(n)`` (one draw per lane, an int64 array) and
 ``keep(lanes)`` (narrow to some lanes, each continuing its own stream).
@@ -151,7 +152,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spec import PAIRWISE_BLOCK, block_lanes, chunk_lanes, position_bytes
+from .spec import block_lanes, chunk_lanes, pairwise, position_bytes
 
 _MASK64 = (1 << 64) - 1
 _SPAN = 1 << 64
@@ -283,17 +284,15 @@ def lane_sums(values: np.ndarray, block: np.ndarray, weights: np.ndarray | None 
     ``weights[i]`` at position row i if given; values of shape (m, n) give m
     rows.  Its numpy calls do not depend on the lane count."""
     table = values.reshape(-1, values.shape[-1])
-    sums = _pairwise(table, block, weights, 0, len(block))
+    sums = pairwise(lambda lo, hi: _running_sums(table, block, weights, lo, hi), 0, len(block))
     sums += 0.0  # a lane of -0.0s sums to +0.0
     return sums.reshape(values.shape[:-1] + (block.shape[1],))
 
 
-def _pairwise(table: np.ndarray, block: np.ndarray, weights, lo: int, hi: int) -> np.ndarray:
-    """The pairwise sum over position rows lo..hi-1, per value row and lane."""
+def _running_sums(table: np.ndarray, block: np.ndarray, weights, lo: int, hi: int) -> np.ndarray:
+    """A leaf of ``spec.pairwise``: the sum over position rows lo..hi-1 per
+    value row and lane, in eight running sums (module docstring)."""
     k = hi - lo
-    if k > PAIRWISE_BLOCK:
-        mid = lo + k // 2 // 8 * 8
-        return _pairwise(table, block, weights, lo, mid) + _pairwise(table, block, weights, mid, hi)
     if k < 8:
         end, total = lo, np.zeros((len(table), block.shape[1]))
     else:

@@ -103,8 +103,8 @@ MAX_TABLE_BYTES = 1 << 28
 # rather than by replicates x row width.
 CHUNK_ELEMENTS = 1 << 18
 CHUNK_FLOOR = 1 << 10
-# The pairwise sum of the spec (``rng.lane_sums``, and numpy's float sums)
-# adds at most this many values in running sums, and halves longer spans.
+# The pairwise sum of the spec (``pairwise``) adds at most this many values
+# in running sums, and halves longer spans.
 PAIRWISE_BLOCK = 128
 # Values per slice of a summary's walk over a run (``resampling._walk``):
 # 2^15 float64 values take 256 KB, so a slice and the temporaries made from
@@ -211,6 +211,17 @@ def check_bin_width(bin_width: float) -> None:
     """Raise ValueError unless the histogram bin width is finite and > 0."""
     if not (math.isfinite(bin_width) and bin_width > 0):
         raise ValueError(f"bin width must be a finite number > 0, got {bin_width}")
+
+
+def pairwise(leaf, lo: int, hi: int, span: int = PAIRWISE_BLOCK):
+    """numpy's pairwise sum over lo..hi-1: ``leaf(lo, hi)`` for at most
+    max(``span``, PAIRWISE_BLOCK) values, else the sum of the first (k // 2)
+    // 8 * 8 of its k values plus the sum of the rest, each by this rule."""
+    k = hi - lo
+    if k <= max(span, PAIRWISE_BLOCK):
+        return leaf(lo, hi)
+    mid = lo + k // 2 // 8 * 8
+    return pairwise(leaf, lo, mid, span) + pairwise(leaf, mid, hi, span)
 
 
 @dataclass(frozen=True)

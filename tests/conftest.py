@@ -13,6 +13,17 @@ def small_chunks(monkeypatch):
 
 
 @pytest.fixture
+def no_draws(monkeypatch):
+    """Fail the test if any replicate is drawn: ``rng.run_chunks``, the
+    runner of every plan, raises for the rest of the test."""
+
+    def refuse(*args):
+        raise AssertionError("replicates were drawn")
+
+    monkeypatch.setattr(rng, "run_chunks", refuse)
+
+
+@pytest.fixture
 def scalar_oracle(monkeypatch):
     """``scalar_oracle(fn)`` returns ``fn()`` with every kernel run once,
     unchunked, on ``rng.ScalarLanes(seed, count)``: one Python-int generator

@@ -504,13 +504,7 @@ HUGE = str(2**64)
     (("poll", "--fixture", "poll500", "--sample-size", "5", "--polls", HUGE), "--polls"),
     (("poll", "--fixture", "poll500", "--sample-size", HUGE, "--mode", "with"), "--sample-size"),
 ], ids=lambda value: " ".join(value) if isinstance(value, tuple) else value)
-def test_counts_above_the_replicate_limit_are_refused_before_drawing(capsys, monkeypatch, argv, option):
-    from resamplekit import rng
-
-    def no_draws(*args):
-        raise AssertionError("replicates drawn for a count above the limit")
-
-    monkeypatch.setattr(rng, "run_chunks", no_draws)
+def test_counts_above_the_replicate_limit_are_refused_before_drawing(capsys, no_draws, argv, option):
     result = run(capsys, *argv)
     assert _one_error_line(*result)
     assert result[2] == f"error: {option} must be at most {MAX_REPLICATES}, got {HUGE}\n"
@@ -884,6 +878,32 @@ def test_reports_of_one_replicate_are_refused_by_name_before_numpy_is_imported(a
     proc = _numpy_free_run(argv)
     message = f"error: {option} must be at least 2 for an interval, got 1\n"
     assert (proc.returncode, proc.stderr, proc.stdout) == (1, message, "False\n")
+
+
+# A line break in an echoed text split a csv row or a report line, and each
+# run exited 0.  Options are refused by name and a group cell by its row,
+# before numpy is imported.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("clip", "--ci", "49,72", "--query", "gt 50\n", "--format", "csv"),
+         "--query cannot hold a line break, got 'gt 50\\n'"),
+        (("bayes", "--hypothesis", "a\nb:1/2:1", "--hypothesis", "c:1/2:1/4", "--format", "csv"),
+         "--hypothesis cannot hold a line break, got 'a\\nb:1/2:1'"),
+        (("montecarlo", "--trials", "8", "--count", "4", "--prob", "1/2\n"),
+         "--prob cannot hold a line break, got '1/2\\n'"),
+        (("bayes", "--hypothesis", "a:1/2:1", "--hypothesis", "c:1/2:1/4", "--update", "1,\n1"),
+         "--update cannot hold a line break, got '1,\\n1'"),
+        (("bootstrap", "--data", "rows\r.csv"), "--data cannot hold a line break, got 'rows\\r.csv'"),
+        (("shuffle-test", "--data", "rows.csv", "--group-column", "group"), "row 2: group 'a\\nb' holds a line break"),
+    ],
+    ids=["query", "hypothesis", "prob", "update", "data", "group-cell"],
+)
+def test_line_breaks_in_echoed_texts_are_refused_before_numpy_is_imported(tmp_path, argv, message):
+    (tmp_path / "rows.csv").write_text('value,group\n1,a\n2,"a\nb"\n3,c\n', newline="")
+    argv = [str(tmp_path / arg) if arg == "rows.csv" else arg for arg in argv]
+    proc = _numpy_free_run(argv)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (1, f"error: {message}\n", "False\n")
 
 
 def _address_space_of_2gb():

@@ -531,31 +531,26 @@ def test_bootstrap_validation():
         bootstrap(VEG9, n_resamples=0)
 
 
-def _refused_before_drawing(monkeypatch, call, argument):
-    """``call()`` raises a ValueError that names ``argument`` and the limit,
-    and draws nothing."""
-
-    def no_draws(*args):
-        raise AssertionError("drew replicates")
-
-    monkeypatch.setattr(rng, "run_chunks", no_draws)
+def _refused_before_drawing(call, argument):
+    """``call()`` raises a ValueError that names ``argument`` and the limit
+    (a test that calls this takes ``no_draws``, so nothing is drawn)."""
     with pytest.raises(ValueError, match=rf"^{argument} must be at most {spec.MAX_REPLICATES}, got {2**64}$"):
         call()
 
 
-def test_bootstrap_refuses_replicate_counts_above_the_limit(monkeypatch):
-    _refused_before_drawing(monkeypatch, lambda: bootstrap(Sample([1.0, 2.0, 5.0]), n_resamples=2**64), "n_resamples")
-    _refused_before_drawing(monkeypatch, lambda: bootstrap(VEG6, n_resamples=2**64), "n_resamples")
+def test_bootstrap_refuses_replicate_counts_above_the_limit(no_draws):
+    _refused_before_drawing(lambda: bootstrap(Sample([1.0, 2.0, 5.0]), n_resamples=2**64), "n_resamples")
+    _refused_before_drawing(lambda: bootstrap(VEG6, n_resamples=2**64), "n_resamples")
 
 
-def test_bootstrap_report_refuses_replicate_counts_above_the_limit(monkeypatch):
-    _refused_before_drawing(monkeypatch, lambda: bootstrap_report(VEG9, n_resamples=2**64), "n_resamples")
+def test_bootstrap_report_refuses_replicate_counts_above_the_limit(no_draws):
+    _refused_before_drawing(lambda: bootstrap_report(VEG9, n_resamples=2**64), "n_resamples")
 
 
-def test_shuffle_test_refuses_replicate_counts_above_the_limit(monkeypatch):
-    _refused_before_drawing(monkeypatch, lambda: shuffle_test(VEG6, n_resamples=2**64), "n_resamples")
+def test_shuffle_test_refuses_replicate_counts_above_the_limit(no_draws):
+    _refused_before_drawing(lambda: shuffle_test(VEG6, n_resamples=2**64), "n_resamples")
     paired = PairedSample(xs=(1.0, 2.0, 3.0), ys=(2.0, 1.0, 3.0))
-    _refused_before_drawing(monkeypatch, lambda: shuffle_test_paired(paired, n_resamples=2**64), "n_resamples")
+    _refused_before_drawing(lambda: shuffle_test_paired(paired, n_resamples=2**64), "n_resamples")
 
 
 @pytest.mark.parametrize(
@@ -581,11 +576,7 @@ def test_shuffle_test_refuses_replicate_counts_above_the_limit(monkeypatch):
     ids=["level", "bin-width", "scale-bounds", "tail-direction", "shuffle-bin-width", "nan-threshold",
          "inf-threshold", "inf-scale-bound", "nan-scale-bound"],
 )
-def test_report_options_are_refused_before_any_replicate_is_drawn(monkeypatch, call, message):
-    def no_draws(*args):
-        raise AssertionError("drew replicates")
-
-    monkeypatch.setattr(rng, "run_chunks", no_draws)
+def test_report_options_are_refused_before_any_replicate_is_drawn(no_draws, call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
@@ -925,22 +916,20 @@ def test_shuffle_test_of_pairs_is_the_paired_shuffle_test(scalar_oracle):
         assert merged.description == "pearson correlation of y against fixed x"
 
 
-def test_data_whose_sums_could_overflow_are_refused_before_any_draw(monkeypatch):
-    def no_draws(*args):
-        raise AssertionError("replicates drawn for data whose sums could overflow")
-
+def test_data_whose_sums_could_overflow_are_refused_before_any_draw(no_draws):
     huge = Sample([1e308, 1.5e308, 1.7e308])
     grouped = GroupedSample([1e308, -1e308, 1.7e308, -1.7e308], ["a", "a", "b", "b"])
-    with monkeypatch.context() as patched:
-        patched.setattr(rng, "run_chunks", no_draws)
-        for call in (
-            lambda: bootstrap(huge), lambda: bootstrap(grouped), lambda: shuffle_test(grouped),
-            lambda: exact_shuffle_p(grouped),
-        ):
-            with pytest.raises(ValueError, match="could overflow a sum of"):
-                call()
-    # At the largest magnitude accepted, replicates, interval and histogram
-    # stay finite (the diagnostics are checked below).
+    for call in (
+        lambda: bootstrap(huge), lambda: bootstrap(grouped), lambda: shuffle_test(grouped),
+        lambda: exact_shuffle_p(grouped),
+    ):
+        with pytest.raises(ValueError, match="could overflow a sum of"):
+            call()
+
+
+def test_data_at_the_largest_accepted_magnitude_give_finite_summaries():
+    # Replicates, interval and histogram stay finite (the diagnostics are
+    # checked below).
     limit = sys.float_info.max / (spec.SUM_MARGIN * 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

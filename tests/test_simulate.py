@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from resamplekit import rng
 from resamplekit.data import PopulationVector, get_fixture
 from resamplekit.simulate import (
     BernoulliExperiment,
@@ -157,32 +156,25 @@ def test_poll_scalar_equals_vectorized(scalar_oracle):
         assert a.proportions == b.proportions
 
 
-def _refused_before_drawing(monkeypatch, call, argument):
-    """``call()`` raises a ValueError that names ``argument`` and the limit,
-    and draws nothing."""
-
-    def no_draws(*args):
-        raise AssertionError("drew replicates")
-
-    monkeypatch.setattr(rng, "run_chunks", no_draws)
+def _refused_before_drawing(call, argument):
+    """``call()`` raises a ValueError that names ``argument`` and the limit
+    (a test that calls this takes ``no_draws``, so nothing is drawn)."""
     with pytest.raises(ValueError, match=rf"^{argument} must be at most {MAX_REPLICATES}, got {2**64}$"):
         call()
 
 
-def test_poll_refuses_counts_above_the_limit(monkeypatch):
+def test_poll_refuses_counts_above_the_limit(no_draws):
     for mode in ("with-replacement", "without-replacement"):
-        _refused_before_drawing(monkeypatch, lambda: simulate_poll(POLL500, 20, mode, 2**64), "n_polls")
-    _refused_before_drawing(
-        monkeypatch, lambda: simulate_poll(POLL500, 2**64, "with-replacement", 10), "sample_size"
-    )
+        _refused_before_drawing(lambda: simulate_poll(POLL500, 20, mode, 2**64), "n_polls")
+    _refused_before_drawing(lambda: simulate_poll(POLL500, 2**64, "with-replacement", 10), "sample_size")
 
 
-def test_bernoulli_refuses_counts_above_the_limit(monkeypatch):
+def test_bernoulli_refuses_counts_above_the_limit(no_draws):
     # The experiment refuses its counts as it is made, before any draw.
     runs = (8, F(1, 2), "exactly", 4, 2**64)
-    _refused_before_drawing(monkeypatch, lambda: simulate_bernoulli(BernoulliExperiment(*runs)), "runs")
+    _refused_before_drawing(lambda: simulate_bernoulli(BernoulliExperiment(*runs)), "runs")
     trials = (2**64, F(1, 2), "exactly", 4, 10)
-    _refused_before_drawing(monkeypatch, lambda: simulate_bernoulli(BernoulliExperiment(*trials)), "trials_per_run")
+    _refused_before_drawing(lambda: simulate_bernoulli(BernoulliExperiment(*trials)), "trials_per_run")
 
 
 @pytest.mark.parametrize(

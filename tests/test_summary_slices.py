@@ -172,11 +172,7 @@ def test_a_shuffle_test_holds_its_values_and_one_block():
     assert peak <= 1.54 * 8 * count
 
 
-def test_a_report_of_one_replicate_is_refused_before_any_draw(monkeypatch):
-    def no_run(*args):
-        raise AssertionError("a report of one replicate was drawn")
-
-    monkeypatch.setattr(resampling.rng, "run_chunks", no_run)
+def test_a_report_of_one_replicate_is_refused_before_any_draw(no_draws):
     with pytest.raises(ValueError, match="^n_resamples must be at least 2 for an interval, got 1$"):
         bootstrap_report(VEG9, n_resamples=1)
     with pytest.raises(ValueError, match="^n_resamples must be at least 2 for an interval, got 1$"):
